@@ -7,64 +7,13 @@ from .distributions import (
     Lognormal,
     Normal,
     ParetoTypeI,
-    distribution_from_config,
-    distribution_to_config,
     lognormal_from_moments,
-    pareto_from_mean_beta,
-    pareto_from_moments,
 )
-from .risk_measures import (
-    RiskMeasure,
-    es_empirical,
-    es_gaussian,
-    es_multiplier,
-    var_empirical,
-    var_gaussian,
-    var_multiplier,
-)
-from .montecarlo import (
-    McEstimate,
-    ScenarioSet,
-    estimate_mean,
-    estimate_mean_positive_part,
-    generate_scenarios,
-    net_worth_sample,
-)
-from .capital_solver import (
-    MarketSpec,
-    NoSolutionError,
-    SolveReport,
-    gaussian_hedged_risk,
-    solve_r0_gaussian_es,
-    solve_r0_gaussian_var,
-    solve_r0_lognormal_var,
-    solve_r0_numeric,
-)
-from .valuation import (
-    ValuationResult,
-    capped_expectation_quadrature,
-    gaussian_positive_part_factor,
-    llo_mc,
-    mc_valuation,
-    pareto_riskless_valuation,
-    v0_bounds,
-    value_c0_mc,
-    value_gaussian_es,
-    value_gaussian_var,
-    value_lognormal_var,
-    value_riskless_var,
-    value_v0_mc,
-)
-from .analysis import (
-    MutualBenefit,
-    SweepResult,
-    benefit_threshold_gaussian_es,
-    benefit_threshold_gaussian_var,
-    check_mutual_benefit,
-    negative_loading_threshold,
-    sweep,
-    w_grid,
-)
+from .risk_measures import RiskMeasure
+from .montecarlo import McEstimate, ScenarioSet, generate_scenarios
+from .capital_solver import MarketSpec, NoSolutionError, SolveReport
+from .valuation import ValuationResult, value_market
+from .analysis import MutualBenefit, SweepResult, sweep, w_grid
 
 __version__ = "0.1.0"
 
@@ -83,42 +32,9 @@ __all__ = [
     "SolveReport",
     "SweepResult",
     "ValuationResult",
-    "benefit_threshold_gaussian_es",
-    "benefit_threshold_gaussian_var",
-    "capped_expectation_quadrature",
-    "check_mutual_benefit",
-    "distribution_from_config",
-    "distribution_to_config",
-    "es_empirical",
-    "es_gaussian",
-    "es_multiplier",
-    "estimate_mean",
-    "estimate_mean_positive_part",
-    "gaussian_hedged_risk",
-    "gaussian_positive_part_factor",
     "generate_scenarios",
-    "llo_mc",
     "lognormal_from_moments",
-    "mc_valuation",
-    "negative_loading_threshold",
-    "net_worth_sample",
-    "pareto_from_mean_beta",
-    "pareto_from_moments",
-    "pareto_riskless_valuation",
-    "solve_r0_gaussian_es",
-    "solve_r0_gaussian_var",
-    "solve_r0_lognormal_var",
-    "solve_r0_numeric",
     "sweep",
-    "v0_bounds",
-    "value_c0_mc",
-    "value_gaussian_es",
-    "value_gaussian_var",
-    "value_lognormal_var",
-    "value_riskless_var",
-    "value_v0_mc",
-    "var_empirical",
-    "var_gaussian",
-    "var_multiplier",
+    "value_market",
     "w_grid",
 ]

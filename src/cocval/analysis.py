@@ -15,10 +15,15 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .capital_solver import MarketSpec, NoSolutionError, solve_r0_numeric
-from .distributions import Normal
 from .montecarlo import ScenarioSet
 from .risk_measures import RiskMeasure, es_multiplier, var_multiplier
-from .valuation import ValuationResult, mc_valuation, value_gaussian_es, value_gaussian_var
+from .valuation import (
+    ValuationResult,
+    mc_valuation,
+    normal_model,
+    value_gaussian_es,
+    value_gaussian_var,
+)
 
 __all__ = [
     "SweepResult",
@@ -173,14 +178,12 @@ def _validate_grid(grid) -> np.ndarray:
 
 def _closed_form_rows(market: MarketSpec, rm: RiskMeasure,
                       grid: np.ndarray) -> list[ValuationResult | None]:
-    claim, asset = market.claim, market.asset
     value = value_gaussian_var if rm.kind == "var" else value_gaussian_es
     rows: list[ValuationResult | None] = []
     for w in grid:
-        mu_w = w * asset.mean + (1.0 - w)
-        sigma_w = w * asset.sd
+        params = normal_model(replace(market, w=float(w)))
         try:
-            rows.append(value(claim.mean, claim.sd, mu_w, sigma_w, rm.alpha, market.eta))
+            rows.append(value(*params, rm.alpha, market.eta))
         except NoSolutionError:
             rows.append(None)
     return rows
@@ -245,16 +248,14 @@ def _derive_weights(grid: np.ndarray, rows: list[ValuationResult | None],
 
 
 def sweep(market: MarketSpec, rm: RiskMeasure, grid,
-          scen: ScenarioSet | None = None, method: str = "auto",
-          tol: float = 1e-4) -> SweepResult:
+          scen: ScenarioSet | None = None, tol: float = 1e-4) -> SweepResult:
     """Value the run-off across an asset-mix grid.
 
-    ``market.w`` is ignored; the grid supplies every weight.  With
-    ``method="auto"`` the normal/normal case uses closed forms and
-    everything else is solved per weight on the shared scenario set
-    (``scen`` is then required).  Weights where no capital level is
-    acceptable become gap rows, and the summary weights come from the
-    feasible prefix.
+    ``market.w`` is ignored; the grid supplies every weight.  The
+    normal model uses closed forms and everything else is solved per
+    weight on the shared scenario set (``scen`` is then required).
+    Weights where no capital level is acceptable become gap rows, and
+    the summary weights come from the feasible prefix.
 
     Returns:
         SweepResult with per-weight valuations, the capital-minimizing
@@ -263,14 +264,7 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid,
         normal model, its closed form.
     """
     arr = _validate_grid(grid)
-    if method not in ("auto", "closed_form", "mc"):
-        raise ValueError("method must be 'auto', 'closed_form' or 'mc'")
-    gaussian = isinstance(market.claim, Normal) and isinstance(market.asset, Normal)
-    if method == "closed_form" and not gaussian:
-        raise ValueError("closed forms need a normal claim and a normal asset")
-    use_closed = gaussian if method == "auto" else method == "closed_form"
-
-    if use_closed:
+    if normal_model(market) is not None:
         rows = _closed_form_rows(market, rm, arr)
         w_hat_closed = _closed_threshold(market, rm)
     else:

@@ -55,8 +55,8 @@ class MarketSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("w must lie in [0, 1]")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
 
     @property
     def z_mean(self) -> float:
@@ -71,11 +71,6 @@ class MarketSpec:
 
     def claim_sample(self, scen: ScenarioSet) -> np.ndarray:
         return self.claim.sample(scen.u_claim)
-
-    def mixed_return_sample(self, scen: ScenarioSet) -> np.ndarray:
-        if self.w == 0.0:
-            return np.ones(scen.n)
-        return self.w * self.asset_return_sample(scen) + (1.0 - self.w)
 
 
 @dataclass(frozen=True)
@@ -143,17 +138,6 @@ def solve_r0_gaussian_es(gamma: float, nu: float, mu: float, sigma: float,
                          alpha: float) -> SolveReport:
     """Capital requirement under ES for normal claim and normal return."""
     return _solve_r0_gaussian(gamma, nu, mu, sigma, es_multiplier(alpha))
-
-
-def _r0_gaussian_var_stable(gamma: float, nu: float, mu: float, sigma: float,
-                            alpha: float) -> float:
-    # Equivalent rational form, numerically preferable when gamma and nu
-    # are held fixed while (mu, sigma) sweep; valid for gamma > nu * m.
-    m = var_multiplier(alpha)
-    if gamma <= nu * m:
-        raise ValueError("requires gamma > nu * multiplier")
-    disc = gamma ** 2 * sigma ** 2 + nu ** 2 * (mu ** 2 - sigma ** 2 * m ** 2)
-    return (gamma ** 2 - nu ** 2 * m ** 2) / (mu * gamma - m * math.sqrt(disc))
 
 
 def solve_r0_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,

@@ -15,25 +15,11 @@ import os
 import sys
 
 from .analysis import DEFAULT_GRID_STEP, sweep, w_grid
-from .capital_solver import MarketSpec, NoSolutionError, solve_r0_numeric
-from .distributions import (
-    Degenerate,
-    Lognormal,
-    Normal,
-    ParetoTypeI,
-    distribution_from_config,
-)
+from .capital_solver import MarketSpec, NoSolutionError
+from .distributions import distribution_from_config
 from .montecarlo import generate_scenarios
 from .risk_measures import RiskMeasure
-from .valuation import (
-    ValuationResult,
-    mc_valuation,
-    pareto_riskless_valuation,
-    value_gaussian_es,
-    value_gaussian_var,
-    value_lognormal_var,
-    value_riskless_var,
-)
+from .valuation import normal_model, pareto_riskless_valuation, value_market
 
 __all__ = ["main", "console_entry", "RunConfig", "FIGURE_PRESETS"]
 
@@ -78,13 +64,29 @@ class RunConfig:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged = cls()
         for key, value in data.items():
+            if key in _FIELD_TYPES:
+                value = _coerce(key, value, _FIELD_TYPES[key])
             setattr(merged, key, value)
         return merged
 
 
-def _load_config(path: str | None) -> RunConfig:
+# Scalar config keys and the types they are coerced to.
+_FIELD_TYPES = {"eta": float, "w": float, "grid_step": float, "mc_n": int, "seed": int}
+
+
+def _coerce(key: str, value, kind: type):
+    try:
+        converted = kind(value)
+        if kind is int and converted != float(value):  # a fraction truncated
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+    return converted
+
+
+def _load_config(path: str | None) -> dict:
     if path is None:
-        return RunConfig()
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -94,7 +96,7 @@ def _load_config(path: str | None) -> RunConfig:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    return RunConfig.from_dict(data)
+    return data
 
 
 def _parse_inline_distribution(text: str, flag: str) -> dict:
@@ -108,7 +110,8 @@ def _parse_inline_distribution(text: str, flag: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config(getattr(args, "config", None))
+    file_data = _load_config(getattr(args, "config", None))
+    cfg = RunConfig.from_dict(file_data)
     if getattr(args, "claim", None) is not None:
         cfg.claim = _parse_inline_distribution(args.claim, "--claim")
     if getattr(args, "asset", None) is not None:
@@ -127,7 +130,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         cfg.mc_n = args.mc_n
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    elif "seed" not in _config_file_keys(args) and os.environ.get(SEED_ENV_VAR):
+    elif "seed" not in file_data and os.environ.get(SEED_ENV_VAR):
         try:
             cfg.seed = int(os.environ[SEED_ENV_VAR])
         except ValueError as exc:
@@ -138,18 +141,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _config_file_keys(args: argparse.Namespace) -> set[str]:
-    path = getattr(args, "config", None)
-    if path is None:
-        return set()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        return set(data) if isinstance(data, dict) else set()
-    except (OSError, json.JSONDecodeError):
-        return set()
-
-
 def _build_market(cfg: RunConfig, w: float) -> MarketSpec:
     if cfg.claim is None:
         raise UsageError("a claim distribution is required (config key 'claim' or --claim)")
@@ -157,7 +148,7 @@ def _build_market(cfg: RunConfig, w: float) -> MarketSpec:
     try:
         claim = distribution_from_config(cfg.claim)
         asset = distribution_from_config(asset_spec)
-        return MarketSpec(claim=claim, asset=asset, w=w, eta=float(cfg.eta))
+        return MarketSpec(claim=claim, asset=asset, w=w, eta=cfg.eta)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -167,28 +158,6 @@ def _build_risk_measure(cfg: RunConfig) -> RiskMeasure:
         return RiskMeasure.from_config(cfg.risk_measure)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _value_auto(market: MarketSpec, rm: RiskMeasure, cfg: RunConfig) -> ValuationResult:
-    claim, asset, w = market.claim, market.asset, market.w
-    if isinstance(claim, Normal) and isinstance(asset, Normal):
-        mu_w = w * asset.mean + 1.0 - w
-        sigma_w = w * asset.sd
-        value = value_gaussian_var if rm.kind == "var" else value_gaussian_es
-        return value(claim.mean, claim.sd, mu_w, sigma_w, rm.alpha, market.eta)
-    riskless = w == 0.0 or (isinstance(asset, Degenerate) and asset.value == 1.0)
-    if rm.kind == "var" and riskless:
-        if isinstance(claim, ParetoTypeI):
-            return pareto_riskless_valuation(claim.beta, claim.mean, rm.alpha, market.eta)
-        if claim.nonnegative:
-            return value_riskless_var(claim, rm.alpha, market.eta)
-    if (rm.kind == "var" and w == 1.0
-            and isinstance(claim, Lognormal) and isinstance(asset, Lognormal)):
-        return value_lognormal_var(claim.mu_log, claim.sd_log,
-                                   asset.mu_log, asset.sd_log, rm.alpha, market.eta)
-    scen = generate_scenarios(cfg.mc_n, cfg.seed)
-    rep = solve_r0_numeric(market, rm, scen)
-    return mc_valuation(rep, market, rm, scen)
 
 
 def _fmt(value) -> str:
@@ -206,10 +175,10 @@ def _write_value_csv(path: str, record: dict) -> None:
 
 def cmd_value(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    market = _build_market(cfg, float(cfg.w))
+    market = _build_market(cfg, cfg.w)
     rm = _build_risk_measure(cfg)
     try:
-        result = _value_auto(market, rm, cfg)
+        result = value_market(market, rm, mc_n=cfg.mc_n, seed=cfg.seed)
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
@@ -225,11 +194,11 @@ def _run_sweep(cfg: RunConfig, default_out: str) -> int:
     market = _build_market(cfg, 0.0)
     rm = _build_risk_measure(cfg)
     try:
-        grid = w_grid(float(cfg.grid_step))
+        grid = w_grid(cfg.grid_step)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    gaussian = isinstance(market.claim, Normal) and isinstance(market.asset, Normal)
-    scen = None if gaussian else generate_scenarios(cfg.mc_n, cfg.seed)
+    closed = normal_model(market) is not None
+    scen = None if closed else generate_scenarios(cfg.mc_n, cfg.seed)
     result = sweep(market, rm, grid, scen=scen)
     out = cfg.out or default_out
     result.write_csv(out)
@@ -347,7 +316,7 @@ def cmd_pareto_example(args: argparse.Namespace) -> int:
     mean = float(args.mean)
     rows = []
     for beta in (2.0, 1.1):
-        res = pareto_riskless_valuation(beta, mean, rm.alpha, float(cfg.eta))
+        res = pareto_riskless_valuation(beta, mean, rm.alpha, cfg.eta)
         rows.append((beta, res.r0, res.llo, res.v0_upper, res.v0))
     header = f"{'beta':>6} {'r0':>12} {'llo':>12} {'v0_upper':>12} {'v0':>12}"
     print(header)

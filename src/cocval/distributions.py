@@ -2,7 +2,7 @@
 
 Every model in the engine is built from four families: normal,
 lognormal, Pareto type I, and a degenerate point mass standing in for
-the risk-less bond.  Each one exposes closed-form ``cdf``/``sf``/``pdf``
+the risk-less bond.  Each one exposes closed-form ``cdf``/``sf``
 /``quantile``, exact first and second moments, stop-loss expectations,
 and positive rescaling.
 
@@ -63,68 +63,14 @@ def standard_normal_pdf(x) -> float | np.ndarray:
     return _match(np.exp(-0.5 * arr * arr) / _SQRT_TWO_PI, x)
 
 
-# Rational minimax coefficients for the initial inverse-CDF guess
-# (P. J. Acklam's algorithm; |relative error| < 1.2e-9 before polish).
-_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_P_LOW = 0.02425
-
-
-def _quantile_guess(p: np.ndarray) -> np.ndarray:
-    # Lower half only (p <= 0.5); callers reflect the upper half.
-    out = np.empty_like(p)
-    lower = p < _P_LOW
-    central = ~lower
-    if np.any(central):
-        q = p[central] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        out[central] = num * q / den
-    if np.any(lower):
-        q = np.sqrt(-2.0 * np.log(p[lower]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        out[lower] = num / den
-    return out
-
-
 def standard_normal_quantile(p) -> float | np.ndarray:
-    """Inverse standard normal CDF.
-
-    A rational approximation polished by one Halley step on the exact
-    CDF; the absolute error is far below 1e-10 across the whole range
-    attainable by 53-bit uniforms.  Levels above 1/2 are reflected to
-    the lower tail first (1 - p is exact there by Sterbenz), where the
-    polish residual keeps full precision in both tails.
+    """Inverse standard normal CDF, scipy's ``ndtri``.
 
     Raises:
         ValueError: any p outside the open interval (0, 1).
     """
     arr = _check_probability(p)
-    flat = np.atleast_1d(arr)
-    flip = flat > 0.5
-    q = np.where(flip, 1.0 - flat, flat)
-    x = _quantile_guess(q)
-    err = 0.5 * special.erfc(-x / _SQRT2) - q
-    u = err * _SQRT_TWO_PI * np.exp(0.5 * x * x)
-    x -= u / (1.0 + 0.5 * x * u)
-    x = np.where(flip, -x, x)
-    return _match(x.reshape(arr.shape), p)
+    return _match(special.ndtri(arr), p)
 
 
 @dataclass(frozen=True)
@@ -162,13 +108,6 @@ class Normal:
         if self.sd == 0.0:
             return _match((arr < self.mean).astype(float), x)
         return _match(0.5 * special.erfc((arr - self.mean) / (self.sd * _SQRT2)), x)
-
-    def pdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if self.sd == 0.0:
-            return _match(np.where(arr == self.mean, np.inf, 0.0), x)
-        z = (arr - self.mean) / self.sd
-        return _match(np.exp(-0.5 * z * z) / (_SQRT_TWO_PI * self.sd), x)
 
     def quantile(self, p) -> float | np.ndarray:
         arr = _check_probability(p)
@@ -238,15 +177,6 @@ class Lognormal:
             out[pos] = 0.5 * special.erfc(z / _SQRT2)
         return _match(out, x)
 
-    def pdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        if np.any(pos):
-            z = (np.log(arr[pos]) - self.mu_log) / self.sd_log
-            out[pos] = np.exp(-0.5 * z * z) / (arr[pos] * self.sd_log * _SQRT_TWO_PI)
-        return _match(out, x)
-
     def quantile(self, p) -> float | np.ndarray:
         arr = _check_probability(p)
         return _match(np.exp(self.mu_log + self.sd_log * standard_normal_quantile(arr)), p)
@@ -311,13 +241,6 @@ class ParetoTypeI:
         out[above] = (arr[above] / self.x_m) ** (-self.beta)
         return _match(out, x)
 
-    def pdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape)
-        above = arr >= self.x_m
-        out[above] = self.beta / self.x_m * (arr[above] / self.x_m) ** (-self.beta - 1.0)
-        return _match(out, x)
-
     def quantile(self, p) -> float | np.ndarray:
         arr = _check_probability(p)
         return _match(self.x_m * (1.0 - arr) ** (-1.0 / self.beta), p)
@@ -361,10 +284,6 @@ class Degenerate:
     def sf(self, x) -> float | np.ndarray:
         arr = np.asarray(x, dtype=float)
         return _match((arr < self.value).astype(float), x)
-
-    def pdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        return _match(np.where(arr == self.value, np.inf, 0.0), x)
 
     def quantile(self, p) -> float | np.ndarray:
         arr = _check_probability(p)
@@ -441,6 +360,8 @@ def distribution_from_config(spec: dict) -> Distribution:
         raise ValueError("distribution spec must be a mapping with a 'kind' key")
     kind = spec["kind"]
     params = {k: float(v) for k, v in spec.items() if k != "kind"}
+    if not all(math.isfinite(v) for v in params.values()):
+        raise ValueError(f"distribution parameters must be finite: {params}")
     keys = frozenset(params)
     if kind == "normal":
         if keys == {"mean", "sd"}:

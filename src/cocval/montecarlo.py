@@ -14,20 +14,14 @@ is bit-identical regardless of platform or call order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # circular at runtime only
-    from .capital_solver import MarketSpec
 
 __all__ = [
     "ScenarioSet",
     "McEstimate",
     "generate_scenarios",
-    "net_worth_sample",
     "estimate_mean",
-    "estimate_mean_positive_part",
 ]
 
 _INV_2_53 = 2.0 ** -53
@@ -76,17 +70,6 @@ def generate_scenarios(n: int, seed: int) -> ScenarioSet:
     return ScenarioSet(n=int(n), seed=int(seed), u_asset=u_asset, u_claim=u_claim)
 
 
-def net_worth_sample(scen: ScenarioSet, market: "MarketSpec", r: float) -> np.ndarray:
-    """Terminal net worth r * (w S + 1 - w) - X over the scenario set.
-
-    The same scenarios serve every (r, w) pair, which is the common
-    random numbers contract of the whole engine.
-    """
-    if r < 0:
-        raise ValueError("capital level must be nonnegative")
-    return r * market.mixed_return_sample(scen) - market.claim_sample(scen)
-
-
 def estimate_mean(values) -> McEstimate:
     """Sample mean with standard error sd / sqrt(n)."""
     arr = np.asarray(values, dtype=float).ravel()
@@ -94,8 +77,3 @@ def estimate_mean(values) -> McEstimate:
         raise ValueError("empty sample")
     se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return McEstimate(value=float(arr.mean()), std_error=se, n=arr.size)
-
-
-def estimate_mean_positive_part(values) -> McEstimate:
-    """Mean of the positive part of the sample, with standard error."""
-    return estimate_mean(np.maximum(np.asarray(values, dtype=float), 0.0))

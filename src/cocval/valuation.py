@@ -24,21 +24,18 @@ from .capital_solver import (
     solve_r0_gaussian_es,
     solve_r0_gaussian_var,
     solve_r0_lognormal_var,
+    solve_r0_numeric,
 )
 from .distributions import (
     Degenerate,
     Distribution,
     Lognormal,
+    Normal,
+    ParetoTypeI,
     standard_normal_cdf,
     standard_normal_pdf,
 )
-from .montecarlo import (
-    McEstimate,
-    ScenarioSet,
-    estimate_mean,
-    estimate_mean_positive_part,
-    net_worth_sample,
-)
+from .montecarlo import ScenarioSet, estimate_mean, generate_scenarios
 from .risk_measures import RiskMeasure, es_multiplier, var_multiplier
 
 __all__ = [
@@ -51,10 +48,9 @@ __all__ = [
     "value_lognormal_var",
     "value_riskless_var",
     "pareto_riskless_valuation",
-    "value_c0_mc",
-    "value_v0_mc",
-    "llo_mc",
     "mc_valuation",
+    "normal_model",
+    "value_market",
 ]
 
 # Absolute quadrature target as a fraction of the expected claim.
@@ -310,33 +306,6 @@ def pareto_riskless_valuation(beta: float, mean: float, alpha: float,
     )
 
 
-def value_c0_mc(r0: float, market: MarketSpec, scen: ScenarioSet) -> McEstimate:
-    """Monte Carlo shareholder value E[(r0 Z - X)^+] / (1 + eta)."""
-    est = estimate_mean_positive_part(net_worth_sample(scen, market, r0))
-    scale = 1.0 + market.eta
-    return McEstimate(est.value / scale, est.std_error / scale, est.n)
-
-
-def value_v0_mc(r0: float, market: MarketSpec, scen: ScenarioSet) -> McEstimate:
-    """Monte Carlo premium from the capped-payoff form.
-
-    Estimates (E[(r0 Z) min X] + eta r0 + r0 E[1 - Z]) / (1 + eta) on
-    the scenario set; algebraically identical to r0 - c0 on the same
-    scenarios, so the two agree to float round-off.
-    """
-    z = market.mixed_return_sample(scen)
-    x = market.claim_sample(scen)
-    per_scenario = (np.minimum(r0 * z, x) + market.eta * r0 + r0 * (1.0 - z)) / (1.0 + market.eta)
-    return estimate_mean(per_scenario)
-
-
-def llo_mc(r0: float, market: MarketSpec, scen: ScenarioSet) -> McEstimate:
-    """Monte Carlo limited-liability option E[(r0 Z - X)^-] / (1 + eta)."""
-    est = estimate_mean_positive_part(-net_worth_sample(scen, market, r0))
-    scale = 1.0 + market.eta
-    return McEstimate(est.value / scale, est.std_error / scale, est.n)
-
-
 def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure,
                  scen: ScenarioSet, *,
                  asset_values: np.ndarray | None = None,
@@ -347,6 +316,10 @@ def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure,
     option value; the premium is r0 - c0 by identity, with the same
     standard error as c0.  Bounds use exact model moments, not sample
     moments.
+
+    ``c0_se``, ``v0_se`` and ``llo_se`` hold r0 fixed: they leave out
+    the noise of the solved capital level, and they mean nothing when
+    the claim variance is infinite (Pareto beta <= 2).
     """
     x = market.claim_sample(scen) if claim_values is None else claim_values
     if market.w == 0.0:
@@ -376,3 +349,53 @@ def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure,
         v0_se=c0_est.std_error / scale,
         llo_se=llo_est.std_error / scale,
     )
+
+
+def normal_model(market: MarketSpec) -> tuple[float, float, float, float] | None:
+    """Parameters (gamma, nu, mu_w, sigma_w) of the normal model.
+
+    Claim mean and sd, then the mean and sd of the mixed return at
+    ``market.w``; None unless both the claim and the asset are normal.
+    """
+    claim, asset, w = market.claim, market.asset, market.w
+    if not (isinstance(claim, Normal) and isinstance(asset, Normal)):
+        return None
+    return claim.mean, claim.sd, w * asset.mean + (1.0 - w), w * asset.sd
+
+
+def value_market(market: MarketSpec, rm: RiskMeasure, *, mc_n: int,
+                 seed: int) -> ValuationResult:
+    """Value one market by closed form where one exists, else Monte Carlo.
+
+    Routes, first match wins: the normal model under either criterion;
+    VaR with the buffer in the bond (``w = 0`` or a unit point-mass
+    asset) for a Pareto claim or any other nonnegative claim; VaR for a
+    lognormal claim fully invested in a lognormal asset.  Everything
+    else is solved and decomposed on one scenario set of ``mc_n`` draws
+    from ``seed``, each stream transformed once.
+
+    Raises:
+        NoSolutionError: no capital level is acceptable.
+    """
+    params = normal_model(market)
+    if params is not None:
+        value = value_gaussian_var if rm.kind == "var" else value_gaussian_es
+        return value(*params, rm.alpha, market.eta)
+    claim, asset, w = market.claim, market.asset, market.w
+    riskless = w == 0.0 or (isinstance(asset, Degenerate) and asset.value == 1.0)
+    if rm.kind == "var" and riskless:
+        if isinstance(claim, ParetoTypeI):
+            return pareto_riskless_valuation(claim.beta, claim.mean, rm.alpha, market.eta)
+        if claim.nonnegative:
+            return value_riskless_var(claim, rm.alpha, market.eta)
+    if (rm.kind == "var" and w == 1.0
+            and isinstance(claim, Lognormal) and isinstance(asset, Lognormal)):
+        return value_lognormal_var(claim.mu_log, claim.sd_log,
+                                   asset.mu_log, asset.sd_log, rm.alpha, market.eta)
+    scen = generate_scenarios(mc_n, seed)
+    claim_values = market.claim_sample(scen)
+    asset_values = market.asset_return_sample(scen) if w != 0.0 else None
+    rep = solve_r0_numeric(market, rm, scen, asset_values=asset_values,
+                           claim_values=claim_values)
+    return mc_valuation(rep, market, rm, scen, asset_values=asset_values,
+                        claim_values=claim_values)

@@ -1,10 +1,22 @@
 """Shared oracle helpers: analytic standard errors of empirical-rooted
-capital levels in the normal model, via the delta method."""
+capital levels in the normal model, via the delta method, and the Monte
+Carlo decomposition at a given capital level."""
 
 import math
 
+from cocval.capital_solver import SolveReport
 from cocval.distributions import standard_normal_cdf, standard_normal_pdf
-from cocval.risk_measures import es_multiplier, var_multiplier
+from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
+from cocval.valuation import mc_valuation
+
+
+def mc_at(r0, market, scen, rm=RiskMeasure("var", 0.005), **values):
+    """``mc_valuation`` at capital ``r0``, as if a solver had returned it.
+
+    ``values`` passes pre-transformed ``asset_values``/``claim_values``.
+    """
+    rep = SolveReport(r0=r0, method="closed_form", residual=0.0, iterations=0)
+    return mc_valuation(rep, market, rm, scen, **values)
 
 
 def gaussian_r0_se_var(r0: float, gamma: float, nu: float, mu: float,

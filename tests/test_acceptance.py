@@ -32,14 +32,12 @@ from cocval.risk_measures import (
 from cocval.valuation import (
     mc_valuation,
     pareto_riskless_valuation,
-    value_c0_mc,
     value_gaussian_es,
     value_gaussian_var,
     value_lognormal_var,
-    value_v0_mc,
 )
 
-from helpers import gaussian_r0_se_es, gaussian_r0_se_var
+from helpers import gaussian_r0_se_es, gaussian_r0_se_var, mc_at
 
 ETA = 0.06
 ALPHA = 0.005
@@ -136,17 +134,16 @@ def test_oracle_equivalence_var(scen, normals):
             market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma),
                                 w=1.0, eta=ETA)
             rm = RiskMeasure("var", alpha)
-            mc = solve_r0_numeric(market, rm, scen,
-                                  asset_values=mu + sigma * g_asset,
-                                  claim_values=gamma + nu * g_claim)
+            values = dict(asset_values=mu + sigma * g_asset,
+                          claim_values=gamma + nu * g_claim)
+            mc = solve_r0_numeric(market, rm, scen, **values)
             se = gaussian_r0_se_var(closed.r0, gamma, nu, mu, sigma, alpha, MC_N)
             assert abs(mc.r0 - closed.r0) <= 3 * se
 
             valued = value_gaussian_var(gamma, nu, mu, sigma, alpha, ETA)
-            c0 = value_c0_mc(closed.r0, market, scen)
-            v0 = value_v0_mc(closed.r0, market, scen)
-            assert abs(c0.value - valued.c0) <= 4 * c0.std_error
-            assert abs(v0.value - valued.v0) <= 4 * v0.std_error
+            at_closed = mc_at(closed.r0, market, scen, rm, **values)
+            assert abs(at_closed.c0 - valued.c0) <= 4 * at_closed.c0_se
+            assert abs(at_closed.v0 - valued.v0) <= 4 * at_closed.v0_se
 
 
 def test_oracle_equivalence_es(scen, normals):
@@ -158,17 +155,16 @@ def test_oracle_equivalence_es(scen, normals):
             market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma),
                                 w=1.0, eta=ETA)
             rm = RiskMeasure("es", alpha)
-            mc = solve_r0_numeric(market, rm, scen,
-                                  asset_values=mu + sigma * g_asset,
-                                  claim_values=gamma + nu * g_claim)
+            values = dict(asset_values=mu + sigma * g_asset,
+                          claim_values=gamma + nu * g_claim)
+            mc = solve_r0_numeric(market, rm, scen, **values)
             se = gaussian_r0_se_es(closed.r0, gamma, nu, mu, sigma, alpha, MC_N)
             assert abs(mc.r0 - closed.r0) <= 3 * se
 
             valued = value_gaussian_es(gamma, nu, mu, sigma, alpha, ETA)
-            c0 = value_c0_mc(closed.r0, market, scen)
-            v0 = value_v0_mc(closed.r0, market, scen)
-            assert abs(c0.value - valued.c0) <= 4 * c0.std_error
-            assert abs(v0.value - valued.v0) <= 4 * v0.std_error
+            at_closed = mc_at(closed.r0, market, scen, rm, **values)
+            assert abs(at_closed.c0 - valued.c0) <= 4 * at_closed.c0_se
+            assert abs(at_closed.v0 - valued.v0) <= 4 * at_closed.v0_se
 
 
 LOGNORMAL_GRID = [(mean_s, sd_s, sd_x)
@@ -262,9 +258,8 @@ def test_property_suite(scen):
         # Monte Carlo identity on one shared scenario set
         mkt_half = MarketSpec(claim=claim, asset=asset, w=0.5, eta=ETA)
         rep = solve_r0_numeric(mkt_half, rm, scen, asset_values=s, claim_values=x)
-        c0 = value_c0_mc(rep.r0, mkt_half, scen)
-        v0 = value_v0_mc(rep.r0, mkt_half, scen)
-        assert abs(v0.value + c0.value - rep.r0) <= 1e-12 * rep.r0
+        row = mc_valuation(rep, mkt_half, rm, scen, asset_values=s, claim_values=x)
+        assert abs(row.v0 + row.c0 - rep.r0) <= 1e-12 * rep.r0
 
 
 def test_lognormal_upper_bound_sharpness(scen, normals):

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from cocval.analysis import (
     sweep,
     w_grid,
 )
-from cocval.capital_solver import MarketSpec, solve_r0_gaussian_var
+from cocval.capital_solver import MarketSpec, solve_r0_gaussian_var, solve_r0_numeric
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
 from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
+from cocval.valuation import mc_valuation
 
 GAMMA, NU, MU, SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
@@ -224,9 +226,11 @@ class TestMcSweep:
 
     def test_mc_matches_closed_forms_on_gaussian_market(self):
         scen = generate_scenarios(200_000, seed=5)
-        res = sweep(FIG_MARKET, VAR_005, [0.0, 0.25, 0.5], scen=scen, method="mc")
         closed = sweep(FIG_MARKET, VAR_005, [0.0, 0.25, 0.5])
-        for mc_row, cf_row in zip(res.rows, closed.rows):
+        for w, cf_row in zip(closed.grid, closed.rows):
+            market = replace(FIG_MARKET, w=float(w))
+            rep = solve_r0_numeric(market, VAR_005, scen)
+            mc_row = mc_valuation(rep, market, VAR_005, scen)
             assert mc_row.r0_se is not None
             assert abs(mc_row.r0 - cf_row.r0) < 4 * mc_row.r0_se
             # the valuation inherits the root's noise on top of its own

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from cocval.capital_solver import (
     MarketSpec,
     NoSolutionError,
-    _r0_gaussian_var_stable,
     gaussian_hedged_risk,
     solve_r0_gaussian_es,
     solve_r0_gaussian_var,
@@ -30,6 +29,14 @@ from helpers import gaussian_r0_se_var
 
 FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
+
+
+def rational_r0_var(gamma, nu, mu, sigma, alpha):
+    # The Gaussian VaR root in its equivalent rational form, an oracle
+    # for the solver's quadratic-formula form; valid for gamma > nu * m.
+    m = var_multiplier(alpha)
+    disc = gamma ** 2 * sigma ** 2 + nu ** 2 * (mu ** 2 - sigma ** 2 * m ** 2)
+    return (gamma ** 2 - nu ** 2 * m ** 2) / (mu * gamma - m * math.sqrt(disc))
 
 
 class TestGaussianVar:
@@ -71,7 +78,7 @@ class TestGaussianVar:
     def test_equivalent_form_agreement(self):
         for mu, sigma in [(1.05, 0.2), (1.02, 0.1), (1.3, 0.35)]:
             direct = solve_r0_gaussian_var(1.0, 0.3, mu, sigma, ALPHA).r0
-            stable = _r0_gaussian_var_stable(1.0, 0.3, mu, sigma, ALPHA)
+            stable = rational_r0_var(1.0, 0.3, mu, sigma, ALPHA)
             assert stable == pytest.approx(direct, rel=1e-10)
 
     def test_residual_is_hedged_risk(self):
@@ -123,7 +130,7 @@ class TestGaussianVarRandomized:
         assert abs(rep.residual) <= 1e-10 * max(1.0, rep.r0)
         # and matches the equivalent rational form on its domain
         if gamma > nu * m * (1 + 1e-9):
-            assert _r0_gaussian_var_stable(gamma, nu, mu, sigma, alpha) == pytest.approx(
+            assert rational_r0_var(gamma, nu, mu, sigma, alpha) == pytest.approx(
                 rep.r0, rel=1e-9)
 
     @given(gamma=st.floats(0.5, 3.0), nu=st.floats(0.05, 0.8),
@@ -247,7 +254,7 @@ class TestNumericSolver:
         market = MarketSpec(claim=claim, asset=asset, w=0.6, eta=0.06)
         rep = solve_r0_numeric(market, rm, scen, tol)
         base = rm.empirical(-market.claim_sample(scen))
-        z_max = float(np.max(market.mixed_return_sample(scen)))
+        z_max = float(np.max(0.6 * market.asset_return_sample(scen) + 0.4))
         assert abs(rep.residual) <= tol * max(base, rep.r0) * max(1.0, z_max)
 
     def test_scaling_equivariance_shared_scenarios(self):

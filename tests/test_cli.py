@@ -75,6 +75,20 @@ class TestValue:
         assert code == EXIT_NO_SOLUTION
         assert "no solution" in err
 
+    def test_nonfinite_claim_parameter_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "value", "--claim", '{"kind":"normal","mean":NaN,"sd":0.3}'])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_eta_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "value", "--claim", '{"kind":"lognormal","mean":1,"sd":0.3}', "--eta", "nan"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "eta" in err
+
     def test_missing_claim_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["value"])
         assert code == EXIT_USAGE
@@ -228,6 +242,31 @@ class TestConfig:
         code, _, err = run(capsys, ["value", "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert "surprise" in err
+
+    def test_config_scalars_coerced_to_their_types(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        base = {"claim": {"kind": "lognormal", "mean": 1.0, "sd": 0.3},
+                "asset": {"kind": "lognormal", "mean": 1.05, "sd": 0.2}}
+        cfg.write_text(json.dumps({**base, "mc_n": "100", "w": "0.5", "seed": 4.0}))
+        code, out, _ = run(capsys, ["value", "--config", str(cfg)])
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert (record["mc_n"], record["w"], record["seed"]) == (100, 0.5, 4)
+        for key, bad in (("mc_n", "many"), ("mc_n", 100.5), ("eta", None), ("seed", "1e3")):
+            cfg.write_text(json.dumps({**base, key: bad}))
+            code, _, err = run(capsys, ["value", "--config", str(cfg)])
+            assert code == EXIT_USAGE
+            assert key in err
+
+    def test_config_seed_beats_env(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COC_SEED", "321")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"claim": {"kind": "lognormal", "mean": 1.0, "sd": 0.3},
+                                   "asset": {"kind": "lognormal", "mean": 1.05, "sd": 0.2},
+                                   "w": 0.5, "mc_n": 10000, "seed": 5}))
+        code, out, _ = run(capsys, ["value", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert json.loads(out)["seed"] == 5
 
     def test_seed_env_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COC_SEED", "321")

@@ -7,15 +7,12 @@ import pytest
 
 from cocval.capital_solver import MarketSpec
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
-from cocval.montecarlo import (
-    estimate_mean,
-    estimate_mean_positive_part,
-    generate_scenarios,
-    net_worth_sample,
-)
+from cocval.montecarlo import estimate_mean, generate_scenarios
 from cocval.risk_measures import var_empirical
 from cocval.valuation import gaussian_positive_part_factor
 from cocval.risk_measures import var_multiplier
+
+from helpers import mc_at
 
 
 class TestGenerate:
@@ -59,33 +56,33 @@ class TestGenerate:
 
 
 class TestNetWorth:
+    # The net worth r Z - X enters mc_valuation as c0 = E[(.)^+] / (1 + eta)
+    # and llo = E[(.)^-] / (1 + eta), so c0 - llo is its discounted mean.
     def test_riskless_no_claim(self):
         scen = generate_scenarios(16, seed=0)
         market = MarketSpec(claim=Degenerate(0.0), asset=Normal(1.05, 0.2), w=0.0, eta=0.06)
-        assert np.array_equal(net_worth_sample(scen, market, 1.0), np.ones(16))
+        row = mc_at(1.0, market, scen)
+        assert (row.c0, row.c0_se, row.llo) == (1.0 / 1.06, 0.0, 0.0)
 
     def test_zero_capital(self):
         scen = generate_scenarios(64, seed=0)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=Normal(1.05, 0.2), w=0.5, eta=0.06)
         x = market.claim_sample(scen)
-        assert np.array_equal(net_worth_sample(scen, market, 0.0), -x)
+        row = mc_at(0.0, market, scen)
+        assert row.c0 == 0.0
+        assert row.llo == float(x.mean()) / 1.06
 
     def test_gaussian_mean(self):
         n = 10 ** 6
         scen = generate_scenarios(n, seed=7)
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=0.4, eta=0.06)
         r = 2.0
-        y = net_worth_sample(scen, market, r)
+        row = mc_at(r, market, scen)
         mu_w = 0.4 * 1.05 + 0.6
         sd = math.sqrt(r * r * (0.4 * 0.2) ** 2 + 0.3 ** 2)
-        assert abs(float(y.mean()) - (r * mu_w - 1.0)) < 4 * sd / math.sqrt(n)
-
-    def test_negative_capital_rejected(self):
-        scen = generate_scenarios(4, seed=0)
-        market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=0.0, eta=0.06)
-        with pytest.raises(ValueError):
-            net_worth_sample(scen, market, -1.0)
+        mean = (row.c0 - row.llo) * 1.06
+        assert abs(mean - (r * mu_w - 1.0)) < 4 * sd / math.sqrt(n)
 
     def test_crn_monotone_in_capital(self):
         # pathwise nonnegative mixed return makes the empirical VaR
@@ -93,20 +90,25 @@ class TestNetWorth:
         scen = generate_scenarios(20_000, seed=13)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.7, eta=0.06)
-        levels = [var_empirical(net_worth_sample(scen, market, r), 0.01)
-                  for r in np.linspace(0.0, 4.0, 41)]
+        z = 0.7 * market.asset_return_sample(scen) + 0.3
+        x = market.claim_sample(scen)
+        levels = [var_empirical(r * z - x, 0.01) for r in np.linspace(0.0, 4.0, 41)]
         assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
 
 
 class TestEstimators:
     def test_positive_part_all_negative(self):
-        est = estimate_mean_positive_part(np.array([-3.0, -1.0, -0.5]))
-        assert est.value == 0.0
-        assert est.std_error == 0.0
+        scen = generate_scenarios(3, seed=0)
+        market = MarketSpec(claim=Degenerate(3.0), asset=Degenerate(1.0), w=0.0, eta=0.06)
+        row = mc_at(1.0, market, scen)
+        assert row.c0 == 0.0
+        assert row.c0_se == 0.0
 
     def test_positive_part_all_ones(self):
-        est = estimate_mean_positive_part(np.ones(8))
-        assert (est.value, est.std_error, est.n) == (1.0, 0.0, 8)
+        scen = generate_scenarios(8, seed=0)
+        market = MarketSpec(claim=Degenerate(0.0), asset=Degenerate(1.0), w=0.0, eta=0.06)
+        row = mc_at(1.0, market, scen)
+        assert (row.c0, row.c0_se, row.llo_se) == (1.0 / 1.06, 0.0, 0.0)
 
     def test_mean_and_se(self):
         est = estimate_mean(np.array([1.0, 3.0]))
@@ -114,12 +116,13 @@ class TestEstimators:
         assert est.std_error == pytest.approx(1.0, rel=1e-15)
 
     def test_gaussian_positive_part_against_closed_form(self):
-        # E[(e + f G)^+] = e * factor when the VaR of e + f G is zero
+        # E[(e - f G)^+] = e * factor when the VaR of e + f G is zero:
+        # capital e against a centred normal claim of sd f
         n = 10 ** 6
         scen = generate_scenarios(n, seed=21)
-        g = Normal(0.0, 1.0).sample(scen.u_claim)
         alpha, e = 0.01, 0.8
         f = e / var_multiplier(alpha)
-        est = estimate_mean_positive_part(e + f * g)
-        expected = e * gaussian_positive_part_factor(var_multiplier(alpha))
-        assert abs(est.value - expected) < 4 * est.std_error
+        market = MarketSpec(claim=Normal(0.0, f), asset=Degenerate(1.0), w=0.0, eta=0.06)
+        row = mc_at(e, market, scen)
+        expected = e * gaussian_positive_part_factor(var_multiplier(alpha)) / 1.06
+        assert abs(row.c0 - expected) < 4 * row.c0_se

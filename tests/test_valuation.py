@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cocval.capital_solver import MarketSpec, NoSolutionError
+from cocval.capital_solver import MarketSpec, NoSolutionError, solve_r0_numeric
 from cocval.distributions import (
     Degenerate,
+    Lognormal,
     Normal,
     ParetoTypeI,
     lognormal_from_moments,
@@ -18,17 +19,17 @@ from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
 from cocval.valuation import (
     capped_expectation_quadrature,
     gaussian_positive_part_factor,
-    llo_mc,
     mc_valuation,
     pareto_riskless_valuation,
     v0_bounds,
-    value_c0_mc,
     value_gaussian_es,
     value_gaussian_var,
     value_lognormal_var,
+    value_market,
     value_riskless_var,
-    value_v0_mc,
 )
+
+from helpers import mc_at
 
 ETA = 0.06
 ALPHA = 0.005
@@ -67,10 +68,9 @@ class TestGaussianValuation:
         scen = generate_scenarios(n, seed=19)
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=0.0, eta=ETA)
         res = value_gaussian_var(1.0, 0.3, 1.0, 0.0, ALPHA, ETA)
-        c0 = value_c0_mc(res.r0, market, scen)
-        v0 = value_v0_mc(res.r0, market, scen)
-        assert abs(c0.value - res.c0) < 4 * c0.std_error
-        assert abs(v0.value - res.v0) < 4 * v0.std_error
+        mc = mc_at(res.r0, market, scen)
+        assert abs(mc.c0 - res.c0) < 4 * mc.c0_se
+        assert abs(mc.v0 - res.v0) < 4 * mc.v0_se
 
     def test_premium_drops_from_r0_coefficient(self):
         # when mu (1 + uplift) = 1 + eta the premium no longer depends
@@ -89,8 +89,8 @@ class TestGaussianValuation:
         scen = generate_scenarios(n, seed=23)
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=1.0, eta=ETA)
         res = value_gaussian_es(1.0, 0.3, 1.05, 0.2, 0.01, ETA)
-        c0 = value_c0_mc(res.r0, market, scen)
-        assert abs(c0.value - res.c0) < 4 * c0.std_error
+        mc = mc_at(res.r0, market, scen)
+        assert abs(mc.c0 - res.c0) < 4 * mc.c0_se
         assert res.v0_lower is None  # Cauchy-Schwarz bound needs VaR
 
     def test_llo_nonnegative_and_bounded(self):
@@ -159,10 +159,9 @@ class TestLognormalValuation:
                                   asset.mu_log, asset.sd_log, ALPHA, ETA)
         scen = generate_scenarios(10 ** 6, seed=17)
         market = MarketSpec(claim=claim, asset=asset, w=1.0, eta=ETA)
-        v0 = value_v0_mc(res.r0, market, scen)
-        assert abs(v0.value - res.v0) < 4 * v0.std_error
-        llo = llo_mc(res.r0, market, scen)
-        assert abs(llo.value - res.llo) < 4 * llo.std_error
+        mc = mc_at(res.r0, market, scen)
+        assert abs(mc.v0 - res.v0) < 4 * mc.v0_se
+        assert abs(mc.llo - res.llo) < 4 * mc.llo_se
 
     def test_claim_scaling(self):
         claim = lognormal_from_moments(1.0, 0.3)
@@ -191,9 +190,9 @@ class TestMcValuation:
     def test_trivial_bond_only(self):
         scen = generate_scenarios(100, seed=1)
         market = MarketSpec(claim=Degenerate(0.0), asset=Degenerate(1.0), w=0.0, eta=ETA)
-        c0 = value_c0_mc(1.0, market, scen)
-        assert c0.value == pytest.approx(1.0 / 1.06, rel=1e-15)
-        assert c0.std_error == 0.0
+        mc = mc_at(1.0, market, scen)
+        assert mc.c0 == pytest.approx(1.0 / 1.06, rel=1e-15)
+        assert mc.c0_se == 0.0
 
     def test_no_claim_premium(self):
         # without claims the premium only funds the capital drag
@@ -201,40 +200,37 @@ class TestMcValuation:
         asset = lognormal_from_moments(1.05, 0.2)
         market = MarketSpec(claim=Degenerate(0.0), asset=asset, w=1.0, eta=ETA)
         r0 = 1.7
-        v0 = value_v0_mc(r0, market, scen)
-        z = market.mixed_return_sample(scen)
+        v0 = mc_at(r0, market, scen).v0
+        z = market.asset_return_sample(scen)
         expected = r0 * (ETA + 1.0 - float(z.mean())) / (1.0 + ETA)
-        assert v0.value == pytest.approx(expected, rel=1e-12)
+        assert v0 == pytest.approx(expected, rel=1e-12)
 
     def test_identity_per_scenario_set(self):
         scen = generate_scenarios(10 ** 5, seed=47)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.6, eta=ETA)
         r0 = 2.1
-        c0 = value_c0_mc(r0, market, scen)
-        v0 = value_v0_mc(r0, market, scen)
-        assert v0.value + c0.value == pytest.approx(r0, rel=1e-12)
+        mc = mc_at(r0, market, scen)
+        assert mc.v0 + mc.c0 == pytest.approx(r0, rel=1e-12)
 
     def test_large_eta_kills_shareholder_value(self):
         scen = generate_scenarios(10 ** 4, seed=51)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.5, eta=1e6)
-        c0 = value_c0_mc(2.0, market, scen)
-        assert c0.value < 3e-6
+        assert mc_at(2.0, market, scen).c0 < 3e-6
 
     def test_llo_trivial_and_bounded(self):
         scen = generate_scenarios(10 ** 4, seed=53)
         market = MarketSpec(claim=Degenerate(0.0),
                             asset=lognormal_from_moments(1.05, 0.2), w=1.0, eta=ETA)
-        assert llo_mc(1.0, market, scen).value == 0.0
+        assert mc_at(1.0, market, scen).llo == 0.0
         claim = lognormal_from_moments(1.0, 0.3)
         market = MarketSpec(claim=claim, asset=lognormal_from_moments(1.05, 0.2),
                             w=1.0, eta=ETA)
-        est = llo_mc(2.0, market, scen)
-        assert 0.0 <= est.value <= claim.mean / (1.0 + ETA)
+        llo = mc_at(2.0, market, scen).llo
+        assert 0.0 <= llo <= claim.mean / (1.0 + ETA)
 
     def test_mc_valuation_row_consistency(self):
-        from cocval.capital_solver import solve_r0_numeric
         scen = generate_scenarios(10 ** 5, seed=59)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.4, eta=ETA)
@@ -276,8 +272,8 @@ class TestParetoWorkedExample:
         market = MarketSpec(claim=pareto_from_mean_beta(1.0, 2.0),
                             asset=Degenerate(1.0), w=0.0, eta=ETA)
         closed = pareto_riskless_valuation(2.0, 1.0, ALPHA, ETA)
-        est = llo_mc(closed.r0, market, scen)
-        assert abs(est.value - closed.llo) < 4 * est.std_error
+        mc = mc_at(closed.r0, market, scen)
+        assert abs(mc.llo - closed.llo) < 4 * mc.llo_se
 
     def test_point_mass_claim_limit(self):
         res = pareto_riskless_valuation(1e8, 1.0, ALPHA, ETA)
@@ -323,3 +319,45 @@ class TestNoSolutionPropagates:
     def test_gaussian_var(self):
         with pytest.raises(NoSolutionError):
             value_gaussian_var(1.0, 0.3, 0.5, 0.2, ALPHA, ETA)
+
+
+class TestValueMarket:
+    LOGNORMAL_CLAIM = lognormal_from_moments(1.0, 0.3)
+    LOGNORMAL_ASSET = lognormal_from_moments(1.05, 0.2)
+
+    @pytest.mark.parametrize("claim, asset, w, kind, methods", [
+        (Normal(1.0, 0.3), Normal(1.05, 0.2), 0.3, "es", ("closed_form", "closed_form")),
+        (pareto_from_mean_beta(1.0, 1.1), LOGNORMAL_ASSET, 0.0, "var",
+         ("closed_form", "closed_form")),
+        (LOGNORMAL_CLAIM, Degenerate(1.0), 0.7, "var", ("closed_form", "quadrature")),
+        (LOGNORMAL_CLAIM, LOGNORMAL_ASSET, 1.0, "var", ("closed_form", "quadrature")),
+        (LOGNORMAL_CLAIM, LOGNORMAL_ASSET, 1.0, "es", ("bisection", "mc")),
+        (Normal(1.0, 0.3), Degenerate(1.0), 0.0, "var", ("bisection", "mc")),
+    ])
+    def test_routes(self, claim, asset, w, kind, methods):
+        market = MarketSpec(claim=claim, asset=asset, w=w, eta=ETA)
+        res = value_market(market, RiskMeasure(kind, 0.01), mc_n=2000, seed=1)
+        assert (res.r0_method, res.valuation_method) == methods
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_mc_route_equals_solve_then_value(self, kind):
+        market = MarketSpec(claim=pareto_from_mean_beta(1.0, 2.0),
+                            asset=self.LOGNORMAL_ASSET, w=0.5, eta=ETA)
+        rm = RiskMeasure(kind, 0.01)
+        got = value_market(market, rm, mc_n=20_000, seed=3)
+        scen = generate_scenarios(20_000, seed=3)
+        want = mc_valuation(solve_r0_numeric(market, rm, scen), market, rm, scen)
+        assert got == want
+
+    def test_mc_route_transforms_each_stream_once(self, monkeypatch):
+        calls = []
+        for cls in (Lognormal, ParetoTypeI):
+            def counted(self, u, _sample=cls.sample, _name=cls.__name__):
+                calls.append(_name)
+                return _sample(self, u)
+            monkeypatch.setattr(cls, "sample", counted)
+        market = MarketSpec(claim=pareto_from_mean_beta(1.0, 2.0),
+                            asset=self.LOGNORMAL_ASSET, w=0.5, eta=ETA)
+        res = value_market(market, RiskMeasure("var", ALPHA), mc_n=20_000, seed=3)
+        assert res.valuation_method == "mc"
+        assert sorted(calls) == ["Lognormal", "ParetoTypeI"]
