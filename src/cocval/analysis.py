@@ -190,7 +190,7 @@ def _closed_form_rows(market: MarketSpec, rm: RiskMeasure,
 
 
 def _mc_rows(market: MarketSpec, rm: RiskMeasure, grid: np.ndarray,
-             scen: ScenarioSet, tol: float) -> list[ValuationResult | None]:
+             scen: ScenarioSet) -> list[ValuationResult | None]:
     # Transform once, solve per weight: the common-random-numbers
     # contract and most of the sweep's speed live here.
     claim_values = market.claim_sample(scen)
@@ -199,7 +199,7 @@ def _mc_rows(market: MarketSpec, rm: RiskMeasure, grid: np.ndarray,
     for w in grid:
         market_w = replace(market, w=float(w))
         try:
-            rep = solve_r0_numeric(market_w, rm, scen, tol,
+            rep = solve_r0_numeric(market_w, rm, scen,
                                    asset_values=asset_values,
                                    claim_values=claim_values)
             rows.append(mc_valuation(rep, market_w, rm, scen,
@@ -248,12 +248,12 @@ def _derive_weights(grid: np.ndarray, rows: list[ValuationResult | None],
 
 
 def sweep(market: MarketSpec, rm: RiskMeasure, grid,
-          scen: ScenarioSet | None = None, tol: float = 1e-4) -> SweepResult:
+          scen: ScenarioSet | None = None) -> SweepResult:
     """Value the run-off across an asset-mix grid.
 
     ``market.w`` is ignored; the grid supplies every weight.  The
-    normal model uses closed forms and everything else is solved per
-    weight on the shared scenario set (``scen`` is then required).
+    normal model uses closed forms and everything else the exact empirical
+    root per weight on the shared scenario set (``scen`` is required).
     Weights where no capital level is acceptable become gap rows, and
     the summary weights come from the feasible prefix.
 
@@ -270,7 +270,7 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid,
     else:
         if scen is None:
             raise ValueError("Monte Carlo sweeps need a scenario set")
-        rows = _mc_rows(market, rm, arr, scen, tol)
+        rows = _mc_rows(market, rm, arr, scen)
         w_hat_closed = None
 
     w_star, w_hat_numeric = _derive_weights(arr, rows)

@@ -4,8 +4,8 @@ The requirement is the capital level r at which the chosen risk measure
 of the terminal net worth r Z - X vanishes, where Z = w S + 1 - w is
 the mixed gross return and X the aggregate claim.  Closed forms cover
 the normal model (both measures) and the lognormal model under VaR;
-everything else runs through Monte Carlo bisection on a shared
-scenario set.
+everything else is the exact root of the empirical criterion on a
+shared Monte Carlo scenario set.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 
 from .distributions import Degenerate, Distribution
 from .montecarlo import ScenarioSet
-from .risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
+from .risk_measures import (RiskMeasure, es_multiplier, tail_average, tail_count,
+                            var_multiplier)
 
 __all__ = [
     "MarketSpec",
@@ -29,9 +30,6 @@ __all__ = [
     "solve_r0_lognormal_var",
     "solve_r0_numeric",
 ]
-
-# Default relative bracket width for the bisection solver.
-BISECTION_TOL = 1e-4
 
 
 class NoSolutionError(Exception):
@@ -78,14 +76,14 @@ class SolveReport:
     """Outcome of a capital solve.
 
     ``residual`` is the risk measure re-evaluated at the returned
-    level: in capital units for the Gaussian forms and the bisection
-    path, in log units for the lognormal closed form (where the
-    defining equation lives on the log scale).  ``iterations`` counts
-    empirical measure evaluations; closed forms report zero.
+    level: in capital units for the Gaussian forms and the empirical
+    root (zero to round-off), in log units for the lognormal closed
+    form.  ``iterations`` counts the selections of the scenario set the
+    empirical root made; closed forms report zero.
     """
 
     r0: float
-    method: str  # "closed_form" | "bisection"
+    method: str  # "closed_form" | "empirical_root"
     residual: float
     iterations: int
     std_error: float | None = None
@@ -166,96 +164,108 @@ def _constant_mixed_return(market: MarketSpec) -> float | None:
     return None
 
 
-def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet,
-                     tol: float = BISECTION_TOL, *,
+def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
                      asset_values: np.ndarray | None = None,
                      claim_values: np.ndarray | None = None) -> SolveReport:
-    """Bisection for the capital level with zero empirical risk.
+    """Exact capital level with zero empirical risk on a scenario set.
 
-    The objective g(r) = rm.empirical(r Z - X) over the scenario set is
-    continuous and piecewise linear in r, and strictly decreasing when
-    the mixed return is positive in every scenario.  The bracket starts
-    at the risk-less requirement rm.empirical(-X) and doubles until the
-    sign changes (60 doublings cap).  Iteration stops once |g| <= tol
-    or the bracket width drops below tol * max(1, r), both measured in
-    units of the risk-less requirement; anchoring the thresholds to the
-    claim scale makes the solve covariant under claim rescaling.  The
-    reported root is the final bracket midpoint, never a locally
-    refined point, so the result is a pure function of
-    (market, rm, scen, tol).
+    With k = floor(alpha n), the empirical VaR of r Z - X is at most
+    zero exactly when at most k losses x - r z are positive, so the VaR
+    root is the (k+1)-th largest ratio X/Z; a scenario with Z <= 0 and a
+    nonnegative claim loses at every r > 0.  The empirical ES of r Z - X
+    is convex and piecewise linear in r, so Newton steps from the VaR
+    root reach its root in finitely many steps.  Each costs one selection.
 
     ``asset_values`` / ``claim_values`` accept pre-transformed samples
     for the given scenario set, so a sweep can transform once and solve
     many times.
 
     Raises:
-        NoSolutionError: the objective never changes sign, or the claim
+        ValueError: alpha n < 1, or a scenario with Z <= 0 has a
+            negative claim, which makes the criterion non-monotone, and
+            zero capital is not acceptable.
+        NoSolutionError: no capital level is acceptable, or the claim
             is acceptable with zero capital already.
     """
     x = market.claim_sample(scen) if claim_values is None else claim_values
-    base = rm.empirical(-x)
-    evals = 1
+    k = tail_count(rm.alpha, x.size)
+    if k < 1:
+        raise ValueError("alpha * n < 1: tail not resolved at this sample size")
 
     zc = _constant_mixed_return(market)
     if zc is not None:
+        base = rm.empirical(-x)
         if zc <= 0.0:
             raise NoSolutionError(f"mixed return is the nonpositive constant {zc:g}")
         if base < 0.0:
             raise NoSolutionError("claim is acceptable with zero capital")
         r0 = base / zc
         residual = rm.empirical(r0 * zc - x)
-        evals += 1
-        se = _root_std_error(rm, np.full(x.shape, zc), x, r0)
-        return SolveReport(r0=r0, method="bisection", residual=residual,
-                           iterations=evals, std_error=se)
+        se, _ = _root_std_error(rm, np.full(x.shape, zc), x, r0)
+        return SolveReport(r0=r0, method="empirical_root", residual=residual,
+                           iterations=2, std_error=se)
 
-    if base <= 0.0:
-        raise NoSolutionError("claim is acceptable with zero capital")
     s = market.asset_return_sample(scen) if asset_values is None else asset_values
     z = market.w * s + (1.0 - market.w)
+    if np.any(x[z <= 0.0] < 0.0):
+        # such a scenario turns into a loss as r grows: only r = 0 is decidable
+        if rm.empirical(-x) <= 0.0:
+            raise NoSolutionError("claim is acceptable with zero capital")
+        raise ValueError("a scenario with Z <= 0 has a negative claim; "
+                         "the criterion is not monotone in capital")
+    r0, residual, selections = _var_root(x, z, k), None, 1
+    if rm.kind == "es":
+        r0, residual, selections = _es_root(x, z, k, rm.alpha * x.size, max(r0, 0.0))
+    if r0 <= 0.0:
+        raise NoSolutionError("claim is acceptable with zero capital")
+    se, var_at_root = _root_std_error(rm, z, x, r0)
+    return SolveReport(r0=r0, method="empirical_root",
+                       residual=var_at_root if residual is None else residual,
+                       iterations=selections, std_error=se)
 
-    def g(r: float) -> float:
-        return rm.empirical(r * z - x)
 
-    g_tol = tol * base  # measure threshold in claim-scale units
-    lo, hi, g_hi = 0.0, base, g(base)
-    evals += 1
-    doublings = 0
-    while g_hi > g_tol:
-        if doublings >= 60:
-            raise NoSolutionError(
-                "no sign change within 2^60 of the risk-less requirement")
-        lo, hi = hi, 2.0 * hi
-        g_hi = g(hi)
-        evals += 1
-        doublings += 1
+def _var_root(x: np.ndarray, z: np.ndarray, k: int) -> float:
+    # The (k+1)-th largest ratio X/Z, selected by value in place; x >= 0 >= z
+    # loses at every r > 0 (ratio +inf) unless x = z = 0 (never, -inf).
+    nonpos = z <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = x / z
+    ratio[nonpos] = np.where(x[nonpos] > z[nonpos], np.inf, -np.inf)
+    i = ratio.size - 1 - k
+    ratio.partition(i)
+    if ratio[i] == np.inf:
+        raise NoSolutionError(f"more than {k} scenarios with Z <= 0 always lose")
+    return float(ratio[i])
 
-    if abs(g_hi) <= g_tol:
-        r0, residual = hi, g_hi
-    else:
-        while hi - lo > tol * max(base, 0.5 * (lo + hi)):
-            mid = 0.5 * (lo + hi)
-            g_mid = g(mid)
-            evals += 1
-            if abs(g_mid) <= g_tol:
-                lo = hi = mid
-                break
-            if g_mid > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        r0 = 0.5 * (lo + hi)
-        residual = g(r0)
-        evals += 1
 
-    se = _root_std_error(rm, z, x, r0)
-    return SolveReport(r0=r0, method="bisection", residual=residual,
-                       iterations=evals, std_error=se)
+def _es_root(x: np.ndarray, z: np.ndarray, k: int, tail: float,
+             r: float) -> tuple[float, float, int]:
+    # Newton's method on the empirical ES from r at or below the root; the
+    # slope is minus the tail-weighted mean of Z, ties at the threshold
+    # sharing the edge weight equally.  Selections count the VaR one.
+    frac = max(tail - k, 0.0)
+    losses = np.empty_like(x)
+    selections = 1
+    while True:
+        np.subtract(x, np.multiply(z, r, out=losses), out=losses)
+        es, q = tail_average(losses, k, tail)
+        selections += 1
+        if es <= 0.0:
+            return r, es, selections
+        above, tied = losses > q, losses == q
+        edge = k - int(np.count_nonzero(above)) + frac
+        z_bar = (float(z[above].sum()) + edge * float(z[tied].mean())) / tail
+        if not z_bar > 0.0:  # convex ES stays positive beyond this point
+            raise NoSolutionError(f"expected shortfall does not fall at r = {r:g}")
+        r_next = r + es / z_bar
+        if not r_next > r:  # the step is below round-off
+            return r, es, selections
+        r = r_next
 
 
 def _root_std_error(rm: RiskMeasure, z: np.ndarray, x: np.ndarray,
-                    r0: float) -> float | None:
-    """Delta-method standard error of the bisection root.
+                    r0: float) -> tuple[float | None, float]:
+    """Delta-method standard error of the root, and the empirical VaR there.
 
     Quantile noise over the local slope of the objective.  The loss
     density at the quantile is estimated from the spacing of order
@@ -268,12 +278,10 @@ def _root_std_error(rm: RiskMeasure, z: np.ndarray, x: np.ndarray,
     rank = n - tail_count(alpha, n)
     m = max(1, int(round(math.sqrt(n))))
     i_lo, i_hi = max(rank - m, 1), min(rank + m, n)
-    if i_hi <= i_lo:
-        return None
     part = np.partition(losses, [i_lo - 1, rank - 1, i_hi - 1])
     lo_v, q_v, hi_v = float(part[i_lo - 1]), float(part[rank - 1]), float(part[i_hi - 1])
     if hi_v <= lo_v:
-        return None
+        return None, q_v
     if rm.kind == "var":
         density = ((i_hi - i_lo) / n) / (hi_v - lo_v)
         se_stat = math.sqrt(alpha * (1.0 - alpha) / n) / density
@@ -285,5 +293,5 @@ def _root_std_error(rm: RiskMeasure, z: np.ndarray, x: np.ndarray,
         tail_mask = losses >= q_v
         slope = float(z[tail_mask].mean()) if tail_mask.any() else float(z.mean())
     if not slope > 0.0:
-        return None
-    return se_stat / slope
+        return None, q_v
+    return se_stat / slope, q_v

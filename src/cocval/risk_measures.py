@@ -82,14 +82,18 @@ def es_empirical(values, alpha: float) -> float:
     losses = _losses(values)
     _check_alpha(alpha)
     n = losses.size
-    tail = alpha * n
     k = tail_count(alpha, n)
     if k < 1:
         raise ValueError("alpha * n < 1: tail not resolved at this sample size")
-    frac = max(tail - k, 0.0)
+    return tail_average(losses, k, alpha * n)[0]
+
+
+def tail_average(losses: np.ndarray, k: int, tail: float) -> tuple[float, float]:
+    """``es_empirical`` of losses (k = tail_count, tail = alpha n) and the (k+1)-th largest."""
+    n = losses.size
     part = np.partition(losses, n - k - 1)
-    tail_sum = float(part[n - k:].sum())
-    return (tail_sum + frac * float(part[n - k - 1])) / tail
+    q = float(part[n - k - 1])
+    return (float(part[n - k:].sum()) + max(tail - k, 0.0) * q) / tail, q
 
 
 def var_multiplier(alpha: float) -> float:

@@ -67,7 +67,7 @@ class ValuationResult:
     Bounds come from first and second moments only; ``v0_lower`` is
     None when a variance is infinite or the criterion is not VaR.
     Standard errors are set on sampled fields and None on closed-form
-    or quadrature fields.
+    or quadrature fields.  Every float field is finite.
     """
 
     r0: float
@@ -84,6 +84,11 @@ class ValuationResult:
     c0_se: float | None = None
     v0_se: float | None = None
     llo_se: float | None = None
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is not finite ({value}); the inputs overflow")
 
     def to_record(self, **extra) -> dict:
         """Flat record with per-field provenance, ready for CSV or JSON."""

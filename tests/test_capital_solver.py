@@ -1,10 +1,10 @@
-"""Capital requirement solvers: closed forms against Monte Carlo bisection."""
+"""Capital requirement solvers: closed forms against exact empirical roots."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cocval.capital_solver import (
     MarketSpec,
@@ -59,7 +59,7 @@ class TestGaussianVar:
         assert abs(rep.residual) < 1e-10 * rep.r0
 
     def test_against_mc_bisection_oracle(self):
-        # large-sample bisection root brackets the closed form within 3 SE
+        # the large-sample empirical root lies within 3 SE of the closed form
         n = 10 ** 7
         scen = generate_scenarios(n, seed=101)
         market = MarketSpec(claim=Normal(FIG_GAMMA, FIG_NU),
@@ -232,7 +232,8 @@ class TestNumericSolver:
         closed = solve_r0_gaussian_var(FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA)
         se = gaussian_r0_se_var(closed.r0, FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA, n)
         assert abs(mc.r0 - closed.r0) < 3 * se
-        assert mc.method == "bisection"
+        assert mc.method == "empirical_root"
+        assert mc.iterations == 1
 
     def test_pareto_riskless_quantile(self):
         # heavy-tail benchmark near 7.07 times the expected claim
@@ -245,38 +246,42 @@ class TestNumericSolver:
         assert abs(rep.r0 - 7.0710678) < 4 * rep.std_error
         assert rep.std_error < 0.1
 
-    def test_residual_bounded_by_tolerance_and_slope(self):
+    def test_residual_at_round_off(self):
+        # the residual is the measure itself at the root, and zero to round-off
         scen = generate_scenarios(200_000, seed=61)
         claim = lognormal_from_moments(1.0, 0.3)
         asset = lognormal_from_moments(1.05, 0.2)
-        rm = RiskMeasure("var", ALPHA)
-        tol = 1e-4
         market = MarketSpec(claim=claim, asset=asset, w=0.6, eta=0.06)
-        rep = solve_r0_numeric(market, rm, scen, tol)
-        base = rm.empirical(-market.claim_sample(scen))
-        z_max = float(np.max(0.6 * market.asset_return_sample(scen) + 0.4))
-        assert abs(rep.residual) <= tol * max(base, rep.r0) * max(1.0, z_max)
+        x = market.claim_sample(scen)
+        z = 0.6 * market.asset_return_sample(scen) + 0.4
+        for rm, selections in ((RiskMeasure("var", ALPHA), (1, 1)),
+                               (RiskMeasure("es", 0.01), (2, 8))):
+            rep = solve_r0_numeric(market, rm, scen)
+            assert rep.residual == rm.empirical(rep.r0 * z - x)
+            assert abs(rep.residual) <= 1e-13 * rep.r0
+            assert selections[0] <= rep.iterations <= selections[1]
 
     def test_scaling_equivariance_shared_scenarios(self):
         scen = generate_scenarios(100_000, seed=71)
         claim = lognormal_from_moments(1.0, 0.3)
         asset = lognormal_from_moments(1.05, 0.2)
-        rm = RiskMeasure("var", ALPHA)
         market = MarketSpec(claim=claim, asset=asset, w=0.5, eta=0.06)
         s = market.asset_return_sample(scen)
         x = market.claim_sample(scen)
-        base = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x)
-        # exactly scaled claim data reproduces the solve path bit for bit
-        # whenever the scale is a power of two
-        for a in (0.25, 2.0, 8.0):
+        for rm in (RiskMeasure("var", ALPHA), RiskMeasure("es", 0.01)):
+            base = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x)
+            # exactly scaled claim data reproduces the solve path bit for
+            # bit whenever the scale is a power of two
+            for a in (0.25, 2.0, 8.0):
+                rep = solve_r0_numeric(
+                    MarketSpec(claim=claim.scaled(a), asset=asset, w=0.5, eta=0.06),
+                    rm, scen, asset_values=s, claim_values=a * x)
+                assert rep.r0 == a * base.r0
+                assert rep.residual == a * base.residual
             rep = solve_r0_numeric(
-                MarketSpec(claim=claim.scaled(a), asset=asset, w=0.5, eta=0.06),
-                rm, scen, asset_values=s, claim_values=a * x)
-            assert rep.r0 == a * base.r0
-        rep = solve_r0_numeric(
-            MarketSpec(claim=claim.scaled(3.7), asset=asset, w=0.5, eta=0.06),
-            rm, scen, asset_values=s, claim_values=3.7 * x)
-        assert rep.r0 == pytest.approx(3.7 * base.r0, rel=1e-12)
+                MarketSpec(claim=claim.scaled(3.7), asset=asset, w=0.5, eta=0.06),
+                rm, scen, asset_values=s, claim_values=3.7 * x)
+            assert rep.r0 == pytest.approx(3.7 * base.r0, rel=1e-12)
 
     def test_claim_shift_monotonicity_shared_scenarios(self):
         # first-order dominance at fixed scenarios: bigger claims, more capital
@@ -321,3 +326,106 @@ class TestNumericSolver:
             MarketSpec(claim=claim, asset=Normal(1.05, 0.2), w=1.5, eta=0.06)
         with pytest.raises(ValueError):
             MarketSpec(claim=claim, asset=Normal(1.05, 0.2), w=0.5, eta=0.0)
+
+
+@st.composite
+def tiny_samples(draw):
+    """Claims X, returns Z and a tail level alpha with k = floor(alpha n) >= 1.
+
+    Quarter-integer claims and eighth-integer returns: distinct ratios X/Z
+    then differ far above round-off, so a brute-force scan can tell the
+    root from its neighbours.  About one return in twenty is <= 0, and
+    claims are nonnegative there, which keeps the VaR criterion monotone.
+    """
+    n = draw(st.integers(3, 64))
+    k = draw(st.integers(1, (n - 1) // 2))
+    alpha = (k + draw(st.sampled_from([0.0, 0.5]))) / n
+    assume(alpha < 0.5)
+    z = np.array(draw(st.lists(st.integers(-1, 40), min_size=n, max_size=n))) / 8.0
+    x = np.array(draw(st.lists(st.integers(-16, 64), min_size=n, max_size=n))) / 4.0
+    return np.where(z <= 0.0, np.abs(x), x), z, alpha
+
+
+def solve_on(x, z, rm):
+    # w = 1 with a non-degenerate asset makes Z the given returns exactly
+    market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.0, 0.3), w=1.0, eta=0.06)
+    return solve_r0_numeric(market, rm, generate_scenarios(x.size, 0),
+                            asset_values=z, claim_values=x)
+
+
+class TestExactRootsBruteForce:
+    @given(sample=tiny_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_var_root_is_smallest_acceptable_ratio(self, sample):
+        x, z, alpha = sample
+        rm = RiskMeasure("var", alpha)
+        tol = 1e-12 * max(1.0, float(np.abs(x).max()))
+
+        def acceptable(r):
+            return rm.empirical(r * z - x) <= tol
+
+        candidates = np.unique(x[z > 0] / z[z > 0])
+        positive = candidates[candidates > 0]
+        try:
+            rep = solve_on(x, z, rm)
+        except NoSolutionError:
+            # either zero capital suffices or no capital level does
+            probe = [float(positive.min()) / 2 if positive.size else 1.0,
+                     *positive, 2.0 * float(np.abs(candidates).max(initial=1.0))]
+            flags = [acceptable(r) for r in probe]
+            assert all(flags) or not any(flags)
+            return
+        assert rep.r0 in positive
+        assert acceptable(rep.r0)
+        assert not any(acceptable(c) for c in positive[positive < rep.r0])
+        assert rep.iterations == 1
+
+    @given(sample=tiny_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_es_root_zeroes_the_shortfall(self, sample):
+        x, z, alpha = sample
+        rm = RiskMeasure("es", alpha)
+        scale = max(1.0, float(np.abs(x).max()))
+
+        def es(r):
+            return rm.empirical(r * z - x)
+
+        try:
+            rep = solve_on(x, z, rm)
+        except NoSolutionError:
+            # ES is convex and linear between the levels where two losses
+            # cross; without a positive root it is positive at every such
+            # level and does not fall beyond the last one
+            if es(0.0) <= 0.0:
+                return
+            dz = z[:, None] - z[None, :]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kinks = (x[:, None] - x[None, :]) / dz
+            kinks = np.unique(kinks[(dz != 0) & (kinks > 0)])
+            far = 2.0 * float(kinks.max(initial=1.0))
+            assert all(es(r) > 0.0 for r in kinks)
+            assert 0.0 < es(far) <= es(2.0 * far) + 1e-12 * scale * far
+            return
+        assert rep.r0 > 0.0
+        assert abs(es(rep.r0)) <= 1e-12 * scale
+        assert rep.residual == es(rep.r0)
+        assert es(rep.r0 * (1.0 - 1e-9)) > 0.0
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_unresolved_tail_rejected(self, kind):
+        # alpha n = 0.5: no scenario lies in the tail
+        x = np.linspace(1.0, 2.0, 100)
+        with pytest.raises(ValueError, match="alpha"):
+            solve_on(x, np.full(100, 1.05), RiskMeasure(kind, 0.005))
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_negative_claim_with_nonpositive_return(self, kind):
+        # the loss x - r z of such a scenario grows with r, so the
+        # criterion is not monotone; only zero capital can be decided
+        x = np.linspace(1.0, 2.0, 100)
+        z = np.full(100, 1.05)
+        x[3], z[3] = -0.5, -0.1
+        with pytest.raises(ValueError, match="negative claim"):
+            solve_on(x, z, RiskMeasure(kind, 0.05))
+        with pytest.raises(NoSolutionError, match="zero capital"):
+            solve_on(x - 3.0, z, RiskMeasure(kind, 0.05))

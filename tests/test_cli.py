@@ -15,6 +15,8 @@ from cocval.cli import (
 
 GAUSSIAN_CLAIM = '{"kind":"normal","mean":1,"sd":0.3}'
 GAUSSIAN_ASSET = '{"kind":"normal","mean":1.05,"sd":0.2}'
+LOGNORMAL_MARKET = ["--claim", '{"kind":"lognormal","mean":1,"sd":0.3}',
+                    "--asset", '{"kind":"lognormal","mean":1.05,"sd":0.2}', "--w", "0.5"]
 
 
 def run(capsys, argv):
@@ -88,6 +90,20 @@ class TestValue:
         assert code == EXIT_USAGE
         assert out == ""
         assert "eta" in err
+
+    def test_unresolved_var_tail_is_usage_error(self, capsys):
+        # alpha * mc_n = 0.005 leaves no scenario in the tail
+        code, out, err = run(capsys, ["value", *LOGNORMAL_MARKET, "--mc-n", "1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "alpha * n < 1" in err
+
+    def test_overflowing_valuation_is_usage_error(self, capsys):
+        code, out, err = run(capsys, [
+            "value", *LOGNORMAL_MARKET, "--eta", "1e308", "--mc-n", "1000"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "v0_upper is not finite" in err
 
     def test_missing_claim_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["value"])
@@ -247,11 +263,11 @@ class TestConfig:
         cfg = tmp_path / "run.json"
         base = {"claim": {"kind": "lognormal", "mean": 1.0, "sd": 0.3},
                 "asset": {"kind": "lognormal", "mean": 1.05, "sd": 0.2}}
-        cfg.write_text(json.dumps({**base, "mc_n": "100", "w": "0.5", "seed": 4.0}))
+        cfg.write_text(json.dumps({**base, "mc_n": "1000", "w": "0.5", "seed": 4.0}))
         code, out, _ = run(capsys, ["value", "--config", str(cfg)])
         assert code == EXIT_OK
         record = json.loads(out)
-        assert (record["mc_n"], record["w"], record["seed"]) == (100, 0.5, 4)
+        assert (record["mc_n"], record["w"], record["seed"]) == (1000, 0.5, 4)
         for key, bad in (("mc_n", "many"), ("mc_n", 100.5), ("eta", None), ("seed", "1e3")):
             cfg.write_text(json.dumps({**base, key: bad}))
             code, _, err = run(capsys, ["value", "--config", str(cfg)])

@@ -331,8 +331,8 @@ class TestValueMarket:
          ("closed_form", "closed_form")),
         (LOGNORMAL_CLAIM, Degenerate(1.0), 0.7, "var", ("closed_form", "quadrature")),
         (LOGNORMAL_CLAIM, LOGNORMAL_ASSET, 1.0, "var", ("closed_form", "quadrature")),
-        (LOGNORMAL_CLAIM, LOGNORMAL_ASSET, 1.0, "es", ("bisection", "mc")),
-        (Normal(1.0, 0.3), Degenerate(1.0), 0.0, "var", ("bisection", "mc")),
+        (LOGNORMAL_CLAIM, LOGNORMAL_ASSET, 1.0, "es", ("empirical_root", "mc")),
+        (Normal(1.0, 0.3), Degenerate(1.0), 0.0, "var", ("empirical_root", "mc")),
     ])
     def test_routes(self, claim, asset, w, kind, methods):
         market = MarketSpec(claim=claim, asset=asset, w=w, eta=ETA)
