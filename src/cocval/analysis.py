@@ -199,12 +199,10 @@ def _mc_rows(market: MarketSpec, rm: RiskMeasure, grid: np.ndarray,
     for w in grid:
         market_w = replace(market, w=float(w))
         try:
-            rep = solve_r0_numeric(market_w, rm, scen,
-                                   asset_values=asset_values,
-                                   claim_values=claim_values)
-            rows.append(mc_valuation(rep, market_w, rm, scen,
-                                     asset_values=asset_values,
-                                     claim_values=claim_values))
+            # no name holds the report, so its losses go before the next solve
+            rows.append(mc_valuation(
+                solve_r0_numeric(market_w, rm, scen, asset_values=asset_values,
+                                 claim_values=claim_values), market_w, rm))
         except NoSolutionError:
             rows.append(None)
     return rows

@@ -11,7 +11,7 @@ shared Monte Carlo scenario set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,7 +79,10 @@ class SolveReport:
     level: in capital units for the Gaussian forms and the empirical
     root (zero to round-off), in log units for the lognormal closed
     form.  ``iterations`` counts the selections of the scenario set the
-    empirical root made; closed forms report zero.
+    empirical root made; closed forms report zero.  ``losses`` is the
+    read-only loss array X - r0 Z of an empirical root in scenario
+    order, which ``valuation.mc_valuation`` decomposes; closed forms
+    leave it None.
     """
 
     r0: float
@@ -87,6 +90,11 @@ class SolveReport:
     residual: float
     iterations: int
     std_error: float | None = None
+    losses: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.losses is not None:
+            self.losses.flags.writeable = False
 
 
 def gaussian_hedged_risk(r: float, gamma: float, nu: float, mu: float,
@@ -188,45 +196,82 @@ def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
             is acceptable with zero capital already.
     """
     x = market.claim_sample(scen) if claim_values is None else claim_values
-    k = tail_count(rm.alpha, x.size)
+    n, tail = x.size, rm.alpha * x.size
+    k = tail_count(rm.alpha, n)
     if k < 1:
         raise ValueError("alpha * n < 1: tail not resolved at this sample size")
-
+    # 1-based ranks i_lo <= rank <= i_hi of the quantile and its density window
+    rank, m = n - k, max(1, int(round(math.sqrt(n))))
+    i_lo, i_hi = max(rank - m, 1), min(rank + m, n)
     zc = _constant_mixed_return(market)
     if zc is not None:
-        base = rm.empirical(-x)
+        # The losses fl(x - c) keep the order of x, so one selection of a
+        # copy of x gives the root, the residual and the order statistics.
         if zc <= 0.0:
             raise NoSolutionError(f"mixed return is the nonpositive constant {zc:g}")
+        sel, selections, slope = x.copy(), 1, zc
+        if rm.kind == "var":
+            lo_v, base, hi_v = _order_stats(sel, i_lo, rank, i_hi)
+        else:
+            base, _ = tail_average(sel, k, tail)
         if base < 0.0:
             raise NoSolutionError("claim is acceptable with zero capital")
         r0 = base / zc
-        residual = rm.empirical(r0 * zc - x)
-        se, _ = _root_std_error(rm, np.full(x.shape, zc), x, r0)
-        return SolveReport(r0=r0, method="empirical_root", residual=residual,
-                           iterations=2, std_error=se)
-
-    s = market.asset_return_sample(scen) if asset_values is None else asset_values
-    z = market.w * s + (1.0 - market.w)
-    if np.any(x[z <= 0.0] < 0.0):
-        # such a scenario turns into a loss as r grows: only r = 0 is decidable
-        if rm.empirical(-x) <= 0.0:
+        c = r0 * zc
+        losses = x - c
+        if rm.kind == "var":
+            residual, lo_v, hi_v = base - c, lo_v - c, hi_v - c
+        else:
+            upper = sel[rank - 1:] - c  # L_(rank), then the k largest losses
+            residual, q = tail_average(upper, k, tail)
+    else:
+        s = market.asset_return_sample(scen) if asset_values is None else asset_values
+        z = np.multiply(s, market.w)
+        z += 1.0 - market.w
+        if np.any(x[z <= 0.0] < 0.0):
+            # such a scenario turns into a loss as r grows: only r = 0 is decidable
+            if rm.empirical(-x) <= 0.0:
+                raise NoSolutionError("claim is acceptable with zero capital")
+            raise ValueError("a scenario with Z <= 0 has a negative claim; "
+                             "the criterion is not monotone in capital")
+        r0, losses = _var_root(x, z, k)
+        sel, selections = np.empty_like(x), 1
+        if rm.kind == "es":
+            r0, residual, selections = _es_root(x, z, k, tail, max(r0, 0.0), losses, sel)
+        if r0 <= 0.0:
             raise NoSolutionError("claim is acceptable with zero capital")
-        raise ValueError("a scenario with Z <= 0 has a negative claim; "
-                         "the criterion is not monotone in capital")
-    r0, residual, selections = _var_root(x, z, k), None, 1
-    if rm.kind == "es":
-        r0, residual, selections = _es_root(x, z, k, rm.alpha * x.size, max(r0, 0.0))
-    if r0 <= 0.0:
-        raise NoSolutionError("claim is acceptable with zero capital")
-    se, var_at_root = _root_std_error(rm, z, x, r0)
-    return SolveReport(r0=r0, method="empirical_root",
-                       residual=var_at_root if residual is None else residual,
-                       iterations=selections, std_error=se)
+        if rm.kind == "var":
+            np.subtract(x, np.multiply(z, r0, out=losses), out=losses)
+            np.copyto(sel, losses)
+            lo_v, residual, hi_v = _order_stats(sel, i_lo, rank, i_hi)
+            slope = float(z[(losses >= lo_v) & (losses <= hi_v)].mean())
+        else:
+            upper, q = sel[rank - 1:], float(sel[rank - 1])
+            slope = float(z[losses >= q].mean())
+
+    # Delta-method standard error: the noise of the empirical measure over
+    # the slope, the mean mixed return at (VaR) or beyond (ES) the
+    # boundary; none when an atom spans the density window.
+    se = None
+    if slope > 0.0 and rm.kind == "var" and hi_v > lo_v:
+        density = ((i_hi - i_lo) / n) / (hi_v - lo_v)
+        se = math.sqrt(rm.alpha * (1.0 - rm.alpha) / n) / density / slope
+    elif slope > 0.0 and rm.kind == "es" and not (  # an atom: L_(i_lo) = q = L_(i_hi)
+            n - k + np.count_nonzero(upper[1:] == q) >= i_hi
+            and np.count_nonzero(losses < q) < i_lo):
+        # the influence q + (L - q)^+ / alpha equals q off the k largest losses
+        excess = (upper[1:] - q) / rm.alpha
+        mean = float(excess.sum()) / n
+        var = (float(np.square(excess - mean).sum()) + (n - k) * mean * mean) / (n - 1)
+        se = math.sqrt(var / n) / slope
+    return SolveReport(r0=r0, method="empirical_root", residual=residual,
+                       iterations=selections, std_error=se, losses=losses)
 
 
-def _var_root(x: np.ndarray, z: np.ndarray, k: int) -> float:
+def _var_root(x: np.ndarray, z: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     # The (k+1)-th largest ratio X/Z, selected by value in place; x >= 0 >= z
     # loses at every r > 0 (ratio +inf) unless x = z = 0 (never, -inf).
+    # The ratio array goes back too, as a buffer for the losses.
     nonpos = z <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = x / z
@@ -235,20 +280,21 @@ def _var_root(x: np.ndarray, z: np.ndarray, k: int) -> float:
     ratio.partition(i)
     if ratio[i] == np.inf:
         raise NoSolutionError(f"more than {k} scenarios with Z <= 0 always lose")
-    return float(ratio[i])
+    return float(ratio[i]), ratio
 
 
-def _es_root(x: np.ndarray, z: np.ndarray, k: int, tail: float,
-             r: float) -> tuple[float, float, int]:
+def _es_root(x: np.ndarray, z: np.ndarray, k: int, tail: float, r: float,
+             losses: np.ndarray, sel: np.ndarray) -> tuple[float, float, int]:
     # Newton's method on the empirical ES from r at or below the root; the
     # slope is minus the tail-weighted mean of Z, ties at the threshold
-    # sharing the edge weight equally.  Selections count the VaR one.
+    # sharing the edge weight equally.  Selections count the VaR one.  It
+    # leaves the losses at the returned r in ``losses``, selected in ``sel``.
     frac = max(tail - k, 0.0)
-    losses = np.empty_like(x)
     selections = 1
     while True:
         np.subtract(x, np.multiply(z, r, out=losses), out=losses)
-        es, q = tail_average(losses, k, tail)
+        np.copyto(sel, losses)
+        es, q = tail_average(sel, k, tail)
         selections += 1
         if es <= 0.0:
             return r, es, selections
@@ -263,35 +309,13 @@ def _es_root(x: np.ndarray, z: np.ndarray, k: int, tail: float,
         r = r_next
 
 
-def _root_std_error(rm: RiskMeasure, z: np.ndarray, x: np.ndarray,
-                    r0: float) -> tuple[float | None, float]:
-    """Delta-method standard error of the root, and the empirical VaR there.
+def _order_stats(sel: np.ndarray, i_lo: int, rank: int,
+                 i_hi: int) -> tuple[float, float, float]:
+    # The i_lo-th, rank-th and i_hi-th smallest of sel, which is reordered:
+    # one selection over all of it, then one over the part above i_lo.
+    sel.partition(i_lo - 1)
+    upper = sel[i_lo - 1:]
+    lo_v = float(upper[0])
+    upper.partition([rank - i_lo, i_hi - i_lo])
+    return lo_v, float(upper[rank - i_lo]), float(upper[i_hi - i_lo])
 
-    Quantile noise over the local slope of the objective.  The loss
-    density at the quantile is estimated from the spacing of order
-    statistics sqrt(n) ranks apart; the slope is the average mixed
-    return over the scenarios at (VaR) or beyond (ES) the boundary.
-    """
-    losses = x - r0 * z
-    n = losses.size
-    alpha = rm.alpha
-    rank = n - tail_count(alpha, n)
-    m = max(1, int(round(math.sqrt(n))))
-    i_lo, i_hi = max(rank - m, 1), min(rank + m, n)
-    part = np.partition(losses, [i_lo - 1, rank - 1, i_hi - 1])
-    lo_v, q_v, hi_v = float(part[i_lo - 1]), float(part[rank - 1]), float(part[i_hi - 1])
-    if hi_v <= lo_v:
-        return None, q_v
-    if rm.kind == "var":
-        density = ((i_hi - i_lo) / n) / (hi_v - lo_v)
-        se_stat = math.sqrt(alpha * (1.0 - alpha) / n) / density
-        window = (losses >= lo_v) & (losses <= hi_v)
-        slope = float(z[window].mean()) if window.any() else float(z.mean())
-    else:
-        influence = q_v + np.maximum(losses - q_v, 0.0) / alpha
-        se_stat = float(influence.std(ddof=1)) / math.sqrt(n)
-        tail_mask = losses >= q_v
-        slope = float(z[tail_mask].mean()) if tail_mask.any() else float(z.mean())
-    if not slope > 0.0:
-        return None, q_v
-    return se_stat / slope, q_v

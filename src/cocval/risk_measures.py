@@ -89,11 +89,12 @@ def es_empirical(values, alpha: float) -> float:
 
 
 def tail_average(losses: np.ndarray, k: int, tail: float) -> tuple[float, float]:
-    """``es_empirical`` of losses (k = tail_count, tail = alpha n) and the (k+1)-th largest."""
+    """``es_empirical`` of losses (k = tail_count, tail = alpha n) and the
+    (k+1)-th largest, selecting in place."""
     n = losses.size
-    part = np.partition(losses, n - k - 1)
-    q = float(part[n - k - 1])
-    return (float(part[n - k:].sum()) + max(tail - k, 0.0) * q) / tail, q
+    losses.partition(n - k - 1)
+    q = float(losses[n - k - 1])
+    return (float(losses[n - k:].sum()) + max(tail - k, 0.0) * q) / tail, q
 
 
 def var_multiplier(alpha: float) -> float:

@@ -35,7 +35,7 @@ from .distributions import (
     standard_normal_cdf,
     standard_normal_pdf,
 )
-from .montecarlo import ScenarioSet, estimate_mean, generate_scenarios
+from .montecarlo import estimate_mean, generate_scenarios
 from .risk_measures import RiskMeasure, es_multiplier, var_multiplier
 
 __all__ = [
@@ -311,32 +311,25 @@ def pareto_riskless_valuation(beta: float, mean: float, alpha: float,
     )
 
 
-def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure,
-                 scen: ScenarioSet, *,
-                 asset_values: np.ndarray | None = None,
-                 claim_values: np.ndarray | None = None) -> ValuationResult:
-    """Full Monte Carlo decomposition at a solved capital level.
+def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure) -> ValuationResult:
+    """Full Monte Carlo decomposition of the losses L = X - r0 Z that an
+    empirical root left on ``rep`` (ValueError for a report without).
 
-    Shares one net-worth array across the shareholder value and the
-    option value; the premium is r0 - c0 by identity, with the same
-    standard error as c0.  Bounds use exact model moments, not sample
-    moments.
+    The option value averages L^+ = (r0 Z - X)^- and the shareholder
+    value L^+ - L = (r0 Z - X)^+, both exact elementwise; the premium is
+    r0 - c0 by identity, with the same standard error as c0.  Bounds use
+    exact model moments, not sample moments.
 
     ``c0_se``, ``v0_se`` and ``llo_se`` hold r0 fixed: they leave out
     the noise of the solved capital level, and they mean nothing when
     the claim variance is infinite (Pareto beta <= 2).
     """
-    x = market.claim_sample(scen) if claim_values is None else claim_values
-    if market.w == 0.0:
-        y = rep.r0 - x
-    else:
-        s = market.asset_return_sample(scen) if asset_values is None else asset_values
-        z = market.w * s + (1.0 - market.w)
-        y = rep.r0 * z - x
-    pos = np.maximum(y, 0.0)
+    if rep.losses is None:
+        raise ValueError("a Monte Carlo decomposition needs the losses of an empirical root")
+    parts = np.maximum(rep.losses, 0.0)  # (r0 Z - X)^-, then (r0 Z - X)^+ in place
+    llo_est = estimate_mean(parts)
+    c0_est = estimate_mean(np.subtract(parts, rep.losses, out=parts))
     scale = 1.0 + market.eta
-    c0_est = estimate_mean(pos)
-    llo_est = estimate_mean(pos - y)  # (r0 Z - X)^- elementwise, exactly
     c0 = c0_est.value / scale
     llo = llo_est.value / scale
     upper, lower = v0_bounds(
@@ -398,9 +391,4 @@ def value_market(market: MarketSpec, rm: RiskMeasure, *, mc_n: int,
         return value_lognormal_var(claim.mu_log, claim.sd_log,
                                    asset.mu_log, asset.sd_log, rm.alpha, market.eta)
     scen = generate_scenarios(mc_n, seed)
-    claim_values = market.claim_sample(scen)
-    asset_values = market.asset_return_sample(scen) if w != 0.0 else None
-    rep = solve_r0_numeric(market, rm, scen, asset_values=asset_values,
-                           claim_values=claim_values)
-    return mc_valuation(rep, market, rm, scen, asset_values=asset_values,
-                        claim_values=claim_values)
+    return mc_valuation(solve_r0_numeric(market, rm, scen), market, rm)

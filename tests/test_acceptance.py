@@ -258,7 +258,7 @@ def test_property_suite(scen):
         # Monte Carlo identity on one shared scenario set
         mkt_half = MarketSpec(claim=claim, asset=asset, w=0.5, eta=ETA)
         rep = solve_r0_numeric(mkt_half, rm, scen, asset_values=s, claim_values=x)
-        row = mc_valuation(rep, mkt_half, rm, scen, asset_values=s, claim_values=x)
+        row = mc_valuation(rep, mkt_half, rm)
         assert abs(row.v0 + row.c0 - rep.r0) <= 1e-12 * rep.r0
 
 
@@ -275,8 +275,7 @@ def test_lognormal_upper_bound_sharpness(scen, normals):
                 market = MarketSpec(claim=claim, asset=asset, w=w, eta=ETA)
                 rep = solve_r0_numeric(market, rm, scen,
                                        asset_values=s, claim_values=x)
-                row = mc_valuation(rep, market, rm, scen,
-                                   asset_values=s, claim_values=x)
+                row = mc_valuation(rep, market, rm)
                 gap = (row.v0_upper - row.v0) / row.v0
                 assert gap < 0.02 + 4 * row.v0_se / row.v0
 
@@ -307,8 +306,7 @@ def test_expected_shortfall_absorbed_by_shareholders(scen, normals):
             for rm in (RiskMeasure("var", 0.005), RiskMeasure("es", 0.01)):
                 rep = solve_r0_numeric(market, rm, scen,
                                        asset_values=s, claim_values=x)
-                rows[rm.kind] = mc_valuation(rep, market, rm, scen,
-                                             asset_values=s, claim_values=x)
+                rows[rm.kind] = mc_valuation(rep, market, rm)
             assert rows["es"].r0 > rows["var"].r0
             dv = abs(rows["es"].v0 - rows["var"].v0)
             slack = 4 * math.hypot(rows["es"].v0_se, rows["var"].v0_se)

@@ -198,7 +198,7 @@ class TestClosedFormSweep:
             market = MarketSpec(claim=claim, asset=asset, w=0.8, eta=ETA)
             assert market.z_mean <= 1.0 + ETA
             rep = solve_r0_numeric(market, VAR_005, scen)
-            rows.append(mc_valuation(rep, market, VAR_005, scen))
+            rows.append(mc_valuation(rep, market, VAR_005))
         assert rows[1].v0 <= rows[0].v0
 
 
@@ -229,7 +229,7 @@ class TestMcSweep:
         for w, cf_row in zip(closed.grid, closed.rows):
             market = replace(FIG_MARKET, w=float(w))
             rep = solve_r0_numeric(market, VAR_005, scen)
-            mc_row = mc_valuation(rep, market, VAR_005, scen)
+            mc_row = mc_valuation(rep, market, VAR_005)
             assert mc_row.r0_se is not None
             assert abs(mc_row.r0 - cf_row.r0) < 4 * mc_row.r0_se
             # the valuation inherits the root's noise on top of its own

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cocval.capital_solver import (
     MarketSpec,
     NoSolutionError,
+    _order_stats,
     gaussian_hedged_risk,
     solve_r0_gaussian_es,
     solve_r0_gaussian_var,
@@ -25,7 +26,7 @@ from cocval.distributions import (
 from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_empirical, var_multiplier
 
-from helpers import gaussian_r0_se_var
+from helpers import gaussian_r0_se_var, reference_root_std_error
 
 FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
@@ -429,3 +430,50 @@ class TestExactRootsBruteForce:
             solve_on(x, z, RiskMeasure(kind, 0.05))
         with pytest.raises(NoSolutionError, match="zero capital"):
             solve_on(x - 3.0, z, RiskMeasure(kind, 0.05))
+
+
+def se_ranks(n, k):
+    """1-based ranks of the density window and the quantile, as the solver sets them."""
+    rank, m = n - k, max(1, int(round(math.sqrt(n))))
+    return max(rank - m, 1), rank, min(rank + m, n)
+
+
+class TestStandardErrorSelection:
+    @given(values=st.lists(st.integers(-6, 6), min_size=2, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_order_stats_match_three_way_partition(self, values):
+        # small integers: ties and atoms over the window are common
+        losses = np.array(values, dtype=float) / 4.0
+        for k in range(1, losses.size):
+            i_lo, rank, i_hi = se_ranks(losses.size, k)
+            want = np.partition(losses, [i_lo - 1, rank - 1, i_hi - 1])
+            got = _order_stats(losses.copy(), i_lo, rank, i_hi)
+            assert got == (want[i_lo - 1], want[rank - 1], want[i_hi - 1])
+
+    @given(sample=tiny_samples(), kind=st.sampled_from(["var", "es"]), constant=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_std_error_matches_rebuild_reference(self, sample, kind, constant):
+        x, z, alpha = sample
+        rm = RiskMeasure(kind, alpha)
+        try:
+            if constant:  # a sure asset: Z = 1.25 whatever the asset samples
+                z = np.full(x.size, 1.25)
+                market = MarketSpec(claim=Normal(1.0, 0.3), asset=Degenerate(1.25), w=1.0,
+                                    eta=0.06)
+                rep = solve_r0_numeric(market, rm, generate_scenarios(x.size, 0),
+                                       asset_values=z, claim_values=x)
+            else:
+                rep = solve_on(x, z, rm)
+        except NoSolutionError:
+            return
+        want, var_at_root = reference_root_std_error(rm, z, x, rep.r0)
+        assert np.array_equal(rep.losses, x - rep.r0 * z)
+        assert not rep.losses.flags.writeable
+        if kind == "var":
+            assert rep.residual == var_at_root
+        if want is None:
+            assert rep.std_error is None
+        elif kind == "var" and not constant:
+            assert rep.std_error == want
+        else:
+            assert rep.std_error == pytest.approx(want, rel=1e-12)

@@ -105,6 +105,15 @@ class TestValue:
         assert out == ""
         assert "v0_upper is not finite" in err
 
+    @pytest.mark.parametrize("command", [["value", *LOGNORMAL_MARKET],
+                                         ["figure", "fig3b", "--grid-step", "0.5"]])
+    def test_sample_beyond_memory_is_usage_error(self, capsys, command):
+        # 8 PB per array: refused before anything is allocated
+        code, out, err = run(capsys, [*command, "--mc-n", "1000000000000000"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "physical memory" in err
+
     def test_missing_claim_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["value"])
         assert code == EXIT_USAGE

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cocval import montecarlo
 from cocval.capital_solver import MarketSpec
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
 from cocval.montecarlo import estimate_mean, generate_scenarios
@@ -27,6 +28,14 @@ class TestGenerate:
         other = generate_scenarios(64, seed=2)
         assert not np.array_equal(scen.u_asset, scen.u_claim)
         assert not np.array_equal(scen.u_asset, other.u_asset)
+
+    def test_memory_guard(self, monkeypatch):
+        # a machine with room for exactly 1000 scenarios
+        monkeypatch.setattr(montecarlo, "_physical_memory",
+                            lambda: 1000.0 * montecarlo.PEAK_BYTES_PER_SCENARIO)
+        assert generate_scenarios(1000, seed=1).n == 1000
+        with pytest.raises(ValueError, match="physical memory"):
+            generate_scenarios(1001, seed=1)
 
     def test_uniform_mean(self):
         scen = generate_scenarios(10 ** 6, seed=1)

@@ -1,11 +1,13 @@
 """Valuation layer: closed forms, quadrature, Monte Carlo, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cocval.capital_solver import MarketSpec, NoSolutionError, solve_r0_numeric
+from cocval.capital_solver import (MarketSpec, NoSolutionError, solve_r0_gaussian_var,
+                                   solve_r0_numeric)
 from cocval.distributions import (
     Degenerate,
     Lognormal,
@@ -29,7 +31,7 @@ from cocval.valuation import (
     value_riskless_var,
 )
 
-from helpers import mc_at
+from helpers import mc_at, reference_row
 
 ETA = 0.06
 ALPHA = 0.005
@@ -236,13 +238,71 @@ class TestMcValuation:
                             asset=lognormal_from_moments(1.05, 0.2), w=0.4, eta=ETA)
         rm = RiskMeasure("var", ALPHA)
         rep = solve_r0_numeric(market, rm, scen)
-        row = mc_valuation(rep, market, rm, scen)
+        row = mc_valuation(rep, market, rm)
         assert row.v0 == row.r0 - row.c0
         assert row.llo >= 0.0
         assert row.v0_lower is not None
         assert row.v0_lower - 4 * (row.v0_se or 0.0) <= row.v0 <= row.v0_upper + 4 * (row.v0_se or 0.0)
         assert row.valuation_method == "mc"
         assert row.c0_se and row.v0_se and row.llo_se
+
+
+class TestAgainstRebuildReference:
+    """Rows built from the solver's own loss array against rows that
+    rebuild Z, the losses and a three-way partition from the scenarios."""
+
+    N = 200_000
+    ASSET = lognormal_from_moments(1.05, 0.2)
+    CLAIMS = (lognormal_from_moments(1.0, 0.3), pareto_from_mean_beta(1.0, 2.0),
+              pareto_from_mean_beta(1.0, 1.1))
+
+    def _rows(self, market, rm, seed=29):
+        scen = generate_scenarios(self.N, seed)
+        s, x = market.asset_return_sample(scen), market.claim_sample(scen)
+        got = mc_valuation(solve_r0_numeric(market, rm, scen, asset_values=s,
+                                            claim_values=x), market, rm)
+        want = reference_row(got.r0, got.iterations, market, rm, scen,
+                             asset_values=s, claim_values=x)
+        return got, want
+
+    @staticmethod
+    def assert_close(got, want, rel):
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "residual":  # zero to round-off on both sides
+                assert abs(a - b) <= rel * got.r0
+            elif isinstance(a, float):
+                assert a == pytest.approx(b, rel=rel, abs=0.0), f.name
+            else:
+                assert a == b, f.name
+
+    @pytest.mark.parametrize("w", [0.3, 1.0])
+    @pytest.mark.parametrize("claim", CLAIMS, ids=["lognormal", "pareto2", "pareto1.1"])
+    def test_var_rows_bit_identical(self, claim, w):
+        market = MarketSpec(claim=claim, asset=self.ASSET, w=w, eta=ETA)
+        got, want = self._rows(market, RiskMeasure("var", ALPHA))
+        assert got == want
+
+    @pytest.mark.parametrize("w", [0.3, 1.0])
+    @pytest.mark.parametrize("claim", CLAIMS, ids=["lognormal", "pareto2", "pareto1.1"])
+    def test_es_rows_agree(self, claim, w):
+        market = MarketSpec(claim=claim, asset=self.ASSET, w=w, eta=ETA)
+        got, want = self._rows(market, RiskMeasure("es", 0.01))
+        self.assert_close(got, want, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize("asset, w", [(ASSET, 0.0), (Degenerate(1.02), 0.4)])
+    @pytest.mark.parametrize("claim", CLAIMS[:2], ids=["lognormal", "pareto2"])
+    def test_constant_return_rows_agree(self, claim, asset, w, kind):
+        market = MarketSpec(claim=claim, asset=asset, w=w, eta=ETA)
+        got, want = self._rows(market, RiskMeasure(kind, ALPHA if kind == "var" else 0.01))
+        self.assert_close(got, want, 1e-12)
+
+    def test_closed_form_report_is_rejected(self):
+        market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=0.5, eta=ETA)
+        rep = solve_r0_gaussian_var(1.0, 0.3, 1.025, 0.1, ALPHA)
+        with pytest.raises(ValueError, match="losses"):
+            mc_valuation(rep, market, RiskMeasure("var", ALPHA))
 
 
 class TestParetoWorkedExample:
@@ -346,7 +406,7 @@ class TestValueMarket:
         rm = RiskMeasure(kind, 0.01)
         got = value_market(market, rm, mc_n=20_000, seed=3)
         scen = generate_scenarios(20_000, seed=3)
-        want = mc_valuation(solve_r0_numeric(market, rm, scen), market, rm, scen)
+        want = mc_valuation(solve_r0_numeric(market, rm, scen), market, rm)
         assert got == want
 
     def test_mc_route_transforms_each_stream_once(self, monkeypatch):
