@@ -10,7 +10,7 @@ from .distributions import (
     lognormal_from_moments,
 )
 from .risk_measures import RiskMeasure
-from .montecarlo import McEstimate, ScenarioSet, generate_scenarios
+from .montecarlo import ScenarioSet, generate_scenarios
 from .capital_solver import MarketSpec, NoSolutionError, SolveReport
 from .valuation import ValuationResult, value_market
 from .analysis import MutualBenefit, SweepResult, sweep, w_grid
@@ -22,7 +22,6 @@ __all__ = [
     "Distribution",
     "Lognormal",
     "MarketSpec",
-    "McEstimate",
     "MutualBenefit",
     "Normal",
     "NoSolutionError",

@@ -14,9 +14,9 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .capital_solver import MarketSpec, NoSolutionError, solve_r0_numeric
+from .capital_solver import MarketSpec, NoSolutionError, candidate_set, solve_r0_numeric
 from .montecarlo import ScenarioSet
-from .risk_measures import RiskMeasure, es_multiplier, var_multiplier
+from .risk_measures import RiskMeasure
 from .valuation import (
     ValuationResult,
     mc_valuation,
@@ -30,8 +30,6 @@ __all__ = [
     "MutualBenefit",
     "sweep",
     "w_grid",
-    "benefit_threshold_gaussian_var",
-    "benefit_threshold_gaussian_es",
     "negative_loading_threshold",
     "check_mutual_benefit",
     "CSV_COLUMNS",
@@ -95,22 +93,6 @@ def _benefit_threshold(gamma: float, nu: float, mu: float, sigma: float,
                 * (mu - 1.0 + sigma * multiplier)
                 * (gamma + nu * multiplier)))
     return min(value, 1.0)
-
-
-def benefit_threshold_gaussian_var(gamma: float, nu: float, mu: float,
-                                   sigma: float, alpha: float) -> float:
-    """Closed-form mutual-benefit threshold in the normal model under VaR.
-
-    Largest weight below which the requirement stays under the
-    risk-less benchmark; clamped to 1 when the whole range benefits.
-    """
-    return _benefit_threshold(gamma, nu, mu, sigma, var_multiplier(alpha))
-
-
-def benefit_threshold_gaussian_es(gamma: float, nu: float, mu: float,
-                                  sigma: float, alpha: float) -> float:
-    """Same threshold under ES; only the Gaussian constant changes."""
-    return _benefit_threshold(gamma, nu, mu, sigma, es_multiplier(alpha))
 
 
 def w_grid(step: float = DEFAULT_GRID_STEP) -> np.ndarray:
@@ -191,18 +173,19 @@ def _closed_form_rows(market: MarketSpec, rm: RiskMeasure,
 
 def _mc_rows(market: MarketSpec, rm: RiskMeasure, grid: np.ndarray,
              scen: ScenarioSet) -> list[ValuationResult | None]:
-    # Transform once, solve per weight: the common-random-numbers
+    # Transform once, prune once, solve per weight: the common-random-numbers
     # contract and most of the sweep's speed live here.
     claim_values = market.claim_sample(scen)
-    asset_values = market.asset_return_sample(scen) if np.any(grid > 0) else None
+    asset_values = market.asset_return_sample(scen) if grid[-1] > 0.0 else None
+    candidates = candidate_set(rm, claim_values, asset_values, float(grid[0]), float(grid[-1]))
     rows: list[ValuationResult | None] = []
     for w in grid:
         market_w = replace(market, w=float(w))
         try:
-            # no name holds the report, so its losses go before the next solve
             rows.append(mc_valuation(
                 solve_r0_numeric(market_w, rm, scen, asset_values=asset_values,
-                                 claim_values=claim_values), market_w, rm))
+                                 claim_values=claim_values, candidates=candidates),
+                market_w, rm))
         except NoSolutionError:
             rows.append(None)
     return rows

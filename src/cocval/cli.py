@@ -258,13 +258,6 @@ FIGURE_PRESETS: dict[str, dict] = {
     "fig4a": _lognormal_preset(sd_s=0.2, sd_x=0.2),
     "fig4b": _lognormal_preset(sd_s=0.2, sd_x=0.4),
     "fig4c": _lognormal_preset(sd_s=0.2, sd_x=0.6),
-    # Premium-bound views share the sweep data of fig3 / fig4.
-    "fig5a": _lognormal_preset(sd_s=0.1),
-    "fig5b": _lognormal_preset(sd_s=0.2),
-    "fig5c": _lognormal_preset(sd_s=0.3),
-    "fig6a": _lognormal_preset(sd_s=0.2, sd_x=0.2),
-    "fig6b": _lognormal_preset(sd_s=0.2, sd_x=0.4),
-    "fig6c": _lognormal_preset(sd_s=0.2, sd_x=0.6),
     # Lognormal model with a 2% expected asset return.
     "fig9a": _lognormal_preset(sd_s=0.1, mean_s=1.02),
     "fig9b": _lognormal_preset(sd_s=0.2, mean_s=1.02),
@@ -290,6 +283,9 @@ FIGURE_PRESETS: dict[str, dict] = {
     "fig7bb": _lognormal_preset(sd_s=0.2, sd_x=0.4, kind="es", alpha=0.01),
     "fig7bc": _lognormal_preset(sd_s=0.2, sd_x=0.6, kind="es", alpha=0.01),
 }
+# Premium-bound views share the sweep data of fig3 / fig4.
+FIGURE_PRESETS.update({f"fig{view}{panel}": FIGURE_PRESETS[f"fig{data}{panel}"]
+                       for view, data in ((5, 3), (6, 4)) for panel in "abc"})
 
 
 def cmd_figure(args: argparse.Namespace) -> int:

@@ -2,8 +2,8 @@
 
 Every model in the engine is built from four families: normal,
 lognormal, Pareto type I, and a degenerate point mass standing in for
-the risk-less bond.  Each one exposes closed-form ``cdf``/``sf``
-/``quantile``, exact first and second moments, stop-loss expectations,
+the risk-less bond.  Each one exposes a closed-form survival function
+and quantile, exact first and second moments, stop-loss expectations,
 and positive rescaling.
 
 ``sample`` is strict inverse-transform sampling from caller-supplied
@@ -30,7 +30,6 @@ __all__ = [
     "pareto_from_moments",
     "pareto_from_mean_beta",
     "distribution_from_config",
-    "distribution_to_config",
     "standard_normal_cdf",
     "standard_normal_pdf",
     "standard_normal_quantile",
@@ -97,12 +96,6 @@ class Normal:
     def nonnegative(self) -> bool:
         return self.sd == 0.0 and self.mean >= 0.0
 
-    def cdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if self.sd == 0.0:
-            return _match((arr >= self.mean).astype(float), x)
-        return _match(standard_normal_cdf((arr - self.mean) / self.sd), x)
-
     def sf(self, x) -> float | np.ndarray:
         arr = np.asarray(x, dtype=float)
         if self.sd == 0.0:
@@ -158,15 +151,6 @@ class Lognormal:
     @property
     def nonnegative(self) -> bool:
         return True
-
-    def cdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        if np.any(pos):
-            z = (np.log(arr[pos]) - self.mu_log) / self.sd_log
-            out[pos] = standard_normal_cdf(z)
-        return _match(out, x)
 
     def sf(self, x) -> float | np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -227,13 +211,6 @@ class ParetoTypeI:
     def nonnegative(self) -> bool:
         return True
 
-    def cdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape)
-        above = arr > self.x_m
-        out[above] = -np.expm1(-self.beta * np.log(arr[above] / self.x_m))
-        return _match(out, x)
-
     def sf(self, x) -> float | np.ndarray:
         arr = np.asarray(x, dtype=float)
         out = np.ones(arr.shape)
@@ -276,10 +253,6 @@ class Degenerate:
     @property
     def nonnegative(self) -> bool:
         return self.value >= 0.0
-
-    def cdf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        return _match((arr >= self.value).astype(float), x)
 
     def sf(self, x) -> float | np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -384,16 +357,3 @@ def distribution_from_config(spec: dict) -> Distribution:
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")
     raise ValueError(f"unsupported parameters {sorted(keys)} for kind {kind!r}")
-
-
-def distribution_to_config(dist: Distribution) -> dict:
-    """Native-parameter config for ``dist``; inverse of the parser."""
-    if isinstance(dist, Normal):
-        return {"kind": "normal", "mean": dist.mean, "sd": dist.sd}
-    if isinstance(dist, Lognormal):
-        return {"kind": "lognormal", "mu_log": dist.mu_log, "sd_log": dist.sd_log}
-    if isinstance(dist, ParetoTypeI):
-        return {"kind": "pareto", "x_m": dist.x_m, "beta": dist.beta}
-    if isinstance(dist, Degenerate):
-        return {"kind": "degenerate", "value": dist.value}
-    raise TypeError(f"not a distribution: {dist!r}")

@@ -21,17 +21,17 @@ import numpy as np
 
 __all__ = [
     "ScenarioSet",
-    "McEstimate",
     "generate_scenarios",
-    "estimate_mean",
 ]
 
 _INV_2_53 = 2.0 ** -53
 
 # Peak resident bytes per scenario of a Monte Carlo valuation or sweep:
-# the slope of peak RSS between 1e6 and 2e6 scenarios was 58-60 over the
-# VaR and ES sweeps and single valuations (numpy 2.4, Linux x86-64).
-PEAK_BYTES_PER_SCENARIO = 64
+# the slope of peak RSS between 1e6 and 2e6 scenarios was 43-68 over the
+# VaR and ES sweeps and single valuations, highest under ES, where each
+# Newton step holds Z, the losses and their selection at full length
+# (numpy 2.4, Linux x86-64).
+PEAK_BYTES_PER_SCENARIO = 72
 
 
 @dataclass(frozen=True)
@@ -46,15 +46,6 @@ class ScenarioSet:
     def __post_init__(self) -> None:
         self.u_asset.flags.writeable = False
         self.u_claim.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Mean-type Monte Carlo estimate with its standard error."""
-
-    value: float
-    std_error: float
-    n: int
 
 
 def _open_uniform(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -90,12 +81,3 @@ def _physical_memory() -> float:
     except (AttributeError, ValueError, OSError):
         return math.inf
     return float(have) if have > 0 else math.inf
-
-
-def estimate_mean(values) -> McEstimate:
-    """Sample mean with standard error sd / sqrt(n)."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return McEstimate(value=float(arr.mean()), std_error=se, n=arr.size)

@@ -25,8 +25,6 @@ __all__ = [
     "RiskMeasure",
     "var_empirical",
     "es_empirical",
-    "var_gaussian",
-    "es_gaussian",
     "var_multiplier",
     "es_multiplier",
 ]
@@ -108,20 +106,6 @@ def es_multiplier(alpha: float) -> float:
     return standard_normal_pdf(var_multiplier(alpha)) / alpha
 
 
-def var_gaussian(mean: float, sd: float, alpha: float) -> float:
-    """VaR of a normal net worth: -mean + sd * var_multiplier(alpha)."""
-    if sd < 0:
-        raise ValueError("sd must be nonnegative")
-    return -mean + sd * var_multiplier(alpha)
-
-
-def es_gaussian(mean: float, sd: float, alpha: float) -> float:
-    """ES of a normal net worth: -mean + sd * es_multiplier(alpha)."""
-    if sd < 0:
-        raise ValueError("sd must be nonnegative")
-    return -mean + sd * es_multiplier(alpha)
-
-
 @dataclass(frozen=True)
 class RiskMeasure:
     """Solvency criterion: VaR or ES at a tail level alpha in (0, 1/2).
@@ -150,11 +134,6 @@ class RiskMeasure:
         if self.kind == "var":
             return var_empirical(values, self.alpha)
         return es_empirical(values, self.alpha)
-
-    def gaussian(self, mean: float, sd: float) -> float:
-        if self.kind == "var":
-            return var_gaussian(mean, sd, self.alpha)
-        return es_gaussian(mean, sd, self.alpha)
 
     @classmethod
     def from_config(cls, spec: dict) -> "RiskMeasure":

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .capital_solver import (
     MarketSpec,
@@ -35,7 +34,7 @@ from .distributions import (
     standard_normal_cdf,
     standard_normal_pdf,
 )
-from .montecarlo import estimate_mean, generate_scenarios
+from .montecarlo import generate_scenarios
 from .risk_measures import RiskMeasure, es_multiplier, var_multiplier
 
 __all__ = [
@@ -176,6 +175,8 @@ def capped_expectation_quadrature(asset_scaled: Distribution,
         p for p in _quadrature_breakpoints(asset_scaled) + _quadrature_breakpoints(claim)
         if 0.0 < p < upper
     )
+    from scipy import integrate  # only quadrature routes pay for this import
+
     value, _ = integrate.quad(
         lambda t: float(asset_scaled.sf(t)) * float(claim.sf(t)),
         0.0, upper, epsabs=tol, epsrel=1e-10, limit=200,
@@ -312,13 +313,17 @@ def pareto_riskless_valuation(beta: float, mean: float, alpha: float,
 
 
 def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure) -> ValuationResult:
-    """Full Monte Carlo decomposition of the losses L = X - r0 Z that an
-    empirical root left on ``rep`` (ValueError for a report without).
+    """Monte Carlo decomposition of the losses L = X - r0 Z that an
+    empirical root summarized on ``rep`` (ValueError for a report without).
 
-    The option value averages L^+ = (r0 Z - X)^- and the shareholder
-    value L^+ - L = (r0 Z - X)^+, both exact elementwise; the premium is
-    r0 - c0 by identity, with the same standard error as c0.  Bounds use
-    exact model moments, not sample moments.
+    The option value averages P = L^+ = (r0 Z - X)^- and the shareholder
+    value P - L = (r0 Z - X)^+, so c0 needs the mean of L, which comes
+    from sample moments, and the mean of P, which only the positive
+    losses carry.  The sample variances (ddof 1) of P and of P - L come
+    the same way: sum (P - mean P)(L - mean L) = sum over the positive
+    losses of p (p - mean L).  The premium is r0 - c0 by identity, with
+    the same standard error as c0.  Bounds use exact model moments, not
+    sample moments.
 
     ``c0_se``, ``v0_se`` and ``llo_se`` hold r0 fixed: they leave out
     the noise of the solved capital level, and they mean nothing when
@@ -326,26 +331,26 @@ def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure) -> Valua
     """
     if rep.losses is None:
         raise ValueError("a Monte Carlo decomposition needs the losses of an empirical root")
-    parts = np.maximum(rep.losses, 0.0)  # (r0 Z - X)^-, then (r0 Z - X)^+ in place
-    llo_est = estimate_mean(parts)
-    c0_est = estimate_mean(np.subtract(parts, rep.losses, out=parts))
+    n, l_mean, pos = rep.losses.n, rep.losses.mean, rep.losses.positive
+    p_mean = float(pos.sum()) / n
+    ss_p = float(np.square(pos - p_mean).sum()) + (n - pos.size) * p_mean * p_mean
+    ss_pl = float((pos * (pos - l_mean)).sum())
+    ss_n = max((n - 1) * rep.losses.var - 2.0 * ss_pl + ss_p, 0.0)
     scale = 1.0 + market.eta
-    c0 = c0_est.value / scale
-    llo = llo_est.value / scale
+    c0 = (p_mean - l_mean) / scale
+    c0_se = math.sqrt(ss_n / (n - 1) / n) / scale
     upper, lower = v0_bounds(
         rep.r0, z_mean=market.z_mean, z_var=market.z_variance,
         x_mean=market.claim.mean, x_var=market.claim.variance,
         eta=market.eta, alpha=rm.alpha if rm.kind == "var" else None,
     )
     return ValuationResult(
-        r0=rep.r0, c0=c0, v0=rep.r0 - c0, llo=llo,
+        r0=rep.r0, c0=c0, v0=rep.r0 - c0, llo=p_mean / scale,
         v0_upper=upper, v0_lower=lower,
         r0_method=rep.method, valuation_method="mc",
         residual=rep.residual, iterations=rep.iterations,
-        r0_se=rep.std_error,
-        c0_se=c0_est.std_error / scale,
-        v0_se=c0_est.std_error / scale,
-        llo_se=llo_est.std_error / scale,
+        r0_se=rep.std_error, c0_se=c0_se, v0_se=c0_se,
+        llo_se=math.sqrt(ss_p / (n - 1) / n) / scale,
     )
 
 

@@ -1,16 +1,15 @@
 """Shared oracle helpers: analytic standard errors of empirical-rooted
 capital levels in the normal model, via the delta method; the Monte
-Carlo decomposition at a given capital level; and reference versions of
-the standard error and the decomposition that rebuild every array from
-the scenario set."""
+Carlo decomposition at a given capital level; and full-sample reference
+versions of the VaR root, the standard errors and the decomposition that
+rebuild every array from the scenario set."""
 
 import math
 
 import numpy as np
 
-from cocval.capital_solver import SolveReport
+from cocval.capital_solver import LossSummary, NoSolutionError, SolveReport
 from cocval.distributions import standard_normal_cdf, standard_normal_pdf
-from cocval.montecarlo import estimate_mean
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import ValuationResult, mc_valuation, v0_bounds
 
@@ -23,18 +22,60 @@ def mixed_return(market, scen, asset_values=None):
     return market.w * s + (1.0 - market.w)
 
 
+def summary_of(losses):
+    """The ``LossSummary`` of a full loss array."""
+    losses = np.asarray(losses, dtype=float)
+    return LossSummary(n=losses.size, mean=float(losses.mean()),
+                       var=float(losses.var(ddof=1)), positive=losses[losses > 0.0])
+
+
 def mc_at(r0, market, scen, rm=RiskMeasure("var", 0.005), *, asset_values=None,
           claim_values=None):
     """``mc_valuation`` at capital ``r0``, as if a solver had returned it
-    with its loss array X - r0 Z.
+    with the summary of its losses X - r0 Z.
 
     ``asset_values``/``claim_values`` pass pre-transformed samples.
     """
     x = market.claim_sample(scen) if claim_values is None else claim_values
     losses = x - r0 * mixed_return(market, scen, asset_values)
     rep = SolveReport(r0=r0, method="closed_form", residual=0.0, iterations=0,
-                      losses=losses)
+                      losses=summary_of(losses))
     return mc_valuation(rep, market, rm)
+
+
+def reference_var_root(x, z, k):
+    """The (k+1)-th largest ratio X/Z over the full sample, selected by
+    value in place; x >= 0 >= z loses at every r > 0 (ratio +inf) unless
+    x = z = 0 (never, -inf).  The ratio array goes back too."""
+    nonpos = z <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = x / z
+    ratio[nonpos] = np.where(x[nonpos] > z[nonpos], np.inf, -np.inf)
+    i = ratio.size - 1 - k
+    ratio.partition(i)
+    if ratio[i] == np.inf:
+        raise NoSolutionError(f"more than {k} scenarios with Z <= 0 always lose")
+    return float(ratio[i]), ratio
+
+
+def reference_ratio_std_error(rm, z, x):
+    """Ratio-window standard error of a VaR root over the full sample:
+    sqrt(alpha (1 - alpha) / n) / f_R, with f_R from the (k+1 -/+ m)-th
+    largest ratios X/Z, the top end clipped to the finite ones."""
+    n = x.size
+    k = tail_count(rm.alpha, n)
+    m = max(1, int(round(math.sqrt(n))))
+    nonpos = z <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = x / z
+    ratio[nonpos] = np.where(x[nonpos] > z[nonpos], np.inf, -np.inf)
+    ordered = np.sort(ratio)[::-1]  # ordered[j - 1] is the j-th largest
+    top = max(k + 1 - m, int(np.count_nonzero(ratio == np.inf)) + 1)
+    bottom = min(k + 1 + m, n)
+    width = float(ordered[top - 1] - ordered[bottom - 1])
+    if not 0.0 < width < math.inf:
+        return None
+    return math.sqrt(rm.alpha * (1.0 - rm.alpha) / n) / (((bottom - top) / n) / width)
 
 
 def reference_root_std_error(rm, z, x, r0):
@@ -68,31 +109,35 @@ def reference_root_std_error(rm, z, x, r0):
 def reference_row(r0, iterations, market, rm, scen, *, asset_values=None,
                   claim_values=None):
     """The Monte Carlo row at a solved root ``r0``, every array rebuilt
-    from the scenario set: the residual and standard error of
-    ``reference_root_std_error`` and the decomposition of r0 Z - X."""
+    from the scenario set: the residual over all losses, the ratio-window
+    standard error (VaR) or that of ``reference_root_std_error`` (ES),
+    and sample means and standard deviations of (r0 Z - X)^+ and
+    (r0 Z - X)^-."""
     x = market.claim_sample(scen) if claim_values is None else claim_values
     z = mixed_return(market, scen, asset_values)
     z_arr = np.broadcast_to(z, x.shape)
     se, var_at_root = reference_root_std_error(rm, z_arr, x, r0)
-    residual = var_at_root if rm.kind == "var" else rm.empirical(r0 * z - x)
+    if rm.kind == "var":
+        se, residual = reference_ratio_std_error(rm, z_arr, x), var_at_root
+    else:
+        residual = rm.empirical(r0 * z - x)
     y = r0 * z - x
-    pos = np.maximum(y, 0.0)
+    pos, neg = np.maximum(y, 0.0), np.maximum(-y, 0.0)
     scale = 1.0 + market.eta
-    c0_est = estimate_mean(pos)
-    llo_est = estimate_mean(pos - y)
-    c0 = c0_est.value / scale
+    n = x.size
+    c0 = float(pos.mean()) / scale
     upper, lower = v0_bounds(
         r0, z_mean=market.z_mean, z_var=market.z_variance,
         x_mean=market.claim.mean, x_var=market.claim.variance,
         eta=market.eta, alpha=rm.alpha if rm.kind == "var" else None,
     )
+    c0_se = float(pos.std(ddof=1)) / math.sqrt(n) / scale
     return ValuationResult(
-        r0=r0, c0=c0, v0=r0 - c0, llo=llo_est.value / scale,
+        r0=r0, c0=c0, v0=r0 - c0, llo=float(neg.mean()) / scale,
         v0_upper=upper, v0_lower=lower,
         r0_method="empirical_root", valuation_method="mc",
         residual=residual, iterations=iterations, r0_se=se,
-        c0_se=c0_est.std_error / scale, v0_se=c0_est.std_error / scale,
-        llo_se=llo_est.std_error / scale,
+        c0_se=c0_se, v0_se=c0_se, llo_se=float(neg.std(ddof=1)) / math.sqrt(n) / scale,
     )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cocval.analysis import benefit_threshold_gaussian_var, sweep, w_grid
+from cocval.analysis import sweep, w_grid
 from cocval.capital_solver import (
     MarketSpec,
     solve_r0_gaussian_es,
@@ -102,7 +102,8 @@ def test_benefit_threshold_consistency():
         assert nu > 0 and sigma > 0
         assert gamma > nu * m
         assert mu > max(1.0, sigma * m)
-        closed = benefit_threshold_gaussian_var(gamma, nu, mu, sigma, ALPHA)
+        market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma), w=0.0, eta=ETA)
+        closed = sweep(market, RiskMeasure("var", ALPHA), [0.0]).w_hat_closed
 
         def requirement(w):
             return solve_r0_gaussian_var(gamma, nu, w * mu + 1 - w, w * sigma, ALPHA).r0

@@ -9,8 +9,6 @@ import pytest
 from scipy.optimize import brentq
 
 from cocval.analysis import (
-    benefit_threshold_gaussian_es,
-    benefit_threshold_gaussian_var,
     check_mutual_benefit,
     negative_loading_threshold,
     sweep,
@@ -33,9 +31,16 @@ def closed_r0(w: float, mu: float = MU, sigma: float = SIGMA) -> float:
     return solve_r0_gaussian_var(GAMMA, NU, w * mu + 1 - w, w * sigma, ALPHA).r0
 
 
+def closed_threshold(gamma, nu, mu, sigma, rm=VAR_005):
+    """The normal model's closed-form benefit threshold, as a sweep reports
+    it; None where its preconditions fail."""
+    market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma), w=0.0, eta=ETA)
+    return sweep(market, rm, [0.0]).w_hat_closed
+
+
 class TestBenefitThreshold:
     def test_closed_form_value(self):
-        got = benefit_threshold_gaussian_var(GAMMA, NU, MU, SIGMA, ALPHA)
+        got = closed_threshold(GAMMA, NU, MU, SIGMA)
         assert got == pytest.approx(0.165809, abs=1e-6)
 
     def test_matches_fine_crossing_of_requirement_curve(self):
@@ -43,41 +48,38 @@ class TestBenefitThreshold:
         # risk-less level on the closed-form curve
         base = closed_r0(0.0)
         crossing = brentq(lambda w: closed_r0(w) - base, 1e-6, 0.9, xtol=1e-12)
-        got = benefit_threshold_gaussian_var(GAMMA, NU, MU, SIGMA, ALPHA)
+        got = closed_threshold(GAMMA, NU, MU, SIGMA)
         assert abs(got - crossing) < 1e-9
 
     def test_full_range_branch(self):
         m = var_multiplier(ALPHA)
         mu = 1.0 + SIGMA * m + 0.01
-        assert benefit_threshold_gaussian_var(GAMMA, NU, mu, SIGMA, ALPHA) == 1.0
+        assert closed_threshold(GAMMA, NU, mu, SIGMA) == 1.0
 
     def test_increasing_in_claim_spread(self):
         # claim spreads up to the precondition gamma > nu * multiplier
         nus = np.linspace(0.2, 0.38, 15)
-        vals = [benefit_threshold_gaussian_var(GAMMA, nu, MU, SIGMA, ALPHA) for nu in nus]
+        vals = [closed_threshold(GAMMA, nu, MU, SIGMA) for nu in nus]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_preconditions_enforced(self):
-        with pytest.raises(ValueError):
-            benefit_threshold_gaussian_var(GAMMA, NU, MU, 0.0, ALPHA)
-        with pytest.raises(ValueError):
-            benefit_threshold_gaussian_var(0.5, 0.3, MU, SIGMA, ALPHA)  # gamma <= nu m
-        with pytest.raises(ValueError):
-            benefit_threshold_gaussian_var(GAMMA, NU, 1.0, SIGMA, ALPHA)  # mu at 1
+        assert closed_threshold(GAMMA, NU, MU, 0.0) is None
+        assert closed_threshold(0.5, 0.3, MU, SIGMA) is None  # gamma <= nu m
+        assert closed_threshold(GAMMA, NU, 1.0, SIGMA) is None  # mu at 1
 
     def test_es_variant_coincides_at_matched_constant(self):
         # pick the ES level whose constant equals the VaR constant, the
         # two thresholds must then agree identically
         m = var_multiplier(0.005)
         alpha_es = brentq(lambda a: es_multiplier(a) - m, 1e-4, 0.4, xtol=1e-15)
-        a = benefit_threshold_gaussian_var(GAMMA, NU, MU, SIGMA, 0.005)
-        b = benefit_threshold_gaussian_es(GAMMA, NU, MU, SIGMA, alpha_es)
+        a = closed_threshold(GAMMA, NU, MU, SIGMA, RiskMeasure("var", 0.005))
+        b = closed_threshold(GAMMA, NU, MU, SIGMA, RiskMeasure("es", alpha_es))
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_es_branch_condition(self):
         m = es_multiplier(0.01)
-        assert benefit_threshold_gaussian_es(GAMMA, NU, 1.0 + SIGMA * m + 0.01,
-                                             SIGMA, 0.01) == 1.0
+        assert closed_threshold(GAMMA, NU, 1.0 + SIGMA * m + 0.01, SIGMA,
+                                RiskMeasure("es", 0.01)) == 1.0
 
 
 class TestNegativeLoadingThreshold:

@@ -1,15 +1,17 @@
 """Capital requirement solvers: closed forms against exact empirical roots."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cocval.analysis import w_grid
 from cocval.capital_solver import (
     MarketSpec,
     NoSolutionError,
-    _order_stats,
+    candidate_set,
     gaussian_hedged_risk,
     solve_r0_gaussian_es,
     solve_r0_gaussian_var,
@@ -24,9 +26,11 @@ from cocval.distributions import (
     pareto_from_mean_beta,
 )
 from cocval.montecarlo import generate_scenarios
-from cocval.risk_measures import RiskMeasure, es_multiplier, var_empirical, var_multiplier
+from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_empirical,
+                                  var_multiplier)
 
-from helpers import gaussian_r0_se_var, reference_root_std_error
+from helpers import (gaussian_r0_se_var, reference_ratio_std_error, reference_root_std_error,
+                     reference_var_root)
 
 FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
@@ -90,12 +94,11 @@ class TestGaussianVar:
 
     def test_hedged_risk_is_var_of_net_worth_parameters(self):
         # r Z - X is normal with mean r mu - gamma and the combined sd,
-        # so the generic normal VaR must reproduce the hedged-risk form
-        from cocval.risk_measures import var_gaussian
+        # so the normal VaR -mean + sd m must reproduce the hedged-risk form
         r = 2.1
         mean = r * FIG_MU - FIG_GAMMA
         sd = math.hypot(r * FIG_SIGMA, FIG_NU)
-        assert var_gaussian(mean, sd, ALPHA) == pytest.approx(
+        assert -mean + sd * var_multiplier(ALPHA) == pytest.approx(
             gaussian_hedged_risk(r, FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA,
                                  var_multiplier(ALPHA)), rel=1e-14)
 
@@ -432,24 +435,7 @@ class TestExactRootsBruteForce:
             solve_on(x - 3.0, z, RiskMeasure(kind, 0.05))
 
 
-def se_ranks(n, k):
-    """1-based ranks of the density window and the quantile, as the solver sets them."""
-    rank, m = n - k, max(1, int(round(math.sqrt(n))))
-    return max(rank - m, 1), rank, min(rank + m, n)
-
-
 class TestStandardErrorSelection:
-    @given(values=st.lists(st.integers(-6, 6), min_size=2, max_size=64))
-    @settings(max_examples=200, deadline=None)
-    def test_order_stats_match_three_way_partition(self, values):
-        # small integers: ties and atoms over the window are common
-        losses = np.array(values, dtype=float) / 4.0
-        for k in range(1, losses.size):
-            i_lo, rank, i_hi = se_ranks(losses.size, k)
-            want = np.partition(losses, [i_lo - 1, rank - 1, i_hi - 1])
-            got = _order_stats(losses.copy(), i_lo, rank, i_hi)
-            assert got == (want[i_lo - 1], want[rank - 1], want[i_hi - 1])
-
     @given(sample=tiny_samples(), kind=st.sampled_from(["var", "es"]), constant=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_std_error_matches_rebuild_reference(self, sample, kind, constant):
@@ -467,13 +453,137 @@ class TestStandardErrorSelection:
         except NoSolutionError:
             return
         want, var_at_root = reference_root_std_error(rm, z, x, rep.r0)
-        assert np.array_equal(rep.losses, x - rep.r0 * z)
-        assert not rep.losses.flags.writeable
+        losses = x - rep.r0 * z
+        summary = rep.losses
+        assert np.array_equal(np.sort(summary.positive), np.sort(losses[losses > 0.0]))
+        assert not summary.positive.flags.writeable
+        assert summary.n == x.size
+        scale = float(np.abs(losses).max()) + 1.0
+        assert abs(summary.mean - losses.mean()) <= 1e-12 * scale
+        assert abs(summary.var - losses.var(ddof=1)) <= 1e-12 * scale * scale
         if kind == "var":
             assert rep.residual == var_at_root
-        if want is None:
+            assert rep.std_error == reference_ratio_std_error(rm, z, x)
+        elif want is None:
             assert rep.std_error is None
-        elif kind == "var" and not constant:
-            assert rep.std_error == want
         else:
             assert rep.std_error == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def grid_markets(draw):
+    """A market, a weight grid and a sample with k + 1 + m well below n,
+    so the candidate set prunes.  Claims may tie (rounded to quarters),
+    a normal asset has S <= 0 in a few percent of scenarios, a point-mass
+    asset makes Z constant, and a grid may be w = 0 alone."""
+    n = draw(st.integers(300, 4000))
+    alpha = draw(st.sampled_from([0.005, 0.01, 0.05]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    claim = draw(st.sampled_from(["lognormal", "pareto", "ties"]))
+    x = {"lognormal": lambda: rng.lognormal(0.0, 0.3, n),
+         "pareto": lambda: 0.5 * rng.pareto(draw(st.sampled_from([1.1, 2.0, 4.0])), n) + 0.5,
+         "ties": lambda: np.round(4.0 * rng.lognormal(0.0, 0.3, n)) / 4.0}[claim]()
+    asset = draw(st.sampled_from(["lognormal", "normal", "degenerate"]))
+    s = {"lognormal": lambda: rng.lognormal(0.03, 0.2, n),
+         "normal": lambda: rng.normal(1.05, 0.6, n),
+         "degenerate": lambda: np.full(n, draw(st.sampled_from([0.5, 1.0, 1.02, 1.7])))}[asset]()
+    size = draw(st.sampled_from([1, 2, 11]))
+    if draw(st.booleans()):
+        grid = np.array([0.0])
+    else:
+        w_lo = draw(st.floats(0.0, 1.0))
+        w_hi = draw(st.floats(w_lo, 1.0)) if size > 1 else w_lo
+        grid = np.unique(np.linspace(w_lo, w_hi, size))
+    return x, s, grid, RiskMeasure("var", alpha)
+
+
+class TestCandidateSet:
+    """VaR roots selected on a sweep-wide candidate set against the
+    full-sample selection of the parent solver."""
+
+    @staticmethod
+    def check_grid(x, s, grid, rm):
+        market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.0, 0.3), w=0.0, eta=0.06)
+        scen = generate_scenarios(x.size, 0)
+        cands = candidate_set(rm, x, s, float(grid[0]), float(grid[-1]))
+        k = tail_count(rm.alpha, x.size)
+        for w in grid:
+            z = np.multiply(s, w) + (1.0 - w)
+            try:
+                want, _ = reference_var_root(x, z, k)
+            except NoSolutionError:
+                want = None
+            market_w = MarketSpec(claim=market.claim, asset=market.asset, w=float(w), eta=0.06)
+            if want is None or want <= 0.0:
+                with pytest.raises(NoSolutionError):
+                    solve_r0_numeric(market_w, rm, scen, candidates=cands)
+                continue
+            rep = solve_r0_numeric(market_w, rm, scen, candidates=cands)
+            assert rep.r0 == want, w
+            assert rep.std_error == reference_ratio_std_error(rm, z, x), w
+            assert rep.residual == rm.empirical(rep.r0 * z - x), w
+        return cands
+
+    @given(case=grid_markets())
+    @settings(max_examples=150, deadline=None)
+    def test_roots_bit_identical_to_full_selection(self, case):
+        x, s, grid, rm = case
+        cands = self.check_grid(x, s, grid, rm)
+        assert cands.x.size <= x.size
+
+    def test_default_grid_sweep(self):
+        # fig3b's market on all 1001 weights of the default grid
+        scen = generate_scenarios(20_000, seed=5)
+        claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
+        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        cands = self.check_grid(x, s, w_grid(), RiskMeasure("var", ALPHA))
+        assert cands.x.size < x.size // 4
+
+    def test_moments(self):
+        scen = generate_scenarios(10_000, seed=9)
+        x = pareto_from_mean_beta(1.0, 2.0).sample(scen.u_claim)
+        s = lognormal_from_moments(1.05, 0.2).sample(scen.u_asset)
+        cands = candidate_set(RiskMeasure("var", ALPHA), x, s, 0.0, 1.0)
+        cov = np.cov(x, s)
+        assert (cands.x_mean, cands.s_mean) == (x.mean(), s.mean())
+        assert [cands.x_var, cands.s_var, cands.xs_cov] == pytest.approx(
+            [cov[0, 0], cov[1, 1], cov[0, 1]], rel=1e-12)
+        for r, w in ((2.0, 0.0), (2.5, 0.4), (3.0, 1.0)):
+            losses = x - r * (np.multiply(s, w) + (1.0 - w))
+            mean, var = cands.loss_moments(r, w)
+            assert mean == pytest.approx(losses.mean(), rel=1e-12)
+            assert var == pytest.approx(losses.var(ddof=1), rel=1e-12)
+
+    def test_rejects_foreign_candidates(self):
+        scen = generate_scenarios(5_000, seed=3)
+        market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
+                            asset=lognormal_from_moments(1.05, 0.2), w=0.8, eta=0.06)
+        x, s = market.claim_sample(scen), market.asset_return_sample(scen)
+        rm = RiskMeasure("var", ALPHA)
+        cands = candidate_set(rm, x, s, 0.0, 0.5)
+        with pytest.raises(ValueError, match="candidate set"):
+            solve_r0_numeric(market, rm, scen, candidates=cands)
+        with pytest.raises(ValueError, match="candidate set"):
+            solve_r0_numeric(replace(market, w=0.4), RiskMeasure("var", 0.01), scen,
+                             candidates=cands)
+        with pytest.raises(ValueError, match="asset returns"):
+            candidate_set(rm, x, None, 0.0, 0.5)
+
+
+class TestRatioWindowStdError:
+    """The ratio-window standard error of a VaR root against the parent's
+    loss-window delta method, on fig3b's and fig15b's markets."""
+
+    @pytest.mark.parametrize("claim", [lognormal_from_moments(1.0, 0.3),
+                                       pareto_from_mean_beta(1.0, 1.1)],
+                             ids=["fig3b", "fig15b"])
+    def test_close_to_loss_window(self, claim):
+        scen = generate_scenarios(10 ** 6, seed=1)
+        asset = lognormal_from_moments(1.05, 0.2)
+        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        rm = RiskMeasure("var", ALPHA)
+        for w in (0.1, 0.5, 1.0):
+            market = MarketSpec(claim=claim, asset=asset, w=w, eta=0.06)
+            rep = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x)
+            loss_window, _ = reference_root_std_error(rm, w * s + (1.0 - w), x, rep.r0)
+            assert rep.std_error == pytest.approx(loss_window, rel=0.02), w

@@ -166,6 +166,10 @@ class TestSweepAndFigures:
         assert FIGURE_PRESETS["fig8b"]["risk_measure"] == {"kind": "es", "alpha": 0.01}
         assert FIGURE_PRESETS["fig9b"]["asset"]["mean"] == 1.02
         assert FIGURE_PRESETS["fig15b"]["claim"]["beta"] == 1.1
+        # the premium-bound views alias the sweep data of fig3 / fig4
+        for panel in "abc":
+            assert FIGURE_PRESETS[f"fig5{panel}"] is FIGURE_PRESETS[f"fig3{panel}"]
+            assert FIGURE_PRESETS[f"fig6{panel}"] is FIGURE_PRESETS[f"fig4{panel}"]
 
     def test_measure_flags_override_preset_fields(self, capsys, tmp_path):
         # fig8b and fig3b share the market and differ only in the

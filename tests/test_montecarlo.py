@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from cocval import montecarlo
-from cocval.capital_solver import MarketSpec
+from cocval.capital_solver import MarketSpec, SolveReport
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
-from cocval.montecarlo import estimate_mean, generate_scenarios
-from cocval.risk_measures import var_empirical
-from cocval.valuation import gaussian_positive_part_factor
-from cocval.risk_measures import var_multiplier
+from cocval.montecarlo import generate_scenarios
+from cocval.risk_measures import RiskMeasure, var_empirical, var_multiplier
+from cocval.valuation import gaussian_positive_part_factor, mc_valuation
 
-from helpers import mc_at
+from helpers import mc_at, summary_of
 
 
 class TestGenerate:
@@ -120,9 +119,13 @@ class TestEstimators:
         assert (row.c0, row.c0_se, row.llo_se) == (1.0 / 1.06, 0.0, 0.0)
 
     def test_mean_and_se(self):
-        est = estimate_mean(np.array([1.0, 3.0]))
-        assert est.value == 2.0
-        assert est.std_error == pytest.approx(1.0, rel=1e-15)
+        # losses 1 and 3: the option averages them, 2 with standard error 1
+        rep = SolveReport(r0=1.0, method="closed_form", residual=0.0, iterations=0,
+                          losses=summary_of([1.0, 3.0]))
+        market = MarketSpec(claim=Degenerate(0.0), asset=Degenerate(1.0), w=0.0, eta=1.0)
+        row = mc_valuation(rep, market, RiskMeasure("var", 0.25))
+        assert (row.llo, row.c0) == (1.0, 0.0)
+        assert row.llo_se == pytest.approx(0.5, rel=1e-15)
 
     def test_gaussian_positive_part_against_closed_form(self):
         # E[(e - f G)^+] = e * factor when the VaR of e + f G is zero:

@@ -11,10 +11,8 @@ from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import (
     RiskMeasure,
     es_empirical,
-    es_gaussian,
     es_multiplier,
     var_empirical,
-    var_gaussian,
     var_multiplier,
 )
 
@@ -84,13 +82,12 @@ class TestEsEmpirical:
 
 class TestGaussianForms:
     def test_var_examples(self):
-        assert var_gaussian(0.0, 1.0, 0.005) == pytest.approx(2.5758, abs=1e-4)
-        assert var_gaussian(1.0, 0.0, 0.37) == -1.0
+        assert var_multiplier(0.005) == pytest.approx(2.5758, abs=1e-4)
+        assert RiskMeasure("var", 0.37).multiplier == var_multiplier(0.37) > 0.0
 
     def test_es_examples(self):
-        assert es_gaussian(0.0, 1.0, 0.01) == pytest.approx(2.6652, abs=1e-4)
-        assert es_gaussian(0.0, 1.0, 0.005) == pytest.approx(2.8919, abs=1e-3)
-        assert es_gaussian(-0.7, 0.0, 0.1) == 0.7
+        assert RiskMeasure("es", 0.01).multiplier == pytest.approx(2.6652, abs=1e-4)
+        assert RiskMeasure("es", 0.005).multiplier == pytest.approx(2.8919, abs=1e-3)
 
     def test_multiplier_examples(self):
         assert es_multiplier(0.01) == pytest.approx(2.6652, abs=1e-4)
@@ -116,7 +113,7 @@ class TestEmpiricalMatchesGaussian:
         for alpha in (0.005, 0.01, 0.05):
             q = var_multiplier(alpha)
             se = math.sqrt(alpha * (1 - alpha) / n) / standard_normal_pdf(q) * 1.7
-            assert abs(var_empirical(y, alpha) - var_gaussian(0.3, 1.7, alpha)) < 4 * se
+            assert abs(var_empirical(y, alpha) - (-0.3 + 1.7 * q)) < 4 * se
 
 
 class TestProperties:
@@ -171,7 +168,6 @@ class TestRiskMeasureType:
         y = np.array([-4.0, -3.0, -2.0, -1.0])
         assert RiskMeasure("es", 0.49).empirical(y) == es_empirical(y, 0.49)
         assert RiskMeasure("var", 0.25).empirical(y) == var_empirical(y, 0.25)
-        assert RiskMeasure("var", 0.005).gaussian(0.0, 1.0) == var_gaussian(0.0, 1.0, 0.005)
         assert RiskMeasure("es", 0.01).multiplier == es_multiplier(0.01)
 
     def test_config_round_trip(self):

@@ -17,7 +17,7 @@ from cocval.distributions import (
     pareto_from_mean_beta,
 )
 from cocval.montecarlo import generate_scenarios
-from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
+from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import (
     capped_expectation_quadrature,
     gaussian_positive_part_factor,
@@ -31,7 +31,7 @@ from cocval.valuation import (
     value_riskless_var,
 )
 
-from helpers import mc_at, reference_row
+from helpers import mc_at, reference_row, reference_var_root
 
 ETA = 0.06
 ALPHA = 0.005
@@ -248,8 +248,9 @@ class TestMcValuation:
 
 
 class TestAgainstRebuildReference:
-    """Rows built from the solver's own loss array against rows that
-    rebuild Z, the losses and a three-way partition from the scenarios."""
+    """Rows solved on a candidate set and split from sample moments
+    against rows that rebuild Z, the losses and every order statistic
+    from the scenarios."""
 
     N = 200_000
     ASSET = lognormal_from_moments(1.05, 0.2)
@@ -279,9 +280,16 @@ class TestAgainstRebuildReference:
     @pytest.mark.parametrize("w", [0.3, 1.0])
     @pytest.mark.parametrize("claim", CLAIMS, ids=["lognormal", "pareto2", "pareto1.1"])
     def test_var_rows_bit_identical(self, claim, w):
+        # the root, its residual and its ratio-window error bit for bit;
+        # the split's sums run in another order
         market = MarketSpec(claim=claim, asset=self.ASSET, w=w, eta=ETA)
         got, want = self._rows(market, RiskMeasure("var", ALPHA))
-        assert got == want
+        scen = generate_scenarios(self.N, 29)
+        z = w * market.asset_return_sample(scen) + (1.0 - w)
+        x = market.claim_sample(scen)
+        assert got.r0 == reference_var_root(x, z, tail_count(ALPHA, self.N))[0]
+        assert (got.r0_se, got.residual) == (want.r0_se, want.residual)
+        self.assert_close(got, want, 1e-12)
 
     @pytest.mark.parametrize("w", [0.3, 1.0])
     @pytest.mark.parametrize("claim", CLAIMS, ids=["lognormal", "pareto2", "pareto1.1"])
