@@ -120,9 +120,6 @@ class SweepResult:
     w_hat_numeric: float | None
     w_hat_closed: float | None
 
-    def feasible(self) -> list[tuple[float, ValuationResult]]:
-        return [(float(w), row) for w, row in zip(self.grid, self.rows) if row is not None]
-
     def write_csv(self, target: str | TextIO) -> None:
         """Sweep rows plus a trailing summary block.
 

@@ -11,7 +11,7 @@ shared Monte Carlo scenario set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .risk_measures import (RiskMeasure, es_multiplier, tail_average, tail_count
 __all__ = [
     "MarketSpec",
     "Candidates",
+    "Triangle",
     "LossSummary",
     "SolveReport",
     "NoSolutionError",
@@ -97,7 +98,11 @@ class SolveReport:
     level: in capital units for the Gaussian forms and the empirical
     root (zero to round-off), in log units for the lognormal closed
     form.  ``iterations`` counts the selections the empirical root made
-    on its weight; closed forms report zero.  ``losses`` summarizes the
+    on its weight: the VaR one, then under ES the Newton steps, which on
+    an interior weight of a sweep start from the tangent bound of the
+    candidates' triangle (``_triangle``); closed forms report zero.  A
+    weight rerun on all scenarios reports the rerun's count.  ``losses``
+    summarizes the
     losses X - r0 Z of an empirical root for ``valuation.mc_valuation``;
     closed forms leave it None.
     """
@@ -182,6 +187,39 @@ def solve_r0_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,
 _SLACK = 2.0 ** -48
 # Pruning needs |t| clear of underflow and overflow (or t = 0).
 _PRUNE_RANGE = (2.0 ** -900, 2.0 ** 900)
+# Relative margin of an interior ES start below the tangents; the bound
+# behind it and the kept set's slack are at ``_triangle``.
+_ES_MARGIN = 2.0 ** -40
+
+
+@dataclass(frozen=True)
+class Triangle:
+    """The scenarios that decide the empirical ES root at every weight
+    strictly inside a weight range, and the triangle they were kept on.
+
+    With the position P = r (w, 1 - w) in the asset and the bond, the
+    vertices are the end roots P_lo and P_hi and the meeting point T of
+    their tangents; ``w`` and ``r`` hold their weights and capital
+    levels in the order P_lo, T, P_hi.  ``x`` and ``s`` are the kept
+    claims and asset returns in scenario order.
+    """
+
+    w: tuple[float, float, float]
+    r: tuple[float, float, float]
+    x: np.ndarray = field(repr=False)
+    s: np.ndarray = field(repr=False)
+
+    def bounds(self, w: float) -> tuple[float, float]:
+        """The capital levels where the ray of an interior weight w meets
+        the tangents and the chord: the triangle's bottom and top."""
+        # 1/r is affine in w along a line, and every weight below is >= 0
+        (w0, wt, w1), (u0, ut, u1) = self.w, [1.0 / r for r in self.r]
+        if w < wt:
+            tangent = ((wt - w) * u0 + (w - w0) * ut) / (wt - w0)
+        else:
+            tangent = ((w1 - w) * ut + (w - wt) * u1) / (w1 - wt)
+        chord = ((w1 - w) * u0 + (w - w0) * u1) / (w1 - w0)
+        return 1.0 / tangent, 1.0 / chord
 
 
 @dataclass(frozen=True)
@@ -196,9 +234,14 @@ class Candidates:
     S <= 0, the only ones that can have Z <= 0.  ``zero_risk`` is the
     empirical measure of -X, kept only when such a scenario has a
     negative claim.
+
+    Under ES, ``ends`` pairs each end weight with its solve on all
+    scenarios, a report or the error it raised, and ``triangle`` holds
+    the scenarios of the interior roots; None when it cannot be built.
     """
 
     n: int
+    alpha: float
     k: int
     m: int
     w_lo: float
@@ -211,6 +254,8 @@ class Candidates:
     s_var: float
     xs_cov: float
     zero_risk: float | None = None
+    ends: tuple[tuple[float, SolveReport | Exception], ...] = field(default=(), repr=False)
+    triangle: Triangle | None = field(default=None, repr=False)
 
     def loss_moments(self, r: float, w: float) -> tuple[float, float]:
         """Sample mean and variance (ddof 1) of L = X - r Z at weight w."""
@@ -261,29 +306,39 @@ def candidate_set(rm: RiskMeasure, claim_values: np.ndarray,
     the full sample's, bit for bit.  Scenarios with S <= 0, where
     w S + 1 - w can cancel or vanish, are always kept.
 
+    Under ES the build also solves the two end weights on all scenarios,
+    and ``solve_r0_numeric`` returns those reports for them; when both
+    ends have a root on a range of positive width, it prunes once more,
+    to the ``Triangle`` of the interior roots (``_triangle``).
+
     Raises:
         ValueError: alpha n < 1, or asset returns missing for w_hi > 0.
     """
-    x = claim_values
+    x, s = claim_values, asset_values
     n = x.size
     k = tail_count(rm.alpha, n)
     if k < 1:
         raise ValueError("alpha * n < 1: tail not resolved at this sample size")
-    if asset_values is None and w_hi > 0.0:
+    if s is None and w_hi > 0.0:
         raise ValueError("a weight range beyond w = 0 needs the asset returns")
-    s = np.ones(n) if asset_values is None else asset_values  # any S > 0 gives Z = 1 at w = 0
     m = max(1, int(round(math.sqrt(n))))
-    irregular = s <= 0.0
-    zero_risk = rm.empirical(-x) if np.any(x[irregular] < 0.0) else None
+    x_mean = float(x.mean())
+    if s is None:  # w = 0 alone, where Z = 1 exactly: S = 1 in every sum
+        irregular, zero_risk, s_mean = np.zeros(n, dtype=bool), None, 1.0
+    else:
+        irregular = s <= 0.0
+        zero_risk = rm.empirical(-x) if np.any(x[irregular] < 0.0) else None
+        s_mean = float(s.mean())
     keep = _keep_mask(x, s, (w_lo, w_hi), k + m, irregular)
-    x_mean, s_mean = float(x.mean()), float(s.mean())
+    kept_s = np.ones(np.count_nonzero(keep)) if s is None else s[keep]
     x_var, s_var, xs_cov = _centred_moments(x, x_mean, s, s_mean)
-    return Candidates(n=n, k=k, m=m, w_lo=w_lo, w_hi=w_hi, x=x[keep], s=s[keep],
-                      x_mean=x_mean, s_mean=s_mean, x_var=x_var, s_var=s_var,
-                      xs_cov=xs_cov, zero_risk=zero_risk)
+    c = Candidates(n=n, alpha=rm.alpha, k=k, m=m, w_lo=w_lo, w_hi=w_hi, x=x[keep],
+                   s=kept_s, x_mean=x_mean, s_mean=s_mean, x_var=x_var, s_var=s_var,
+                   xs_cov=xs_cov, zero_risk=zero_risk)
+    return _with_es_ends(c, x, s) if rm.kind == "es" else c
 
 
-def _keep_mask(x: np.ndarray, s: np.ndarray, ends: tuple[float, float], j: int,
+def _keep_mask(x: np.ndarray, s: np.ndarray | None, ends: tuple[float, float], j: int,
                irregular: np.ndarray) -> np.ndarray:
     # t is the (j+1)-th largest minimum of the end ratios outside
     # ``irregular``.  The end ratios are computed twice, so that no more
@@ -306,8 +361,10 @@ def _keep_mask(x: np.ndarray, s: np.ndarray, ends: tuple[float, float], j: int,
     return keep
 
 
-def _end_ratio(x: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
-    # X/Z at weight w, not finite where Z <= 0
+def _end_ratio(x: np.ndarray, s: np.ndarray | None, w: float) -> np.ndarray:
+    # X/Z at weight w, not finite where Z <= 0; X itself when Z = 1 (s None)
+    if s is None:
+        return x.copy()
     z = _mixed_return(s, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.divide(x, z, out=z)
@@ -317,16 +374,117 @@ def _end_ratio(x: np.ndarray, s: np.ndarray, w: float) -> np.ndarray:
 _MOMENT_BLOCK = 1 << 16
 
 
-def _centred_moments(x: np.ndarray, x_mean: float, s: np.ndarray,
+def _centred_moments(x: np.ndarray, x_mean: float, s: np.ndarray | None,
                      s_mean: float) -> tuple[float, float, float]:
     # Var X, Var S and Cov(X, S), ddof 1: pairwise sums of centred
-    # products within blocks, added up in block order.
+    # products within blocks, added up in block order.  S = 1 when s is
+    # None, with no variance and no covariance.
     sums = np.zeros(3)
     for i in range(0, x.size, _MOMENT_BLOCK):
-        xc, sc = x[i:i + _MOMENT_BLOCK] - x_mean, s[i:i + _MOMENT_BLOCK] - s_mean
-        sums += (np.square(xc).sum(), np.square(sc).sum(), (xc * sc).sum())
+        xc = x[i:i + _MOMENT_BLOCK] - x_mean
+        if s is None:
+            sums[0] += np.square(xc).sum()
+        else:
+            sc = s[i:i + _MOMENT_BLOCK] - s_mean
+            sums += (np.square(xc).sum(), np.square(sc).sum(), (xc * sc).sum())
     x_var, s_var, xs_cov = (sums / (x.size - 1)).tolist()
     return x_var, s_var, xs_cov
+
+
+def _with_es_ends(c: Candidates, x: np.ndarray, s: np.ndarray | None) -> Candidates:
+    # The ES solves at the range's ends on all scenarios, and the triangle
+    # of the interior roots when both ends have one.  Each end's losses are
+    # dropped once its tangent is read, so the build holds no more n-long
+    # arrays than one solve.
+    ends, tangents = [], []
+    for w in dict.fromkeys((c.w_lo, c.w_hi)):
+        try:
+            report, losses, q = _es_report(c, w, x, s, _var_root(c, w))
+        except (NoSolutionError, ValueError) as exc:
+            ends.append((w, exc))
+            continue
+        ends.append((w, report))
+        if c.w_lo < c.w_hi:
+            tangents.append((w, report.r0, _tail_mean(s, losses, q, c.k, c.alpha * c.n)))
+        del losses
+    triangle = _triangle(x, s, c.k, tangents) if len(tangents) == 2 else None
+    return replace(c, ends=tuple(ends), triangle=triangle)
+
+
+def _triangle(x: np.ndarray, s: np.ndarray, k: int,
+              tangents: list[tuple[float, float, float]]) -> Triangle | None:
+    """Prune to the scenarios of the interior ES roots, given each end's
+    weight, root and tail-weighted mean s_bar of S at the root.
+
+    Write the position as P = (a, b) = r (w, 1 - w).  Every loss
+    X - a S - b is linear in (a, b), and the empirical ES f(a, b), the
+    largest tail-weighted mean of the losses, is convex, so its
+    acceptance set {f <= 0} is convex: the chord P_lo P_hi lies in it,
+    and r_es(w) is at most the chord's r on the ray of weight w.  The
+    tail weights at an end root give the supporting line
+    s_bar a + b = s_bar a_end + b_end, below which f is positive: r_es(w)
+    is at least the r where the ray meets it.  The two lines meet at T,
+    and 1/r is affine in w along each line, so ``Triangle.bounds`` reads
+    both bounds off the vertices.  There is no triangle when the
+    tangents are parallel, or T is not finite, not ahead of the origin,
+    or outside the end rays.
+
+    An interior solve starts Newton at the larger of the VaR root and
+    the tangent bound less a margin mu = 2^-40 of it, and its iterates
+    climb to the root; it is accepted only when the root is at most the
+    chord bound.  Both bounds are computed within 8u (u = 2^-53) of the
+    triangle's, so every iterate (w, r) lies within (mu + 8u) R of the
+    triangle along its ray (R the largest vertex r), which moves a loss
+    by at most (mu + 8u) R (|S| + 1).  A computed loss X - r Z, at an
+    iterate or a vertex, is within 4u (|X| + R (|S| + 1)) of the exact
+    one.  So with L = max|X| + R (max|S| + 1), the computed loss of a
+    scenario at any iterate lies within e = (mu + 16u) L of the range of
+    its computed vertex losses, the extremes over the triangle.  Take t,
+    the (k+1)-th largest of the vertex minima: at every iterate the
+    (k+1)-th largest loss q is at least t - e, and a scenario whose
+    vertex maximum is below t - 4 mu L > t - 2e loses less than q.  The
+    kept set therefore holds the k+1 largest losses at every iterate,
+    every loss tied at q, and every positive loss at a root with q <= 0;
+    a solve with q > 0 is not accepted either.  Every dropped scenario
+    counts as below q.
+    """
+    (w0, r0, s0), (w1, r1, s1) = tangents
+    # in (w, u = 1/r) a tangent is u = (1 + (s_bar - 1) w) / c with
+    # c = r_end (1 + (s_bar - 1) w_end), the tail mean of Z times r_end
+    c0, c1 = r0 * (1.0 + (s0 - 1.0) * w0), r1 * (1.0 + (s1 - 1.0) * w1)
+    if not (0.0 < c0 < math.inf and 0.0 < c1 < math.inf):
+        return None
+    b0, b1 = (s0 - 1.0) / c0, (s1 - 1.0) / c1
+    if not b0 != b1:
+        return None
+    wt = (1.0 / c1 - 1.0 / c0) / (b0 - b1)
+    ut = 1.0 / c0 + b0 * wt
+    if not (w0 <= wt <= w1 and 0.0 < ut < math.inf):
+        return None
+    vertices = ((w0, r0), (wt, 1.0 / ut), (w1, r1))
+    n = x.size
+    lo = _vertex_losses(x, s, *vertices[0])
+    for v in vertices[1:]:
+        np.minimum(lo, _vertex_losses(x, s, *v), out=lo)
+    lo.partition(n - 1 - k)
+    t = float(lo[n - 1 - k])
+    del lo
+    scale = (max(x.max(), -x.min())
+             + max(r for _, r in vertices) * (max(s.max(), -s.min()) + 1.0))
+    bar = t - 4.0 * _ES_MARGIN * float(scale)
+    if not math.isfinite(bar):
+        return None
+    keep = _vertex_losses(x, s, *vertices[0]) >= bar
+    for v in vertices[1:]:
+        keep |= _vertex_losses(x, s, *v) >= bar
+    return Triangle(w=tuple(w for w, _ in vertices), r=tuple(r for _, r in vertices),
+                    x=x[keep], s=s[keep])
+
+
+def _vertex_losses(x: np.ndarray, s: np.ndarray, w: float, r: float) -> np.ndarray:
+    # X - r Z, computed as a Newton step computes it
+    losses = _mixed_return(s, w)
+    return np.subtract(x, np.multiply(losses, r, out=losses), out=losses)
 
 
 def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
@@ -342,8 +500,13 @@ def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
     ``candidates`` of a weight range holding ``market.w`` (built for
     [w, w] when None), which hold that ratio and its density window.
     The empirical ES of r Z - X is convex and piecewise linear in r, so
-    Newton steps from the VaR root reach its root in finitely many
-    steps, each one selection of all n losses.
+    Newton steps from below reach its root in finitely many steps, each
+    one selection of the losses.  The candidates hold the ES reports of
+    the range's end weights, solved from the VaR root on all n losses.
+    An interior weight starts from the larger of the VaR root and the
+    tangent bound of the candidates' triangle, and selects among its
+    kept scenarios only; it reruns from the VaR root on all n losses
+    when there is no triangle or the solve leaves it.
 
     The standard error of a VaR root is the ratio window's,
     sqrt(alpha (1 - alpha) / n) / f_R(r0), with the density f_R of X/Z
@@ -355,10 +518,11 @@ def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
 
     ``asset_values`` / ``claim_values`` accept pre-transformed samples
     for the given scenario set, so a sweep can transform once and solve
-    many times; a VaR solve on given candidates reads neither.
+    many times; a solve on given candidates reads them only to rerun an
+    interior ES weight on all scenarios.
 
     Raises:
-        ValueError: alpha n < 1; candidates for another tail count or
+        ValueError: alpha n < 1; candidates for another tail level or
             weight range; or a scenario with Z <= 0 has a negative claim,
             which makes the criterion non-monotone, and zero capital is
             not acceptable.
@@ -366,16 +530,37 @@ def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
             is acceptable with zero capital already.
     """
     w = market.w
-    if candidates is None or rm.kind == "es":
+
+    def samples() -> tuple[np.ndarray, np.ndarray | None]:
         x = market.claim_sample(scen) if claim_values is None else claim_values
         s = asset_values
         if s is None and w > 0.0:  # Z = 1 at w = 0 needs no asset sample
             s = market.asset_return_sample(scen)
+        return x, s
+
     if candidates is None:
-        candidates = candidate_set(rm, x, s, w, w)
+        candidates = candidate_set(rm, *samples(), w, w)
     c = candidates
-    if c.k != tail_count(rm.alpha, c.n) or not c.w_lo <= w <= c.w_hi:
-        raise ValueError("the candidate set was built for another tail count or weight range")
+    if c.alpha != rm.alpha or not c.w_lo <= w <= c.w_hi:
+        raise ValueError("the candidate set was built for another tail level or weight range")
+    if rm.kind == "var":
+        return _var_report(c, w, *_checked_ratios(c, w))
+    for w_end, outcome in c.ends:
+        if w == w_end:
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+    r_var = _var_root(c, w)
+    if c.triangle is not None:
+        report = _es_on_triangle(c, w, r_var)
+        if report is not None:
+            return report
+    return _es_report(c, w, *samples(), r_var)[0]
+
+
+def _checked_ratios(c: Candidates, w: float) -> tuple[np.ndarray, np.ndarray, int]:
+    # Z and the ratios X/Z of the candidates, and the count of those that
+    # always lose, once the criterion is known to be monotone with a root.
     z = _mixed_return(c.s, w)
     if np.any(c.x[z <= 0.0] < 0.0):
         # such a scenario turns into a loss as r grows: only r = 0 is decidable
@@ -387,15 +572,19 @@ def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
     always = int(np.count_nonzero(ratio == np.inf))
     if always > c.k:
         raise NoSolutionError(f"more than {c.k} scenarios with Z <= 0 always lose")
-    if rm.kind == "var":
-        return _var_report(c, rm.alpha, w, z, ratio, always)
+    return z, ratio, always
+
+
+def _var_root(c: Candidates, w: float) -> float:
+    # the VaR root, or 0 when it is not positive: an ES Newton start
+    _, ratio, _ = _checked_ratios(c, w)
     i = ratio.size - 1 - c.k
     ratio.partition(i)
-    return _es_report(c, rm.alpha, w, x, s, float(ratio[i]))
+    return max(float(ratio[i]), 0.0)
 
 
-def _var_report(c: Candidates, alpha: float, w: float, z: np.ndarray,
-                ratio: np.ndarray, always: int) -> SolveReport:
+def _var_report(c: Candidates, w: float, z: np.ndarray, ratio: np.ndarray,
+                always: int) -> SolveReport:
     # Ranks from the top: the root k + 1 and its density window, clipped
     # to the sample and to the finite ratios.
     size, n, k = ratio.size, c.n, c.k
@@ -408,7 +597,7 @@ def _var_report(c: Candidates, alpha: float, w: float, z: np.ndarray,
     se = None
     if 0.0 < width < math.inf:
         density = ((bottom - top) / n) / width
-        se = math.sqrt(alpha * (1.0 - alpha) / n) / density
+        se = math.sqrt(c.alpha * (1.0 - c.alpha) / n) / density
     losses = np.subtract(c.x, np.multiply(z, r0, out=z), out=ratio)
     positive = losses[losses > 0.0]
     losses.partition(size - 1 - k)
@@ -418,46 +607,79 @@ def _var_report(c: Candidates, alpha: float, w: float, z: np.ndarray,
                        losses=LossSummary(n=n, mean=mean, var=var, positive=positive))
 
 
-def _es_report(c: Candidates, alpha: float, w: float, x: np.ndarray,
-               s: np.ndarray | None, r_var: float) -> SolveReport:
-    n, k, tail = c.n, c.k, alpha * c.n
-    z = np.ones(n) if s is None else _mixed_return(s, w)
+def _es_on_triangle(c: Candidates, w: float, r_var: float) -> SolveReport | None:
+    # Newton on the triangle's kept scenarios; None when it leaves the triangle.
+    tri = c.triangle
+    tangent, chord = tri.bounds(w)
+    start = max(r_var, tangent * (1.0 - _ES_MARGIN))
+    if not start <= chord:
+        return None
+    found = _es_report(c, w, tri.x, tri.s, start, r_max=chord)
+    return None if found is None else found[0]
+
+
+def _es_report(c: Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r: float,
+               r_max: float = math.inf) -> tuple[SolveReport, np.ndarray, float] | None:
+    # The ES root from r at or below it on the claims x and asset returns s
+    # (Z = 1 when s is None), with the losses at the root and their
+    # (k+1)-th largest q.  The scenarios are all n, or a kept set
+    # whose dropped ones lose less than q at every iterate up to r_max; on
+    # a kept set it is None when Newton stalls, passes r_max, or ends
+    # with q > 0, where a positive loss may have been dropped.
+    n, k, alpha, size = c.n, c.k, c.alpha, x.size
+    tail = alpha * n
+    z = np.ones(size) if s is None else _mixed_return(s, w)
+    dropped = n - size
     losses, sel = np.empty_like(x), np.empty_like(x)
-    r0, residual, selections = _es_root(x, z, k, tail, max(r_var, 0.0), losses, sel)
+    try:
+        r0, residual, selections = _es_root(x, z, k, tail, r, losses, sel)
+    except NoSolutionError:
+        if dropped:
+            return None
+        raise
+    upper, q = sel[size - k - 1:], float(sel[size - k - 1])  # L_(n-k), then the k largest
+    if dropped and not (r0 <= r_max and q <= 0.0):
+        return None
     if r0 <= 0.0:
         raise NoSolutionError("claim is acceptable with zero capital")
-    # 1-based ranks i_lo <= rank <= i_hi of the quantile and its density window
-    rank = n - k
-    i_lo, i_hi = max(rank - c.m, 1), min(rank + c.m, n)
-    upper, q = sel[rank - 1:], float(sel[rank - 1])  # L_(rank), then the k largest
+    # 1-based ranks i_lo <= n - k <= i_hi of the quantile's density window
+    i_lo, i_hi = max(n - k - c.m, 1), min(n - k + c.m, n)
     slope = float(z[losses >= q].mean())
     # Delta-method standard error: the noise of the empirical ES over the
     # mean mixed return beyond the boundary; none when an atom spans the
     # density window.
     se = None
     if slope > 0.0 and not (n - k + np.count_nonzero(upper[1:] == q) >= i_hi
-                            and np.count_nonzero(losses < q) < i_lo):
+                            and np.count_nonzero(losses < q) + dropped < i_lo):
         # the influence q + (L - q)^+ / alpha equals q off the k largest losses
         excess = (upper[1:] - q) / alpha
         mean = float(excess.sum()) / n
         var = (float(np.square(excess - mean).sum()) + (n - k) * mean * mean) / (n - 1)
         se = math.sqrt(var / n) / slope
-    # every loss below L_(rank) is at most q
+    # every loss below L_(n-k) is at most q
     pool = upper if q <= 0.0 else losses
     positive = pool[pool > 0.0]
     mean, var = c.loss_moments(r0, w)
-    return SolveReport(r0=r0, method="empirical_root", residual=residual,
-                       iterations=selections, std_error=se,
-                       losses=LossSummary(n=n, mean=mean, var=var, positive=positive))
+    report = SolveReport(r0=r0, method="empirical_root", residual=residual,
+                         iterations=selections, std_error=se,
+                         losses=LossSummary(n=n, mean=mean, var=var, positive=positive))
+    return report, losses, q
+
+
+def _tail_mean(v: np.ndarray, losses: np.ndarray, q: float, k: int, tail: float) -> float:
+    # The mean of v under the ES tail weights of the losses: 1/tail on each
+    # loss above the (k+1)-th largest q, the rest shared equally by the ties at q.
+    above, tied = losses > q, losses == q
+    edge = k - int(np.count_nonzero(above)) + max(tail - k, 0.0)
+    return (float(v[above].sum()) + edge * float(v[tied].mean())) / tail
 
 
 def _es_root(x: np.ndarray, z: np.ndarray, k: int, tail: float, r: float,
              losses: np.ndarray, sel: np.ndarray) -> tuple[float, float, int]:
     # Newton's method on the empirical ES from r at or below the root; the
-    # slope is minus the tail-weighted mean of Z, ties at the threshold
-    # sharing the edge weight equally.  Selections count the VaR one.  It
-    # leaves the losses at the returned r in ``losses``, selected in ``sel``.
-    frac = max(tail - k, 0.0)
+    # slope is minus the tail-weighted mean of Z.  Selections count the VaR
+    # one.  It leaves the losses at the returned r in ``losses``, selected
+    # in ``sel``.
     selections = 1
     while True:
         np.subtract(x, np.multiply(z, r, out=losses), out=losses)
@@ -466,9 +688,7 @@ def _es_root(x: np.ndarray, z: np.ndarray, k: int, tail: float, r: float,
         selections += 1
         if es <= 0.0:
             return r, es, selections
-        above, tied = losses > q, losses == q
-        edge = k - int(np.count_nonzero(above)) + frac
-        z_bar = (float(z[above].sum()) + edge * float(z[tied].mean())) / tail
+        z_bar = _tail_mean(z, losses, q, k, tail)
         if not z_bar > 0.0:  # convex ES stays positive beyond this point
             raise NoSolutionError(f"expected shortfall does not fall at r = {r:g}")
         r_next = r + es / z_bar

@@ -28,9 +28,11 @@ _INV_2_53 = 2.0 ** -53
 
 # Peak resident bytes per scenario of a Monte Carlo valuation or sweep:
 # the slope of peak RSS between 1e6 and 2e6 scenarios was 43-68 over the
-# VaR and ES sweeps and single valuations, highest under ES, where each
-# Newton step holds Z, the losses and their selection at full length
-# (numpy 2.4, Linux x86-64).
+# VaR and ES sweeps and single valuations, highest under ES, where the
+# solves at a sweep's two end weights, a single valuation and any rerun
+# on all scenarios hold Z, the losses and their selection at full length
+# (numpy 2.4, Linux x86-64).  Interior ES weights of a sweep solve on the
+# triangle's kept scenarios and do not raise it.
 PEAK_BYTES_PER_SCENARIO = 72
 
 

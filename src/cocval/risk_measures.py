@@ -141,6 +141,3 @@ class RiskMeasure:
         if not isinstance(spec, dict) or set(spec) != {"kind", "alpha"}:
             raise ValueError("risk measure spec needs exactly the keys 'kind' and 'alpha'")
         return cls(kind=spec["kind"], alpha=float(spec["alpha"]))
-
-    def to_config(self) -> dict:
-        return {"kind": self.kind, "alpha": self.alpha}

@@ -258,8 +258,8 @@ class TestMcSweep:
         res = sweep(market, VAR_005, w_grid(0.25), scen=scen)
         assert res.rows[0] is not None
         assert any(row is None for row in res.rows)
-        feasible = res.feasible()
-        assert all(row is not None for _, row in feasible)
+        feasible = [row for row in res.rows if row is not None]
+        assert 0 < len(feasible) < len(res.rows)
 
     def test_requires_scenarios(self):
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),

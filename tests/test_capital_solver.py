@@ -1,5 +1,6 @@
 """Capital requirement solvers: closed forms against exact empirical roots."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cocval import capital_solver
 from cocval.analysis import w_grid
 from cocval.capital_solver import (
     MarketSpec,
@@ -471,11 +473,14 @@ class TestStandardErrorSelection:
 
 
 @st.composite
-def grid_markets(draw):
+def grid_markets(draw, kind="var"):
     """A market, a weight grid and a sample with k + 1 + m well below n,
     so the candidate set prunes.  Claims may tie (rounded to quarters),
     a normal asset has S <= 0 in a few percent of scenarios, a point-mass
-    asset makes Z constant, and a grid may be w = 0 alone."""
+    asset makes Z constant, and a grid may be w = 0 alone.  Under ES a
+    grid may also have 3 weights, only a one-weight grid may be w = 0
+    alone, and a volatile normal asset leaves the weights near 1 with no
+    root."""
     n = draw(st.integers(300, 4000))
     alpha = draw(st.sampled_from([0.005, 0.01, 0.05]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -483,18 +488,21 @@ def grid_markets(draw):
     x = {"lognormal": lambda: rng.lognormal(0.0, 0.3, n),
          "pareto": lambda: 0.5 * rng.pareto(draw(st.sampled_from([1.1, 2.0, 4.0])), n) + 0.5,
          "ties": lambda: np.round(4.0 * rng.lognormal(0.0, 0.3, n)) / 4.0}[claim]()
-    asset = draw(st.sampled_from(["lognormal", "normal", "degenerate"]))
+    assets = ["lognormal", "normal", "degenerate"] + (["volatile"] if kind == "es" else [])
+    asset = draw(st.sampled_from(assets))
     s = {"lognormal": lambda: rng.lognormal(0.03, 0.2, n),
          "normal": lambda: rng.normal(1.05, 0.6, n),
-         "degenerate": lambda: np.full(n, draw(st.sampled_from([0.5, 1.0, 1.02, 1.7])))}[asset]()
-    size = draw(st.sampled_from([1, 2, 11]))
-    if draw(st.booleans()):
+         "degenerate": lambda: np.full(n, draw(st.sampled_from([0.5, 1.0, 1.02, 1.7]))),
+         "volatile": lambda: rng.normal(1.0, 3.0, n)}[asset]()
+    size = draw(st.sampled_from([1, 2, 11] if kind == "var" else [1, 2, 3, 11]))
+    if (kind == "var" or size == 1) and draw(st.booleans()):
         grid = np.array([0.0])
     else:
-        w_lo = draw(st.floats(0.0, 1.0))
-        w_hi = draw(st.floats(w_lo, 1.0)) if size > 1 else w_lo
+        w_lo = draw(st.floats(0.0, 1.0 if kind == "var" else 0.9))
+        gap = 0.0 if kind == "var" else 0.1  # ES ranges of some width, with interior weights
+        w_hi = draw(st.floats(w_lo + gap, 1.0)) if size > 1 else w_lo
         grid = np.unique(np.linspace(w_lo, w_hi, size))
-    return x, s, grid, RiskMeasure("var", alpha)
+    return x, s, grid, RiskMeasure(kind, alpha)
 
 
 class TestCandidateSet:
@@ -568,6 +576,142 @@ class TestCandidateSet:
                              candidates=cands)
         with pytest.raises(ValueError, match="asset returns"):
             candidate_set(rm, x, None, 0.0, 0.5)
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_w_zero_without_asset(self, kind):
+        # with no asset sample, S = 1 stands in without being built
+        x = pareto_from_mean_beta(1.0, 2.0).sample(generate_scenarios(20_000, seed=7).u_claim)
+        rm = RiskMeasure(kind, 0.01)
+        got = candidate_set(rm, x, None, 0.0, 0.0)
+        want = candidate_set(rm, x, np.ones(x.size), 0.0, 0.0)
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            elif f.name == "ends":  # the w = 0 report under ES
+                assert len(a) == len(b) == (kind == "es")
+                for (w_a, rep_a), (w_b, rep_b) in zip(a, b):
+                    assert (w_a, rep_a) == (w_b, rep_b)
+                    assert rep_a.losses.n == rep_b.losses.n
+                    assert (rep_a.losses.mean, rep_a.losses.var) == (rep_b.losses.mean,
+                                                                     rep_b.losses.var)
+                    assert np.array_equal(rep_a.losses.positive, rep_b.losses.positive)
+            else:
+                assert a == b, f.name
+        assert got.x.size < x.size
+
+
+ULP4 = 4.0 * np.finfo(float).eps
+
+
+def assert_es_agrees(got, want, x, s, w, rm):
+    # Within 4 ulp of the loss scale: the two roots in ES units (their gap
+    # times the tail mean of Z, so a root where the ES is flat may move
+    # more), and the residual against the full-sample ES at the root.  The
+    # positive losses are those of the full sample at the root, exactly.
+    # The root's error agrees to 4 ulp when the roots are equal; moving the
+    # root moves every tail excess, and there the outputs' 1e-12 applies.
+    z = np.multiply(s, w) + (1.0 - w)
+    losses = x - got.r0 * z
+    scale = float(np.abs(x).max() + got.r0 * np.abs(z).max())
+    k = tail_count(rm.alpha, x.size)
+    z_tail = float(z[np.argsort(x - want.r0 * z)[-k:]].mean())
+    assert abs(got.r0 - want.r0) * z_tail <= ULP4 * scale, w
+    assert abs(got.residual - rm.empirical(-losses)) <= ULP4 * scale, w
+    assert np.array_equal(np.sort(got.losses.positive), np.sort(losses[losses > 0.0])), w
+    if want.std_error is None:
+        assert got.std_error is None, w
+    else:
+        rel = ULP4 if got.r0 == want.r0 else 1e-12
+        assert abs(got.std_error - want.std_error) <= rel * want.std_error, w
+
+
+class TestEsTriangle:
+    """Interior ES roots selected on the kept scenarios of the triangle
+    between the end roots' chord and tangents, against the full-length
+    Newton path of a one-weight solve."""
+
+    @staticmethod
+    def check_grid(x, s, grid, rm):
+        scen = generate_scenarios(x.size, 0)
+        cands = candidate_set(rm, x, s, float(grid[0]), float(grid[-1]))
+        for w in grid:
+            market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.0, 0.3), w=float(w),
+                                eta=0.06)
+            try:
+                want = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x)
+            except NoSolutionError:
+                with pytest.raises(NoSolutionError):
+                    solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x,
+                                     candidates=cands)
+                continue
+            got = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x,
+                                   candidates=cands)
+            if w in (grid[0], grid[-1]):  # the end reports are the full path's
+                assert got == want and np.array_equal(got.losses.positive,
+                                                      want.losses.positive), w
+            assert_es_agrees(got, want, x, s, w, rm)
+        return cands
+
+    @given(case=grid_markets("es"))
+    @settings(max_examples=150, deadline=None)
+    def test_roots_agree_with_full_path(self, case):
+        x, s, grid, rm = case
+        cands = self.check_grid(x, s, grid, rm)
+        if cands.triangle is not None:
+            assert grid[0] < grid[-1] and cands.triangle.x.size <= x.size
+
+    def test_default_grid_sweep(self):
+        # fig8b's market on all 1001 weights of the default grid
+        scen = generate_scenarios(20_000, seed=5)
+        claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
+        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        cands = self.check_grid(x, s, w_grid(), RiskMeasure("es", 0.01))
+        assert cands.triangle.x.size < x.size // 4
+
+    def test_dropped_scenarios_count_below_the_quantile(self):
+        # 100 claims of 3 and an atom of 150 claims of 1, all with S = 1:
+        # up to w = 1/16 the root is 2, the quantile lies in the atom, and
+        # the atom fills the density window above it but not below, so
+        # the root has an error only while the dropped scenarios count
+        # below the quantile.  50 claims of 0.9 with S = 0.2 join the tail
+        # beyond w = 1/16, which gives the two end roots distinct tangents.
+        rng = np.random.default_rng(3)
+        x = np.concatenate([np.full(100, 3.0), np.full(150, 1.0), np.full(50, 0.9),
+                            0.5 + 0.005 * rng.standard_normal(3700)])
+        s = np.concatenate([np.ones(250), np.full(50, 0.2), rng.lognormal(0.05, 0.1, 3700)])
+        cands = self.check_grid(x, s, w_grid(0.01), RiskMeasure("es", 0.05))
+        assert cands.triangle.x.size < x.size // 4
+
+    def test_leaving_the_triangle_reruns_on_all_scenarios(self, monkeypatch):
+        # end roots shrunk until the chord passes below every interior root,
+        # and a triangle with its own kept set built on them
+        scen = generate_scenarios(20_000, seed=5)
+        claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
+        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        rm, grid = RiskMeasure("es", 0.01), w_grid(0.1)[1:-1]
+        markets = [MarketSpec(claim=claim, asset=asset, w=float(w), eta=0.06) for w in grid]
+        want = [solve_r0_numeric(m, rm, scen, asset_values=s, claim_values=x) for m in markets]
+        chord = candidate_set(rm, x, s, 0.0, 1.0).triangle.bounds
+        shrink = 0.999 * min(rep.r0 / chord(w)[1] for rep, w in zip(want, grid))
+        real = capital_solver._triangle
+        monkeypatch.setattr(capital_solver, "_triangle", lambda x, s, k, ends: real(
+            x, s, k, [(w, shrink * r, s_bar) for w, r, s_bar in ends]))
+        cands = candidate_set(rm, x, s, 0.0, 1.0)
+        monkeypatch.setattr(capital_solver, "_triangle", real)
+        assert cands.triangle.x.size < x.size
+        sizes, newton = [], capital_solver._es_root
+        monkeypatch.setattr(capital_solver, "_es_root",
+                            lambda x, *args: sizes.append(x.size) or newton(x, *args))
+        left = 0
+        for market, rep in zip(markets, want):
+            sizes.clear()
+            got = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x,
+                                   candidates=cands)
+            assert sizes[-1] == x.size, market.w  # the rerun, after at most one kept solve
+            left += len(sizes) == 2
+            assert got == rep and np.array_equal(got.losses.positive, rep.losses.positive)
+        assert left > 0  # some kept solves ran, and climbed past the chord
 
 
 class TestRatioWindowStdError:

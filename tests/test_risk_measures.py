@@ -171,7 +171,6 @@ class TestRiskMeasureType:
         assert RiskMeasure("es", 0.01).multiplier == es_multiplier(0.01)
 
     def test_config_round_trip(self):
-        rm = RiskMeasure("es", 0.01)
-        assert RiskMeasure.from_config(rm.to_config()) == rm
+        assert RiskMeasure.from_config({"kind": "es", "alpha": 0.01}) == RiskMeasure("es", 0.01)
         with pytest.raises(ValueError):
             RiskMeasure.from_config({"kind": "var"})
