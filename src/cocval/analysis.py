@@ -1,9 +1,10 @@
 """Asset-mix sweeps and the derived decision weights.
 
-A sweep values the run-off on a grid of mix weights with one shared
-scenario set, then reads off the capital-minimizing weight and the
-mutual-benefit threshold, the largest weight below which the total
-requirement stays under the risk-less benchmark.  The threshold has a
+A sweep values the run-off on a grid of mix weights, by closed forms in
+the normal model and otherwise on one shared scenario set, then reads
+off the capital-minimizing weight and the mutual-benefit threshold, the
+largest weight below which the total requirement stays under the
+risk-less benchmark.  The threshold has a
 closed form in the normal model and is located numerically otherwise.
 """
 
@@ -14,12 +15,11 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .capital_solver import MarketSpec, NoSolutionError, candidate_set, solve_r0_numeric
-from .montecarlo import ScenarioSet
+from .capital_solver import MarketSpec, NoSolutionError, check_grid
 from .risk_measures import RiskMeasure
 from .valuation import (
     ValuationResult,
-    mc_valuation,
+    mc_valuations,
     normal_model,
     value_gaussian_es,
     value_gaussian_var,
@@ -142,19 +142,6 @@ class SweepResult:
             target.write(f"# {key},{_cell(getattr(self, key))}\n")
 
 
-def _validate_grid(grid) -> np.ndarray:
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("grid must be a nonempty 1-d collection")
-    if arr[0] != 0.0:
-        raise ValueError("grid must include w = 0 as its first point")
-    if np.any(np.diff(arr) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    if arr[-1] > 1.0 or np.any(arr < 0.0):
-        raise ValueError("grid must stay inside [0, 1]")
-    return arr
-
-
 def _closed_form_rows(market: MarketSpec, rm: RiskMeasure,
                       grid: np.ndarray) -> list[ValuationResult | None]:
     value = value_gaussian_var if rm.kind == "var" else value_gaussian_es
@@ -163,26 +150,6 @@ def _closed_form_rows(market: MarketSpec, rm: RiskMeasure,
         params = normal_model(replace(market, w=float(w)))
         try:
             rows.append(value(*params, rm.alpha, market.eta))
-        except NoSolutionError:
-            rows.append(None)
-    return rows
-
-
-def _mc_rows(market: MarketSpec, rm: RiskMeasure, grid: np.ndarray,
-             scen: ScenarioSet) -> list[ValuationResult | None]:
-    # Transform once, prune once, solve per weight: the common-random-numbers
-    # contract and most of the sweep's speed live here.
-    claim_values = market.claim_sample(scen)
-    asset_values = market.asset_return_sample(scen) if grid[-1] > 0.0 else None
-    candidates = candidate_set(rm, claim_values, asset_values, float(grid[0]), float(grid[-1]))
-    rows: list[ValuationResult | None] = []
-    for w in grid:
-        market_w = replace(market, w=float(w))
-        try:
-            rows.append(mc_valuation(
-                solve_r0_numeric(market_w, rm, scen, asset_values=asset_values,
-                                 claim_values=claim_values, candidates=candidates),
-                market_w, rm))
         except NoSolutionError:
             rows.append(None)
     return rows
@@ -225,15 +192,15 @@ def _derive_weights(grid: np.ndarray, rows: list[ValuationResult | None],
     return w_star, w_hat
 
 
-def sweep(market: MarketSpec, rm: RiskMeasure, grid,
-          scen: ScenarioSet | None = None) -> SweepResult:
+def sweep(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
+          seed: int) -> SweepResult:
     """Value the run-off across an asset-mix grid.
 
     ``market.w`` is ignored; the grid supplies every weight.  The
-    normal model uses closed forms and everything else the exact empirical
-    root per weight on the shared scenario set (``scen`` is required).
-    Weights where no capital level is acceptable become gap rows, and
-    the summary weights come from the feasible prefix.
+    normal model uses closed forms, and everything else
+    ``valuation.mc_valuations`` on one scenario set of ``mc_n`` draws
+    from ``seed``.  Weights where no capital level is acceptable become
+    gap rows, and the summary weights come from the feasible prefix.
 
     Returns:
         SweepResult with per-weight valuations, the capital-minimizing
@@ -241,14 +208,15 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid,
         the first up-crossing of the risk-less requirement) and, in the
         normal model, its closed form.
     """
-    arr = _validate_grid(grid)
+    arr = check_grid(grid)
+    if arr[0] != 0.0:
+        raise ValueError("grid must include w = 0 as its first point")
     if normal_model(market) is not None:
         rows = _closed_form_rows(market, rm, arr)
         w_hat_closed = _closed_threshold(market, rm)
     else:
-        if scen is None:
-            raise ValueError("Monte Carlo sweeps need a scenario set")
-        rows = _mc_rows(market, rm, arr, scen)
+        rows = [None if isinstance(row, NoSolutionError) else row
+                for row in mc_valuations(market, rm, arr, mc_n=mc_n, seed=seed)]
         w_hat_closed = None
 
     w_star, w_hat_numeric = _derive_weights(arr, rows)

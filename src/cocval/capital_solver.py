@@ -11,19 +11,16 @@ shared Monte Carlo scenario set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import Distribution
-from .montecarlo import ScenarioSet
 from .risk_measures import (RiskMeasure, es_multiplier, tail_average, tail_count,
                             var_multiplier)
 
 __all__ = [
     "MarketSpec",
-    "Candidates",
-    "Triangle",
     "LossSummary",
     "SolveReport",
     "NoSolutionError",
@@ -31,7 +28,7 @@ __all__ = [
     "solve_r0_gaussian_var",
     "solve_r0_gaussian_es",
     "solve_r0_lognormal_var",
-    "candidate_set",
+    "check_grid",
     "solve_r0_numeric",
 ]
 
@@ -68,26 +65,29 @@ class MarketSpec:
     def z_variance(self) -> float:
         return self.w ** 2 * self.asset.variance
 
-    def asset_return_sample(self, scen: ScenarioSet) -> np.ndarray:
-        return self.asset.sample(scen.u_asset)
-
-    def claim_sample(self, scen: ScenarioSet) -> np.ndarray:
-        return self.claim.sample(scen.u_claim)
-
 
 @dataclass(frozen=True)
 class LossSummary:
-    """What the Monte Carlo split needs of the losses L = X - r0 Z: the
-    sample size, the sample mean and variance (ddof 1) of L, and its
-    positive values in no particular order, at most a tail's worth."""
+    """What the Monte Carlo split needs of the losses L = X - r0 Z and
+    their positive parts P = L^+: the sample size, the sample mean and
+    variance (ddof 1) of L, the mean of P, the sum of squared deviations
+    of P and the sum of P (L - mean L).  Only the positive losses, at
+    most a tail's worth, enter the sums over P, and no array is kept."""
 
     n: int
     mean: float
     var: float
-    positive: np.ndarray = field(repr=False, compare=False)
+    p_mean: float
+    p_ss: float
+    pl_sum: float
 
-    def __post_init__(self) -> None:
-        self.positive.flags.writeable = False
+    @classmethod
+    def of(cls, n: int, mean: float, var: float, positive: np.ndarray) -> LossSummary:
+        """Summarize from the positive losses, the only nonzero P."""
+        p_mean = float(positive.sum()) / n
+        p_ss = float(np.square(positive - p_mean).sum()) + (n - positive.size) * p_mean * p_mean
+        pl_sum = float((positive * (positive - mean)).sum())
+        return cls(n=n, mean=mean, var=var, p_mean=p_mean, p_ss=p_ss, pl_sum=pl_sum)
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,11 @@ class SolveReport:
     root (zero to round-off), in log units for the lognormal closed
     form.  ``iterations`` counts the selections the empirical root made
     on its weight: the VaR one, then under ES the Newton steps, which on
-    an interior weight of a sweep start from the tangent bound of the
-    candidates' triangle (``_triangle``); closed forms report zero.  A
-    weight rerun on all scenarios reports the rerun's count.  ``losses``
-    summarizes the
-    losses X - r0 Z of an empirical root for ``valuation.mc_valuation``;
-    closed forms leave it None.
+    an interior weight of a grid start from the tangent bound of the end
+    roots' triangle (``_triangle``); closed forms report zero.  A weight
+    rerun on all scenarios reports the rerun's count.  ``losses``
+    summarizes the losses X - r0 Z of an empirical root for
+    ``valuation.mc_valuation``; closed forms leave it None.
     """
 
     r0: float
@@ -183,7 +182,7 @@ def solve_r0_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,
 
 
 # Relative slack on the candidate threshold t; the bound behind it is at
-# ``candidate_set``.
+# ``_candidate_set``.
 _SLACK = 2.0 ** -48
 # Pruning needs |t| clear of underflow and overflow (or t = 0).
 _PRUNE_RANGE = (2.0 ** -900, 2.0 ** 900)
@@ -193,7 +192,7 @@ _ES_MARGIN = 2.0 ** -40
 
 
 @dataclass(frozen=True)
-class Triangle:
+class _Triangle:
     """The scenarios that decide the empirical ES root at every weight
     strictly inside a weight range, and the triangle they were kept on.
 
@@ -223,9 +222,10 @@ class Triangle:
 
 
 @dataclass(frozen=True)
-class Candidates:
+class _Candidates:
     """The scenarios that decide the empirical VaR root at every weight
-    in [w_lo, w_hi], and the sample moments of the whole scenario set.
+    between a grid's ends, and the sample moments of the whole scenario
+    set.
 
     ``x`` and ``s`` are the kept claims and asset returns in scenario
     order.  At every weight of the range they hold the k + 1 + m largest
@@ -234,18 +234,12 @@ class Candidates:
     S <= 0, the only ones that can have Z <= 0.  ``zero_risk`` is the
     empirical measure of -X, kept only when such a scenario has a
     negative claim.
-
-    Under ES, ``ends`` pairs each end weight with its solve on all
-    scenarios, a report or the error it raised, and ``triangle`` holds
-    the scenarios of the interior roots; None when it cannot be built.
     """
 
     n: int
     alpha: float
     k: int
     m: int
-    w_lo: float
-    w_hi: float
     x: np.ndarray = field(repr=False)
     s: np.ndarray = field(repr=False)
     x_mean: float
@@ -254,8 +248,6 @@ class Candidates:
     s_var: float
     xs_cov: float
     zero_risk: float | None = None
-    ends: tuple[tuple[float, SolveReport | Exception], ...] = field(default=(), repr=False)
-    triangle: Triangle | None = field(default=None, repr=False)
 
     def loss_moments(self, r: float, w: float) -> tuple[float, float]:
         """Sample mean and variance (ddof 1) of L = X - r Z at weight w."""
@@ -283,12 +275,12 @@ def _ratios(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def candidate_set(rm: RiskMeasure, claim_values: np.ndarray,
-                  asset_values: np.ndarray | None, w_lo: float,
-                  w_hi: float) -> Candidates:
-    """Prune a scenario set to the candidates for the empirical VaR root
-    on the weight range [w_lo, w_hi]; a single valuation is the range
-    [w, w].  ``asset_values`` may be None when w_hi = 0, where Z = 1.
+def _candidate_set(rm: RiskMeasure, x: np.ndarray, s: np.ndarray | None, w_lo: float,
+                   w_hi: float) -> _Candidates:
+    """Prune a scenario set, its claims x and asset returns s, to the
+    candidates for the empirical VaR root on the weight range
+    [w_lo, w_hi]; a single weight is the range [w, w].  ``s`` may be None
+    when w_hi = 0, where Z = 1.
 
     A scenario with S > 0 has Z > 0 at every weight, and its exact ratio
     X/Z is monotone in w, so it lies between the ratios at the two ends;
@@ -306,15 +298,9 @@ def candidate_set(rm: RiskMeasure, claim_values: np.ndarray,
     the full sample's, bit for bit.  Scenarios with S <= 0, where
     w S + 1 - w can cancel or vanish, are always kept.
 
-    Under ES the build also solves the two end weights on all scenarios,
-    and ``solve_r0_numeric`` returns those reports for them; when both
-    ends have a root on a range of positive width, it prunes once more,
-    to the ``Triangle`` of the interior roots (``_triangle``).
-
     Raises:
         ValueError: alpha n < 1, or asset returns missing for w_hi > 0.
     """
-    x, s = claim_values, asset_values
     n = x.size
     k = tail_count(rm.alpha, n)
     if k < 1:
@@ -332,10 +318,9 @@ def candidate_set(rm: RiskMeasure, claim_values: np.ndarray,
     keep = _keep_mask(x, s, (w_lo, w_hi), k + m, irregular)
     kept_s = np.ones(np.count_nonzero(keep)) if s is None else s[keep]
     x_var, s_var, xs_cov = _centred_moments(x, x_mean, s, s_mean)
-    c = Candidates(n=n, alpha=rm.alpha, k=k, m=m, w_lo=w_lo, w_hi=w_hi, x=x[keep],
-                   s=kept_s, x_mean=x_mean, s_mean=s_mean, x_var=x_var, s_var=s_var,
-                   xs_cov=xs_cov, zero_risk=zero_risk)
-    return _with_es_ends(c, x, s) if rm.kind == "es" else c
+    return _Candidates(n=n, alpha=rm.alpha, k=k, m=m, x=x[keep], s=kept_s, x_mean=x_mean,
+                       s_mean=s_mean, x_var=x_var, s_var=s_var, xs_cov=xs_cov,
+                       zero_risk=zero_risk)
 
 
 def _keep_mask(x: np.ndarray, s: np.ndarray | None, ends: tuple[float, float], j: int,
@@ -391,28 +376,8 @@ def _centred_moments(x: np.ndarray, x_mean: float, s: np.ndarray | None,
     return x_var, s_var, xs_cov
 
 
-def _with_es_ends(c: Candidates, x: np.ndarray, s: np.ndarray | None) -> Candidates:
-    # The ES solves at the range's ends on all scenarios, and the triangle
-    # of the interior roots when both ends have one.  Each end's losses are
-    # dropped once its tangent is read, so the build holds no more n-long
-    # arrays than one solve.
-    ends, tangents = [], []
-    for w in dict.fromkeys((c.w_lo, c.w_hi)):
-        try:
-            report, losses, q = _es_report(c, w, x, s, _var_root(c, w))
-        except (NoSolutionError, ValueError) as exc:
-            ends.append((w, exc))
-            continue
-        ends.append((w, report))
-        if c.w_lo < c.w_hi:
-            tangents.append((w, report.r0, _tail_mean(s, losses, q, c.k, c.alpha * c.n)))
-        del losses
-    triangle = _triangle(x, s, c.k, tangents) if len(tangents) == 2 else None
-    return replace(c, ends=tuple(ends), triangle=triangle)
-
-
 def _triangle(x: np.ndarray, s: np.ndarray, k: int,
-              tangents: list[tuple[float, float, float]]) -> Triangle | None:
+              tangents: list[tuple[float, float, float]]) -> _Triangle | None:
     """Prune to the scenarios of the interior ES roots, given each end's
     weight, root and tail-weighted mean s_bar of S at the root.
 
@@ -424,7 +389,7 @@ def _triangle(x: np.ndarray, s: np.ndarray, k: int,
     tail weights at an end root give the supporting line
     s_bar a + b = s_bar a_end + b_end, below which f is positive: r_es(w)
     is at least the r where the ray meets it.  The two lines meet at T,
-    and 1/r is affine in w along each line, so ``Triangle.bounds`` reads
+    and 1/r is affine in w along each line, so ``_Triangle.bounds`` reads
     both bounds off the vertices.  There is no triangle when the
     tangents are parallel, or T is not finite, not ahead of the origin,
     or outside the end rays.
@@ -477,8 +442,8 @@ def _triangle(x: np.ndarray, s: np.ndarray, k: int,
     keep = _vertex_losses(x, s, *vertices[0]) >= bar
     for v in vertices[1:]:
         keep |= _vertex_losses(x, s, *v) >= bar
-    return Triangle(w=tuple(w for w, _ in vertices), r=tuple(r for _, r in vertices),
-                    x=x[keep], s=s[keep])
+    return _Triangle(w=tuple(w for w, _ in vertices), r=tuple(r for _, r in vertices),
+                     x=x[keep], s=s[keep])
 
 
 def _vertex_losses(x: np.ndarray, s: np.ndarray, w: float, r: float) -> np.ndarray:
@@ -487,26 +452,48 @@ def _vertex_losses(x: np.ndarray, s: np.ndarray, w: float, r: float) -> np.ndarr
     return np.subtract(x, np.multiply(losses, r, out=losses), out=losses)
 
 
-def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
-                     asset_values: np.ndarray | None = None,
-                     claim_values: np.ndarray | None = None,
-                     candidates: Candidates | None = None) -> SolveReport:
-    """Exact capital level with zero empirical risk on a scenario set.
+def check_grid(grid) -> np.ndarray:
+    """A grid of mix weights as a float array, checked to be nonempty,
+    one-dimensional, strictly increasing and inside [0, 1].
+
+    Raises:
+        ValueError: it is not.
+    """
+    arr = np.asarray(grid, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("grid must be a nonempty 1-d collection")
+    if not np.all(np.diff(arr) > 0.0):
+        raise ValueError("grid must be strictly increasing")
+    if not (0.0 <= arr[0] and arr[-1] <= 1.0):
+        raise ValueError("grid must stay inside [0, 1]")
+    return arr
+
+
+def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | None,
+                     grid) -> list[SolveReport | NoSolutionError]:
+    """Exact capital level with zero empirical risk at every weight of a
+    grid, on one scenario set given as its claims X and asset returns S.
+
+    The grid is strictly increasing inside [0, 1]; ``assets`` may be
+    None when it is w = 0 alone, where Z = 1.  Each weight gets its
+    report, or the ``NoSolutionError`` that says why it has none: no
+    capital level is acceptable, or zero capital is already.
 
     With k = floor(alpha n), the empirical VaR of r Z - X is at most
     zero exactly when at most k losses x - r z are positive, so the VaR
     root is the (k+1)-th largest ratio X/Z; a scenario with Z <= 0 and a
-    nonnegative claim loses at every r > 0.  The selection runs on the
-    ``candidates`` of a weight range holding ``market.w`` (built for
-    [w, w] when None), which hold that ratio and its density window.
+    nonnegative claim loses at every r > 0.  Every weight selects it
+    among the candidates built once for the grid's ends
+    (``_candidate_set``), which hold that ratio and its density window.
     The empirical ES of r Z - X is convex and piecewise linear in r, so
     Newton steps from below reach its root in finitely many steps, each
-    one selection of the losses.  The candidates hold the ES reports of
-    the range's end weights, solved from the VaR root on all n losses.
-    An interior weight starts from the larger of the VaR root and the
-    tangent bound of the candidates' triangle, and selects among its
-    kept scenarios only; it reruns from the VaR root on all n losses
-    when there is no triangle or the solve leaves it.
+    one selection of the losses.  The end weights solve from the VaR
+    root on all n losses.  When the grid has interior weights and both
+    ends a root, the end roots' chord and tangents bound the interior
+    roots (``_triangle``): an interior weight starts from the larger of
+    the VaR root and the tangent bound, and selects among the
+    triangle's kept scenarios only; it reruns from the VaR root on all
+    n losses when there is no triangle or the solve leaves it.
 
     The standard error of a VaR root is the ratio window's,
     sqrt(alpha (1 - alpha) / n) / f_R(r0), with the density f_R of X/Z
@@ -514,51 +501,47 @@ def solve_r0_numeric(market: MarketSpec, rm: RiskMeasure, scen: ScenarioSet, *,
     ones; none when they coincide.  ES keeps the delta method on the
     tail influence.  A VaR residual is the (k+1)-th largest loss
     X - r0 Z among the candidates.  The report's ``losses`` carries the
-    sample moments of L and its positive values, all the split needs.
-
-    ``asset_values`` / ``claim_values`` accept pre-transformed samples
-    for the given scenario set, so a sweep can transform once and solve
-    many times; a solve on given candidates reads them only to rerun an
-    interior ES weight on all scenarios.
+    sample moments of L and the sums over its positive values, all the
+    split needs.
 
     Raises:
-        ValueError: alpha n < 1; candidates for another tail level or
-            weight range; or a scenario with Z <= 0 has a negative claim,
-            which makes the criterion non-monotone, and zero capital is
-            not acceptable.
-        NoSolutionError: no capital level is acceptable, or the claim
-            is acceptable with zero capital already.
+        ValueError: the grid is not strictly increasing inside [0, 1];
+            alpha n < 1; the asset returns are missing for a weight
+            beyond w = 0; or a scenario with Z <= 0 has a negative
+            claim, which makes the criterion non-monotone, and zero
+            capital is not acceptable.
     """
-    w = market.w
-
-    def samples() -> tuple[np.ndarray, np.ndarray | None]:
-        x = market.claim_sample(scen) if claim_values is None else claim_values
-        s = asset_values
-        if s is None and w > 0.0:  # Z = 1 at w = 0 needs no asset sample
-            s = market.asset_return_sample(scen)
-        return x, s
-
-    if candidates is None:
-        candidates = candidate_set(rm, *samples(), w, w)
-    c = candidates
-    if c.alpha != rm.alpha or not c.w_lo <= w <= c.w_hi:
-        raise ValueError("the candidate set was built for another tail level or weight range")
+    ws = check_grid(grid).tolist()
+    c = _candidate_set(rm, claims, assets, ws[0], ws[-1])
     if rm.kind == "var":
-        return _var_report(c, w, *_checked_ratios(c, w))
-    for w_end, outcome in c.ends:
-        if w == w_end:
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-    r_var = _var_root(c, w)
-    if c.triangle is not None:
-        report = _es_on_triangle(c, w, r_var)
-        if report is not None:
-            return report
-    return _es_report(c, w, *samples(), r_var)[0]
+        return [_outcome(_var_report, c, w) for w in ws]
+    ends: dict[float, SolveReport | NoSolutionError] = {}
+    tangents = []
+    for w in dict.fromkeys((ws[0], ws[-1])):
+        try:
+            report, losses, q = _es_report(c, w, claims, assets, _var_root(c, w))
+        except NoSolutionError as exc:
+            ends[w] = exc.with_traceback(None)  # as in _outcome
+            continue
+        ends[w] = report
+        if len(ws) > 2:  # interior weights start from the tangents
+            tangents.append((w, report.r0, _tail_mean(assets, losses, q, c.k, c.alpha * c.n)))
+        del losses  # the ends hold no more n-long arrays than one solve
+    tri = _triangle(claims, assets, c.k, tangents) if len(tangents) == 2 else None
+    return [ends[w] if w in ends else _outcome(_es_interior, c, w, tri, claims, assets)
+            for w in ws]
 
 
-def _checked_ratios(c: Candidates, w: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _outcome(solve, *args) -> SolveReport | NoSolutionError:
+    # A returned error keeps no traceback, whose frames would hold the
+    # failed solve's arrays for as long as the error lives.
+    try:
+        return solve(*args)
+    except NoSolutionError as exc:
+        return exc.with_traceback(None)
+
+
+def _checked_ratios(c: _Candidates, w: float) -> tuple[np.ndarray, np.ndarray, int]:
     # Z and the ratios X/Z of the candidates, and the count of those that
     # always lose, once the criterion is known to be monotone with a root.
     z = _mixed_return(c.s, w)
@@ -575,7 +558,7 @@ def _checked_ratios(c: Candidates, w: float) -> tuple[np.ndarray, np.ndarray, in
     return z, ratio, always
 
 
-def _var_root(c: Candidates, w: float) -> float:
+def _var_root(c: _Candidates, w: float) -> float:
     # the VaR root, or 0 when it is not positive: an ES Newton start
     _, ratio, _ = _checked_ratios(c, w)
     i = ratio.size - 1 - c.k
@@ -583,10 +566,10 @@ def _var_root(c: Candidates, w: float) -> float:
     return max(float(ratio[i]), 0.0)
 
 
-def _var_report(c: Candidates, w: float, z: np.ndarray, ratio: np.ndarray,
-                always: int) -> SolveReport:
+def _var_report(c: _Candidates, w: float) -> SolveReport:
     # Ranks from the top: the root k + 1 and its density window, clipped
     # to the sample and to the finite ratios.
+    z, ratio, always = _checked_ratios(c, w)
     size, n, k = ratio.size, c.n, c.k
     top, bottom = max(k + 1 - c.m, always + 1), min(k + 1 + c.m, n)
     ratio.partition([size - bottom, size - 1 - k, size - top])
@@ -604,21 +587,25 @@ def _var_report(c: Candidates, w: float, z: np.ndarray, ratio: np.ndarray,
     mean, var = c.loss_moments(r0, w)
     return SolveReport(r0=r0, method="empirical_root", residual=float(losses[size - 1 - k]),
                        iterations=1, std_error=se,
-                       losses=LossSummary(n=n, mean=mean, var=var, positive=positive))
+                       losses=LossSummary.of(n, mean, var, positive))
 
 
-def _es_on_triangle(c: Candidates, w: float, r_var: float) -> SolveReport | None:
-    # Newton on the triangle's kept scenarios; None when it leaves the triangle.
-    tri = c.triangle
-    tangent, chord = tri.bounds(w)
-    start = max(r_var, tangent * (1.0 - _ES_MARGIN))
-    if not start <= chord:
-        return None
-    found = _es_report(c, w, tri.x, tri.s, start, r_max=chord)
-    return None if found is None else found[0]
+def _es_interior(c: _Candidates, w: float, tri: _Triangle | None, x: np.ndarray,
+                 s: np.ndarray) -> SolveReport:
+    # Newton on the triangle's kept scenarios from its tangent bound, or
+    # from the VaR root on all scenarios when there is no triangle or the
+    # solve leaves it.
+    r_var = _var_root(c, w)
+    if tri is not None:
+        tangent, chord = tri.bounds(w)
+        start = max(r_var, tangent * (1.0 - _ES_MARGIN))
+        found = _es_report(c, w, tri.x, tri.s, start, r_max=chord) if start <= chord else None
+        if found is not None:
+            return found[0]
+    return _es_report(c, w, x, s, r_var)[0]
 
 
-def _es_report(c: Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r: float,
+def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r: float,
                r_max: float = math.inf) -> tuple[SolveReport, np.ndarray, float] | None:
     # The ES root from r at or below it on the claims x and asset returns s
     # (Z = 1 when s is None), with the losses at the root and their
@@ -662,7 +649,7 @@ def _es_report(c: Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r: 
     mean, var = c.loss_moments(r0, w)
     report = SolveReport(r0=r0, method="empirical_root", residual=residual,
                          iterations=selections, std_error=se,
-                         losses=LossSummary(n=n, mean=mean, var=var, positive=positive))
+                         losses=LossSummary.of(n, mean, var, positive))
     return report, losses, q
 
 

@@ -17,9 +17,8 @@ import sys
 from .analysis import DEFAULT_GRID_STEP, sweep, w_grid
 from .capital_solver import MarketSpec, NoSolutionError
 from .distributions import distribution_from_config
-from .montecarlo import generate_scenarios
 from .risk_measures import RiskMeasure
-from .valuation import normal_model, pareto_riskless_valuation, value_market
+from .valuation import pareto_riskless_valuation, value_market
 
 __all__ = ["main", "console_entry", "RunConfig", "FIGURE_PRESETS"]
 
@@ -197,9 +196,7 @@ def _run_sweep(cfg: RunConfig, default_out: str) -> int:
         grid = w_grid(cfg.grid_step)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    closed = normal_model(market) is not None
-    scen = None if closed else generate_scenarios(cfg.mc_n, cfg.seed)
-    result = sweep(market, rm, grid, scen=scen)
+    result = sweep(market, rm, grid, mc_n=cfg.mc_n, seed=cfg.seed)
     out = cfg.out or default_out
     result.write_csv(out)
     print(f"wrote {out}")

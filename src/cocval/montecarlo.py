@@ -27,13 +27,14 @@ __all__ = [
 _INV_2_53 = 2.0 ** -53
 
 # Peak resident bytes per scenario of a Monte Carlo valuation or sweep:
-# the slope of peak RSS between 1e6 and 2e6 scenarios was 43-68 over the
-# VaR and ES sweeps and single valuations, highest under ES, where the
-# solves at a sweep's two end weights, a single valuation and any rerun
-# on all scenarios hold Z, the losses and their selection at full length
-# (numpy 2.4, Linux x86-64).  Interior ES weights of a sweep solve on the
-# triangle's kept scenarios and do not raise it.
-PEAK_BYTES_PER_SCENARIO = 72
+# the slope of peak RSS between 1e6 and 2e6 scenarios was 32-54 over
+# single valuations and VaR and ES sweeps on grids of 11 and 1001
+# weights, highest under ES, where the end-weight solves and any rerun on
+# all scenarios hold Z, the losses and their selection beside the claims
+# and asset returns (numpy 2.4, Linux x86-64).  The uniforms are freed
+# before the solve, interior ES weights solve on the triangle's kept
+# scenarios, and a solved weight keeps sums of its losses, no array.
+PEAK_BYTES_PER_SCENARIO = 56
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,11 @@ premium upper bound and the premium itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .capital_solver import (
     MarketSpec,
+    NoSolutionError,
     SolveReport,
     solve_r0_gaussian_es,
     solve_r0_gaussian_var,
@@ -48,6 +47,7 @@ __all__ = [
     "value_riskless_var",
     "pareto_riskless_valuation",
     "mc_valuation",
+    "mc_valuations",
     "normal_model",
     "value_market",
 ]
@@ -321,7 +321,8 @@ def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure) -> Valua
     from sample moments, and the mean of P, which only the positive
     losses carry.  The sample variances (ddof 1) of P and of P - L come
     the same way: sum (P - mean P)(L - mean L) = sum over the positive
-    losses of p (p - mean L).  The premium is r0 - c0 by identity, with
+    losses of p (p - mean L).  The solve leaves these sums on the
+    report's ``LossSummary``.  The premium is r0 - c0 by identity, with
     the same standard error as c0.  Bounds use exact model moments, not
     sample moments.
 
@@ -329,15 +330,13 @@ def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure) -> Valua
     the noise of the solved capital level, and they mean nothing when
     the claim variance is infinite (Pareto beta <= 2).
     """
-    if rep.losses is None:
+    losses = rep.losses
+    if losses is None:
         raise ValueError("a Monte Carlo decomposition needs the losses of an empirical root")
-    n, l_mean, pos = rep.losses.n, rep.losses.mean, rep.losses.positive
-    p_mean = float(pos.sum()) / n
-    ss_p = float(np.square(pos - p_mean).sum()) + (n - pos.size) * p_mean * p_mean
-    ss_pl = float((pos * (pos - l_mean)).sum())
-    ss_n = max((n - 1) * rep.losses.var - 2.0 * ss_pl + ss_p, 0.0)
+    n, p_mean, ss_p = losses.n, losses.p_mean, losses.p_ss
+    ss_n = max((n - 1) * losses.var - 2.0 * losses.pl_sum + ss_p, 0.0)
     scale = 1.0 + market.eta
-    c0 = (p_mean - l_mean) / scale
+    c0 = (p_mean - losses.mean) / scale
     c0_se = math.sqrt(ss_n / (n - 1) / n) / scale
     upper, lower = v0_bounds(
         rep.r0, z_mean=market.z_mean, z_var=market.z_variance,
@@ -352,6 +351,27 @@ def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure) -> Valua
         r0_se=rep.std_error, c0_se=c0_se, v0_se=c0_se,
         llo_se=math.sqrt(ss_p / (n - 1) / n) / scale,
     )
+
+
+def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
+                  seed: int) -> list[ValuationResult | NoSolutionError]:
+    """Monte Carlo valuations at every weight of a strictly increasing
+    grid in [0, 1] (``market.w`` is ignored), all on one scenario set of
+    ``mc_n`` draws from ``seed``: the exact empirical roots of
+    ``solve_r0_numeric``, each split by ``mc_valuation``.  A weight where
+    no capital level is acceptable gets its ``NoSolutionError``.
+
+    Raises:
+        ValueError: from the scenario generation or the solve.
+    """
+    scen = generate_scenarios(mc_n, seed)
+    claims = market.claim.sample(scen.u_claim)
+    # Z = 1 on a grid that is w = 0 alone: no asset returns needed
+    assets = market.asset.sample(scen.u_asset) if any(w > 0.0 for w in grid) else None
+    del scen  # the solve needs the transformed streams only, not the uniforms
+    reports = solve_r0_numeric(rm, claims, assets, grid)
+    return [mc_valuation(rep, replace(market, w=float(w)), rm) if isinstance(rep, SolveReport)
+            else rep for w, rep in zip(grid, reports)]
 
 
 def normal_model(market: MarketSpec) -> tuple[float, float, float, float] | None:
@@ -374,8 +394,8 @@ def value_market(market: MarketSpec, rm: RiskMeasure, *, mc_n: int,
     VaR with the buffer in the bond (``w = 0`` or a unit point-mass
     asset) for a Pareto claim or any other nonnegative claim; VaR for a
     lognormal claim fully invested in a lognormal asset.  Everything
-    else is solved and decomposed on one scenario set of ``mc_n`` draws
-    from ``seed``, each stream transformed once.
+    else is a one-weight ``mc_valuations`` on ``mc_n`` draws from
+    ``seed``.
 
     Raises:
         NoSolutionError: no capital level is acceptable.
@@ -395,5 +415,7 @@ def value_market(market: MarketSpec, rm: RiskMeasure, *, mc_n: int,
             and isinstance(claim, Lognormal) and isinstance(asset, Lognormal)):
         return value_lognormal_var(claim.mu_log, claim.sd_log,
                                    asset.mu_log, asset.sd_log, rm.alpha, market.eta)
-    scen = generate_scenarios(mc_n, seed)
-    return mc_valuation(solve_r0_numeric(market, rm, scen), market, rm)
+    [result] = mc_valuations(market, rm, [w], mc_n=mc_n, seed=seed)
+    if isinstance(result, NoSolutionError):
+        raise result
+    return result

@@ -1,43 +1,61 @@
-"""Shared oracle helpers: analytic standard errors of empirical-rooted
-capital levels in the normal model, via the delta method; the Monte
-Carlo decomposition at a given capital level; and full-sample reference
-versions of the VaR root, the standard errors and the decomposition that
-rebuild every array from the scenario set."""
+"""Shared oracle helpers: a one-weight capital solve; analytic standard
+errors of empirical-rooted capital levels in the normal model, via the
+delta method; the Monte Carlo decomposition at a given capital level;
+and full-sample reference versions of the VaR root, the standard errors
+and the decomposition that rebuild every array from the scenario set."""
 
 import math
 
 import numpy as np
 
-from cocval.capital_solver import LossSummary, NoSolutionError, SolveReport
+from cocval.capital_solver import LossSummary, NoSolutionError, SolveReport, solve_r0_numeric
 from cocval.distributions import standard_normal_cdf, standard_normal_pdf
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import ValuationResult, mc_valuation, v0_bounds
 
 
-def mixed_return(market, scen, asset_values=None):
+def samples(market, scen):
+    """The claims X and asset returns S of a scenario set."""
+    return market.claim.sample(scen.u_claim), market.asset.sample(scen.u_asset)
+
+
+def solve_at(market, rm, scen=None, *, claims=None, assets=None):
+    """``solve_r0_numeric`` on the one-weight grid ``[market.w]``,
+    re-raising its ``NoSolutionError``: on the claims and asset returns
+    given, else on the scenario set's, with no asset returns at w = 0 as
+    ``valuation.mc_valuations`` does."""
+    if claims is None:
+        claims, assets = samples(market, scen)
+        assets = assets if market.w > 0.0 else None
+    [rep] = solve_r0_numeric(rm, claims, assets, [market.w])
+    if isinstance(rep, NoSolutionError):
+        raise rep
+    return rep
+
+
+def mixed_return(market, scen, assets=None):
     """Z = w S + 1 - w as the solver builds it (a scalar 1 at w = 0)."""
     if market.w == 0.0:
         return 1.0
-    s = market.asset_return_sample(scen) if asset_values is None else asset_values
+    s = market.asset.sample(scen.u_asset) if assets is None else assets
     return market.w * s + (1.0 - market.w)
 
 
 def summary_of(losses):
     """The ``LossSummary`` of a full loss array."""
     losses = np.asarray(losses, dtype=float)
-    return LossSummary(n=losses.size, mean=float(losses.mean()),
-                       var=float(losses.var(ddof=1)), positive=losses[losses > 0.0])
+    return LossSummary.of(losses.size, float(losses.mean()), float(losses.var(ddof=1)),
+                          losses[losses > 0.0])
 
 
-def mc_at(r0, market, scen, rm=RiskMeasure("var", 0.005), *, asset_values=None,
-          claim_values=None):
+def mc_at(r0, market, scen, rm=RiskMeasure("var", 0.005), *, claims=None, assets=None):
     """``mc_valuation`` at capital ``r0``, as if a solver had returned it
     with the summary of its losses X - r0 Z.
 
-    ``asset_values``/``claim_values`` pass pre-transformed samples.
+    ``claims``/``assets`` pass pre-transformed samples.
     """
-    x = market.claim_sample(scen) if claim_values is None else claim_values
-    losses = x - r0 * mixed_return(market, scen, asset_values)
+    x = market.claim.sample(scen.u_claim) if claims is None else claims
+    losses = x - r0 * mixed_return(market, scen, assets)
     rep = SolveReport(r0=r0, method="closed_form", residual=0.0, iterations=0,
                       losses=summary_of(losses))
     return mc_valuation(rep, market, rm)
@@ -106,15 +124,14 @@ def reference_root_std_error(rm, z, x, r0):
     return se_stat / slope, q_v
 
 
-def reference_row(r0, iterations, market, rm, scen, *, asset_values=None,
-                  claim_values=None):
+def reference_row(r0, iterations, market, rm, scen, *, claims=None, assets=None):
     """The Monte Carlo row at a solved root ``r0``, every array rebuilt
     from the scenario set: the residual over all losses, the ratio-window
     standard error (VaR) or that of ``reference_root_std_error`` (ES),
     and sample means and standard deviations of (r0 Z - X)^+ and
     (r0 Z - X)^-."""
-    x = market.claim_sample(scen) if claim_values is None else claim_values
-    z = mixed_return(market, scen, asset_values)
+    x = market.claim.sample(scen.u_claim) if claims is None else claims
+    z = mixed_return(market, scen, assets)
     z_arr = np.broadcast_to(z, x.shape)
     se, var_at_root = reference_root_std_error(rm, z_arr, x, r0)
     if rm.kind == "var":

@@ -14,7 +14,6 @@ from cocval.capital_solver import (
     MarketSpec,
     solve_r0_gaussian_es,
     solve_r0_gaussian_var,
-    solve_r0_numeric,
 )
 from cocval.distributions import (
     Normal,
@@ -37,7 +36,7 @@ from cocval.valuation import (
     value_lognormal_var,
 )
 
-from helpers import gaussian_r0_se_es, gaussian_r0_se_var, mc_at
+from helpers import gaussian_r0_se_es, gaussian_r0_se_var, mc_at, samples, solve_at
 
 ETA = 0.06
 ALPHA = 0.005
@@ -89,7 +88,7 @@ def test_gaussian_capital_minimizing_weight():
         start = time.perf_counter()
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2),
                             w=0.0, eta=ETA)
-        res = sweep(market, RiskMeasure("var", ALPHA), w_grid(1e-3))
+        res = sweep(market, RiskMeasure("var", ALPHA), w_grid(1e-3), mc_n=MC_N, seed=SEED)
         assert res.w_star == pytest.approx(0.083, abs=1e-3)
         assert time.perf_counter() - start < 1.0
 
@@ -103,7 +102,8 @@ def test_benefit_threshold_consistency():
         assert gamma > nu * m
         assert mu > max(1.0, sigma * m)
         market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma), w=0.0, eta=ETA)
-        closed = sweep(market, RiskMeasure("var", ALPHA), [0.0]).w_hat_closed
+        closed = sweep(market, RiskMeasure("var", ALPHA), [0.0], mc_n=MC_N,
+                       seed=SEED).w_hat_closed
 
         def requirement(w):
             return solve_r0_gaussian_var(gamma, nu, w * mu + 1 - w, w * sigma, ALPHA).r0
@@ -135,9 +135,8 @@ def test_oracle_equivalence_var(scen, normals):
             market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma),
                                 w=1.0, eta=ETA)
             rm = RiskMeasure("var", alpha)
-            values = dict(asset_values=mu + sigma * g_asset,
-                          claim_values=gamma + nu * g_claim)
-            mc = solve_r0_numeric(market, rm, scen, **values)
+            values = dict(assets=mu + sigma * g_asset, claims=gamma + nu * g_claim)
+            mc = solve_at(market, rm, **values)
             se = gaussian_r0_se_var(closed.r0, gamma, nu, mu, sigma, alpha, MC_N)
             assert abs(mc.r0 - closed.r0) <= 3 * se
 
@@ -156,9 +155,8 @@ def test_oracle_equivalence_es(scen, normals):
             market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma),
                                 w=1.0, eta=ETA)
             rm = RiskMeasure("es", alpha)
-            values = dict(asset_values=mu + sigma * g_asset,
-                          claim_values=gamma + nu * g_claim)
-            mc = solve_r0_numeric(market, rm, scen, **values)
+            values = dict(assets=mu + sigma * g_asset, claims=gamma + nu * g_claim)
+            mc = solve_at(market, rm, **values)
             se = gaussian_r0_se_es(closed.r0, gamma, nu, mu, sigma, alpha, MC_N)
             assert abs(mc.r0 - closed.r0) <= 3 * se
 
@@ -196,7 +194,7 @@ def test_property_suite(scen):
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2),
                             w=0.0, eta=ETA)
         rm = RiskMeasure("var", ALPHA)
-        closed = sweep(market, rm, w_grid(1e-3))
+        closed = sweep(market, rm, w_grid(1e-3), mc_n=MC_N, seed=SEED)
 
         # premium identity: exact in subtraction form, one rounding in
         # the sum form
@@ -212,7 +210,8 @@ def test_property_suite(scen):
         # strict convexity of the requirement curve, both measures
         r0s = np.array([row.r0 for row in closed.rows])
         assert np.all(np.diff(r0s, 2) > 0.0)
-        es_rows = sweep(market, RiskMeasure("es", 0.01), w_grid(0.01)).rows
+        es_rows = sweep(market, RiskMeasure("es", 0.01), w_grid(0.01), mc_n=MC_N,
+                        seed=SEED).rows
         assert np.all(np.diff(np.array([row.r0 for row in es_rows]), 2) > 0.0)
 
         # shareholder value above the risk-less benchmark at every
@@ -238,12 +237,10 @@ def test_property_suite(scen):
         claim = lognormal_from_moments(1.0, 0.3)
         asset = lognormal_from_moments(1.05, 0.2)
         mkt = MarketSpec(claim=claim, asset=asset, w=0.5, eta=ETA)
-        s = mkt.asset_return_sample(scen)
-        x = mkt.claim_sample(scen)
-        ref = solve_r0_numeric(mkt, rm, scen, asset_values=s, claim_values=x)
-        doubled = solve_r0_numeric(
-            MarketSpec(claim=claim.scaled(2.0), asset=asset, w=0.5, eta=ETA),
-            rm, scen, asset_values=s, claim_values=2.0 * x)
+        x, s = samples(mkt, scen)
+        ref = solve_at(mkt, rm, claims=x, assets=s)
+        doubled = solve_at(MarketSpec(claim=claim.scaled(2.0), asset=asset, w=0.5, eta=ETA),
+                           rm, claims=2.0 * x, assets=s)
         assert doubled.r0 == 2.0 * ref.r0
 
         # translation and positive homogeneity of the empirical
@@ -258,7 +255,7 @@ def test_property_suite(scen):
 
         # Monte Carlo identity on one shared scenario set
         mkt_half = MarketSpec(claim=claim, asset=asset, w=0.5, eta=ETA)
-        rep = solve_r0_numeric(mkt_half, rm, scen, asset_values=s, claim_values=x)
+        rep = solve_at(mkt_half, rm, claims=x, assets=s)
         row = mc_valuation(rep, mkt_half, rm)
         assert abs(row.v0 + row.c0 - rep.r0) <= 1e-12 * rep.r0
 
@@ -274,8 +271,7 @@ def test_lognormal_upper_bound_sharpness(scen, normals):
             s = np.exp(asset.mu_log + asset.sd_log * g_asset)
             for w in (0.0, 0.25, 0.5, 0.75, 1.0):
                 market = MarketSpec(claim=claim, asset=asset, w=w, eta=ETA)
-                rep = solve_r0_numeric(market, rm, scen,
-                                       asset_values=s, claim_values=x)
+                rep = solve_at(market, rm, claims=x, assets=s)
                 row = mc_valuation(rep, market, rm)
                 gap = (row.v0_upper - row.v0) / row.v0
                 assert gap < 0.02 + 4 * row.v0_se / row.v0
@@ -286,10 +282,8 @@ def test_heavy_tail_full_investment(scen):
         rm = RiskMeasure("var", ALPHA)
         claim = pareto_from_mean_beta(1.0, 1.1)
         asset = lognormal_from_moments(1.05, 0.2)
-        base = solve_r0_numeric(
-            MarketSpec(claim=claim, asset=asset, w=0.0, eta=ETA), rm, scen)
-        full = solve_r0_numeric(
-            MarketSpec(claim=claim, asset=asset, w=1.0, eta=ETA), rm, scen)
+        base = solve_at(MarketSpec(claim=claim, asset=asset, w=0.0, eta=ETA), rm, scen)
+        full = solve_at(MarketSpec(claim=claim, asset=asset, w=1.0, eta=ETA), rm, scen)
         spread = 4 * math.hypot(base.std_error, full.std_error)
         assert full.r0 <= base.r0 + spread
 
@@ -305,8 +299,7 @@ def test_expected_shortfall_absorbed_by_shareholders(scen, normals):
             market = MarketSpec(claim=claim, asset=asset, w=w, eta=ETA)
             rows = {}
             for rm in (RiskMeasure("var", 0.005), RiskMeasure("es", 0.01)):
-                rep = solve_r0_numeric(market, rm, scen,
-                                       asset_values=s, claim_values=x)
+                rep = solve_at(market, rm, claims=x, assets=s)
                 rows[rm.kind] = mc_valuation(rep, market, rm)
             assert rows["es"].r0 > rows["var"].r0
             dv = abs(rows["es"].v0 - rows["var"].v0)

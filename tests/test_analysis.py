@@ -14,17 +14,21 @@ from cocval.analysis import (
     sweep,
     w_grid,
 )
-from cocval.capital_solver import MarketSpec, solve_r0_gaussian_var, solve_r0_numeric
+from cocval.capital_solver import MarketSpec, solve_r0_gaussian_var
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
 from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
 from cocval.valuation import mc_valuation
+
+from helpers import solve_at
 
 GAMMA, NU, MU, SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
 ETA = 0.06
 FIG_MARKET = MarketSpec(claim=Normal(GAMMA, NU), asset=Normal(MU, SIGMA), w=0.0, eta=ETA)
 VAR_005 = RiskMeasure("var", ALPHA)
+# the scenario set of a sweep; the normal model's closed forms do not use it
+MC = {"mc_n": 20_000, "seed": 1}
 
 
 def closed_r0(w: float, mu: float = MU, sigma: float = SIGMA) -> float:
@@ -35,7 +39,7 @@ def closed_threshold(gamma, nu, mu, sigma, rm=VAR_005):
     """The normal model's closed-form benefit threshold, as a sweep reports
     it; None where its preconditions fail."""
     market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma), w=0.0, eta=ETA)
-    return sweep(market, rm, [0.0]).w_hat_closed
+    return sweep(market, rm, [0.0], **MC).w_hat_closed
 
 
 class TestBenefitThreshold:
@@ -129,12 +133,12 @@ class TestGrid:
     def test_sweep_rejects_bad_grids(self):
         for bad in ([0.1, 0.2], [0.0, 0.2, 0.1], [0.0, 0.5, 1.2]):
             with pytest.raises(ValueError):
-                sweep(FIG_MARKET, VAR_005, bad)
+                sweep(FIG_MARKET, VAR_005, bad, **MC)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return sweep(FIG_MARKET, VAR_005, w_grid(1e-3))
+    return sweep(FIG_MARKET, VAR_005, w_grid(1e-3), **MC)
 
 
 class TestClosedFormSweep:
@@ -151,7 +155,7 @@ class TestClosedFormSweep:
         assert np.all(second > 0.0)
 
     def test_es_curve_is_strictly_convex(self):
-        res = sweep(FIG_MARKET, RiskMeasure("es", 0.01), w_grid(0.01))
+        res = sweep(FIG_MARKET, RiskMeasure("es", 0.01), w_grid(0.01), **MC)
         r0s = np.array([row.r0 for row in res.rows])
         assert np.all(np.diff(r0s, 2) > 0.0)
 
@@ -183,15 +187,13 @@ class TestClosedFormSweep:
         vals = []
         for gamma in (0.9, 1.0, 1.1, 1.2):
             res = sweep(MarketSpec(claim=Normal(gamma, NU), asset=Normal(MU, SIGMA),
-                                   w=0.0, eta=ETA), VAR_005, [0.0, 0.5])
+                                   w=0.0, eta=ETA), VAR_005, [0.0, 0.5], **MC)
             vals.append(res.rows[1].v0)
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_premium_drops_when_asset_improves(self):
         # pathwise-dominating asset, same scenarios, mean mixed return
         # still below 1 + eta: the premium cannot rise
-        from cocval.capital_solver import solve_r0_numeric
-        from cocval.valuation import mc_valuation
         scen = generate_scenarios(200_000, seed=17)
         claim = lognormal_from_moments(1.0, 0.3)
         base_asset = lognormal_from_moments(1.02, 0.2)
@@ -199,17 +201,16 @@ class TestClosedFormSweep:
         for asset in (base_asset, base_asset.scaled(1.02)):
             market = MarketSpec(claim=claim, asset=asset, w=0.8, eta=ETA)
             assert market.z_mean <= 1.0 + ETA
-            rep = solve_r0_numeric(market, VAR_005, scen)
+            rep = solve_at(market, VAR_005, scen)
             rows.append(mc_valuation(rep, market, VAR_005))
         assert rows[1].v0 <= rows[0].v0
 
 
 class TestMcSweep:
     def test_degenerate_asset_keeps_riskless_weight(self):
-        scen = generate_scenarios(20_000, seed=3)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=Degenerate(1.0), w=0.0, eta=ETA)
-        res = sweep(market, VAR_005, w_grid(0.25), scen=scen)
+        res = sweep(market, VAR_005, w_grid(0.25), mc_n=20_000, seed=3)
         r0s = [row.r0 for row in res.rows]
         assert all(r == r0s[0] for r in r0s)
         assert res.w_star == 0.0  # ties resolve to the smallest weight
@@ -217,20 +218,19 @@ class TestMcSweep:
     def test_heavier_tails_shift_weights_up(self):
         # lognormal model with matched moments allows more risky
         # investment than the normal model
-        scen = generate_scenarios(200_000, seed=2)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.0, eta=ETA)
-        res = sweep(market, VAR_005, w_grid(0.02), scen=scen)
-        gauss = sweep(FIG_MARKET, VAR_005, w_grid(0.02))
+        res = sweep(market, VAR_005, w_grid(0.02), mc_n=200_000, seed=2)
+        gauss = sweep(FIG_MARKET, VAR_005, w_grid(0.02), **MC)
         assert res.w_star > gauss.w_star
         assert res.w_hat_numeric > gauss.w_hat_closed
 
     def test_mc_matches_closed_forms_on_gaussian_market(self):
         scen = generate_scenarios(200_000, seed=5)
-        closed = sweep(FIG_MARKET, VAR_005, [0.0, 0.25, 0.5])
+        closed = sweep(FIG_MARKET, VAR_005, [0.0, 0.25, 0.5], **MC)
         for w, cf_row in zip(closed.grid, closed.rows):
             market = replace(FIG_MARKET, w=float(w))
-            rep = solve_r0_numeric(market, VAR_005, scen)
+            rep = solve_at(market, VAR_005, scen)
             mc_row = mc_valuation(rep, market, VAR_005)
             assert mc_row.r0_se is not None
             assert abs(mc_row.r0 - cf_row.r0) < 4 * mc_row.r0_se
@@ -242,9 +242,9 @@ class TestMcSweep:
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.0, eta=ETA)
         grid = [0.0, 0.5, 1.0]
-        a = sweep(market, VAR_005, grid, scen=generate_scenarios(100_000, seed=9))
-        b = sweep(market, VAR_005, grid, scen=generate_scenarios(100_000, seed=9))
-        c = sweep(market, VAR_005, grid, scen=generate_scenarios(100_000, seed=10))
+        a = sweep(market, VAR_005, grid, mc_n=100_000, seed=9)
+        b = sweep(market, VAR_005, grid, mc_n=100_000, seed=9)
+        c = sweep(market, VAR_005, grid, mc_n=100_000, seed=10)
         for ra, rb, rc in zip(a.rows, b.rows, c.rows):
             assert ra.r0 == rb.r0 and ra.c0 == rb.c0  # bit-stable rerun
             assert abs(ra.r0 - rc.r0) < 4 * math.hypot(ra.r0_se, rc.r0_se)
@@ -252,25 +252,18 @@ class TestMcSweep:
 
     def test_infeasible_rows_flagged(self):
         # an asset so volatile that large weights admit no solution
-        scen = generate_scenarios(50_000, seed=13)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=Normal(1.0, 3.0), w=0.0, eta=ETA)
-        res = sweep(market, VAR_005, w_grid(0.25), scen=scen)
+        res = sweep(market, VAR_005, w_grid(0.25), mc_n=50_000, seed=13)
         assert res.rows[0] is not None
         assert any(row is None for row in res.rows)
         feasible = [row for row in res.rows if row is not None]
         assert 0 < len(feasible) < len(res.rows)
 
-    def test_requires_scenarios(self):
-        market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
-                            asset=lognormal_from_moments(1.05, 0.2), w=0.0, eta=ETA)
-        with pytest.raises(ValueError):
-            sweep(market, VAR_005, [0.0, 0.5])
-
 
 class TestCsv:
     def test_schema_and_summary(self):
-        res = sweep(FIG_MARKET, VAR_005, w_grid(0.5))
+        res = sweep(FIG_MARKET, VAR_005, w_grid(0.5), **MC)
         buf = io.StringIO()
         res.write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -285,7 +278,7 @@ class TestCsv:
         assert lines[-1].startswith("# w_hat_closed,")
 
     def test_fifteen_digit_round_trip(self):
-        res = sweep(FIG_MARKET, VAR_005, [0.0, 0.5, 1.0])
+        res = sweep(FIG_MARKET, VAR_005, [0.0, 0.5, 1.0], **MC)
         buf = io.StringIO()
         res.write_csv(buf)
         body = [ln for ln in buf.getvalue().splitlines() if ln and not ln.startswith(("w,", "#"))]

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from cocval import capital_solver
 from cocval.analysis import w_grid
 from cocval.capital_solver import (
+    LossSummary,
     MarketSpec,
     NoSolutionError,
-    candidate_set,
+    SolveReport,
     gaussian_hedged_risk,
     solve_r0_gaussian_es,
     solve_r0_gaussian_var,
@@ -32,10 +32,26 @@ from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_em
                                   var_multiplier)
 
 from helpers import (gaussian_r0_se_var, reference_ratio_std_error, reference_root_std_error,
-                     reference_var_root)
+                     reference_var_root, samples, solve_at)
 
 FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
+
+
+@pytest.fixture(scope="class")
+def positives_kept():
+    """Have each ``LossSummary.of`` also keep a copy of the positive
+    losses it sums, as ``.positive``, for tests that check them exactly."""
+    of = LossSummary.of.__func__
+
+    def keep(cls, n, mean, var, positive):
+        summary = of(cls, n, mean, var, positive)
+        object.__setattr__(summary, "positive", positive.copy())
+        return summary
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LossSummary, "of", classmethod(keep))
+        yield
 
 
 def rational_r0_var(gamma, nu, mu, sigma, alpha):
@@ -72,7 +88,7 @@ class TestGaussianVar:
         market = MarketSpec(claim=Normal(FIG_GAMMA, FIG_NU),
                             asset=Normal(FIG_MU, FIG_SIGMA), w=1.0, eta=0.06)
         rm = RiskMeasure("var", ALPHA)
-        mc = solve_r0_numeric(market, rm, scen)
+        mc = solve_at(market, rm, scen)
         closed = solve_r0_gaussian_var(FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA)
         se = gaussian_r0_se_var(closed.r0, FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA, n)
         assert abs(mc.r0 - closed.r0) < 3 * se
@@ -171,7 +187,7 @@ class TestGaussianEs:
         scen = generate_scenarios(n, seed=77)
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=1.0, eta=0.06)
         rm = RiskMeasure("es", 0.01)
-        mc = solve_r0_numeric(market, rm, scen)
+        mc = solve_at(market, rm, scen)
         closed = solve_r0_gaussian_es(1.0, 0.3, 1.05, 0.2, 0.01)
         from helpers import gaussian_r0_se_es
         se = gaussian_r0_se_es(closed.r0, 1.0, 0.3, 1.05, 0.2, 0.01, n)
@@ -193,7 +209,7 @@ class TestLognormalVar:
                                      asset.mu_log, asset.sd_log, ALPHA)
         scen = generate_scenarios(10 ** 6, seed=31)
         market = MarketSpec(claim=claim, asset=asset, w=1.0, eta=0.06)
-        mc = solve_r0_numeric(market, RiskMeasure("var", ALPHA), scen)
+        mc = solve_at(market, RiskMeasure("var", ALPHA), scen)
         assert mc.std_error is not None
         assert abs(mc.r0 - rep.r0) < 3 * mc.std_error
 
@@ -212,8 +228,8 @@ class TestNumericSolver:
         claim = lognormal_from_moments(1.0, 0.3)
         market = MarketSpec(claim=claim, asset=Degenerate(1.0), w=1.0, eta=0.06)
         rm = RiskMeasure("var", ALPHA)
-        rep = solve_r0_numeric(market, rm, scen)
-        x = market.claim_sample(scen)
+        rep = solve_at(market, rm, scen)
+        x = market.claim.sample(scen.u_claim)
         assert rep.r0 == var_empirical(-x, ALPHA)
         assert rep.residual == 0.0
 
@@ -221,10 +237,10 @@ class TestNumericSolver:
         scen = generate_scenarios(50_000, seed=3)
         claim = lognormal_from_moments(1.0, 0.3)
         rm = RiskMeasure("var", ALPHA)
-        via_w = solve_r0_numeric(
-            MarketSpec(claim=claim, asset=Normal(1.05, 0.2), w=0.0, eta=0.06), rm, scen)
-        via_asset = solve_r0_numeric(
-            MarketSpec(claim=claim, asset=Degenerate(1.0), w=0.7, eta=0.06), rm, scen)
+        via_w = solve_at(MarketSpec(claim=claim, asset=Normal(1.05, 0.2), w=0.0, eta=0.06),
+                         rm, scen)
+        via_asset = solve_at(MarketSpec(claim=claim, asset=Degenerate(1.0), w=0.7, eta=0.06),
+                             rm, scen)
         assert via_w.r0 == via_asset.r0
 
     def test_gaussian_mixture_against_closed_form(self):
@@ -233,7 +249,7 @@ class TestNumericSolver:
         market = MarketSpec(claim=Normal(FIG_GAMMA, FIG_NU),
                             asset=Normal(FIG_MU, FIG_SIGMA), w=0.5, eta=0.06)
         rm = RiskMeasure("var", ALPHA)
-        mc = solve_r0_numeric(market, rm, scen)
+        mc = solve_at(market, rm, scen)
         mu_w, sigma_w = 0.5 * FIG_MU + 0.5, 0.5 * FIG_SIGMA
         closed = solve_r0_gaussian_var(FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA)
         se = gaussian_r0_se_var(closed.r0, FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA, n)
@@ -247,7 +263,7 @@ class TestNumericSolver:
         scen = generate_scenarios(n, seed=53)
         claim = pareto_from_mean_beta(1.0, 2.0)
         market = MarketSpec(claim=claim, asset=Degenerate(1.0), w=0.0, eta=0.06)
-        rep = solve_r0_numeric(market, RiskMeasure("var", ALPHA), scen)
+        rep = solve_at(market, RiskMeasure("var", ALPHA), scen)
         assert rep.std_error is not None
         assert abs(rep.r0 - 7.0710678) < 4 * rep.std_error
         assert rep.std_error < 0.1
@@ -258,11 +274,11 @@ class TestNumericSolver:
         claim = lognormal_from_moments(1.0, 0.3)
         asset = lognormal_from_moments(1.05, 0.2)
         market = MarketSpec(claim=claim, asset=asset, w=0.6, eta=0.06)
-        x = market.claim_sample(scen)
-        z = 0.6 * market.asset_return_sample(scen) + 0.4
+        x, s = samples(market, scen)
+        z = 0.6 * s + 0.4
         for rm, selections in ((RiskMeasure("var", ALPHA), (1, 1)),
                                (RiskMeasure("es", 0.01), (2, 8))):
-            rep = solve_r0_numeric(market, rm, scen)
+            rep = solve_at(market, rm, scen)
             assert rep.residual == rm.empirical(rep.r0 * z - x)
             assert abs(rep.residual) <= 1e-13 * rep.r0
             assert selections[0] <= rep.iterations <= selections[1]
@@ -272,21 +288,18 @@ class TestNumericSolver:
         claim = lognormal_from_moments(1.0, 0.3)
         asset = lognormal_from_moments(1.05, 0.2)
         market = MarketSpec(claim=claim, asset=asset, w=0.5, eta=0.06)
-        s = market.asset_return_sample(scen)
-        x = market.claim_sample(scen)
+        x, s = samples(market, scen)
         for rm in (RiskMeasure("var", ALPHA), RiskMeasure("es", 0.01)):
-            base = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x)
+            base = solve_at(market, rm, claims=x, assets=s)
             # exactly scaled claim data reproduces the solve path bit for
             # bit whenever the scale is a power of two
             for a in (0.25, 2.0, 8.0):
-                rep = solve_r0_numeric(
-                    MarketSpec(claim=claim.scaled(a), asset=asset, w=0.5, eta=0.06),
-                    rm, scen, asset_values=s, claim_values=a * x)
+                rep = solve_at(MarketSpec(claim=claim.scaled(a), asset=asset, w=0.5, eta=0.06),
+                               rm, claims=a * x, assets=s)
                 assert rep.r0 == a * base.r0
                 assert rep.residual == a * base.residual
-            rep = solve_r0_numeric(
-                MarketSpec(claim=claim.scaled(3.7), asset=asset, w=0.5, eta=0.06),
-                rm, scen, asset_values=s, claim_values=3.7 * x)
+            rep = solve_at(MarketSpec(claim=claim.scaled(3.7), asset=asset, w=0.5, eta=0.06),
+                           rm, claims=3.7 * x, assets=s)
             assert rep.r0 == pytest.approx(3.7 * base.r0, rel=1e-12)
 
     def test_claim_shift_monotonicity_shared_scenarios(self):
@@ -295,19 +308,19 @@ class TestNumericSolver:
         rm = RiskMeasure("var", 0.01)
         asset = lognormal_from_moments(1.05, 0.2)
         claim = Normal(1.0, 0.3)
-        base = solve_r0_numeric(MarketSpec(claim=claim, asset=asset, w=0.4, eta=0.06), rm, scen)
-        shifted = solve_r0_numeric(
-            MarketSpec(claim=Normal(1.2, 0.3), asset=asset, w=0.4, eta=0.06), rm, scen)
+        base = solve_at(MarketSpec(claim=claim, asset=asset, w=0.4, eta=0.06), rm, scen)
+        shifted = solve_at(MarketSpec(claim=Normal(1.2, 0.3), asset=asset, w=0.4, eta=0.06),
+                           rm, scen)
         assert shifted.r0 > base.r0
 
     def test_asset_shift_monotonicity_shared_scenarios(self):
         scen = generate_scenarios(100_000, seed=73)
         rm = RiskMeasure("var", 0.01)
         claim = Normal(1.0, 0.3)
-        base = solve_r0_numeric(
-            MarketSpec(claim=claim, asset=Lognormal(0.02, 0.18), w=0.8, eta=0.06), rm, scen)
-        richer = solve_r0_numeric(
-            MarketSpec(claim=claim, asset=Lognormal(0.08, 0.18), w=0.8, eta=0.06), rm, scen)
+        base = solve_at(MarketSpec(claim=claim, asset=Lognormal(0.02, 0.18), w=0.8, eta=0.06),
+                        rm, scen)
+        richer = solve_at(MarketSpec(claim=claim, asset=Lognormal(0.08, 0.18), w=0.8, eta=0.06),
+                          rm, scen)
         assert richer.r0 < base.r0
 
     def test_es_path(self):
@@ -315,8 +328,8 @@ class TestNumericSolver:
         claim = lognormal_from_moments(1.0, 0.3)
         asset = lognormal_from_moments(1.05, 0.2)
         market = MarketSpec(claim=claim, asset=asset, w=0.5, eta=0.06)
-        var_rep = solve_r0_numeric(market, RiskMeasure("var", 0.01), scen)
-        es_rep = solve_r0_numeric(market, RiskMeasure("es", 0.01), scen)
+        var_rep = solve_at(market, RiskMeasure("var", 0.01), scen)
+        es_rep = solve_at(market, RiskMeasure("es", 0.01), scen)
         assert es_rep.r0 > var_rep.r0
 
     def test_no_solution_when_claim_acceptable(self):
@@ -324,7 +337,7 @@ class TestNumericSolver:
         market = MarketSpec(claim=Normal(-2.0, 0.1), asset=Lognormal(0.05, 0.2),
                             w=0.5, eta=0.06)
         with pytest.raises(NoSolutionError):
-            solve_r0_numeric(market, RiskMeasure("var", 0.01), scen)
+            solve_at(market, RiskMeasure("var", 0.01), scen)
 
     def test_market_spec_validation(self):
         claim = Normal(1.0, 0.3)
@@ -355,8 +368,7 @@ def tiny_samples(draw):
 def solve_on(x, z, rm):
     # w = 1 with a non-degenerate asset makes Z the given returns exactly
     market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.0, 0.3), w=1.0, eta=0.06)
-    return solve_r0_numeric(market, rm, generate_scenarios(x.size, 0),
-                            asset_values=z, claim_values=x)
+    return solve_at(market, rm, claims=x, assets=z)
 
 
 class TestExactRootsBruteForce:
@@ -437,6 +449,7 @@ class TestExactRootsBruteForce:
             solve_on(x - 3.0, z, RiskMeasure(kind, 0.05))
 
 
+@pytest.mark.usefixtures("positives_kept")
 class TestStandardErrorSelection:
     @given(sample=tiny_samples(), kind=st.sampled_from(["var", "es"]), constant=st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -448,8 +461,7 @@ class TestStandardErrorSelection:
                 z = np.full(x.size, 1.25)
                 market = MarketSpec(claim=Normal(1.0, 0.3), asset=Degenerate(1.25), w=1.0,
                                     eta=0.06)
-                rep = solve_r0_numeric(market, rm, generate_scenarios(x.size, 0),
-                                       asset_values=z, claim_values=x)
+                rep = solve_at(market, rm, claims=x, assets=z)
             else:
                 rep = solve_on(x, z, rm)
         except NoSolutionError:
@@ -458,7 +470,7 @@ class TestStandardErrorSelection:
         losses = x - rep.r0 * z
         summary = rep.losses
         assert np.array_equal(np.sort(summary.positive), np.sort(losses[losses > 0.0]))
-        assert not summary.positive.flags.writeable
+        assert summary == LossSummary.of(x.size, summary.mean, summary.var, summary.positive)
         assert summary.n == x.size
         scale = float(np.abs(losses).max()) + 1.0
         assert abs(summary.mean - losses.mean()) <= 1e-12 * scale
@@ -511,26 +523,22 @@ class TestCandidateSet:
 
     @staticmethod
     def check_grid(x, s, grid, rm):
-        market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.0, 0.3), w=0.0, eta=0.06)
-        scen = generate_scenarios(x.size, 0)
-        cands = candidate_set(rm, x, s, float(grid[0]), float(grid[-1]))
+        reports = solve_r0_numeric(rm, x, s, grid)
+        assert len(reports) == len(grid)
         k = tail_count(rm.alpha, x.size)
-        for w in grid:
+        for w, rep in zip(grid, reports):
             z = np.multiply(s, w) + (1.0 - w)
             try:
                 want, _ = reference_var_root(x, z, k)
             except NoSolutionError:
                 want = None
-            market_w = MarketSpec(claim=market.claim, asset=market.asset, w=float(w), eta=0.06)
             if want is None or want <= 0.0:
-                with pytest.raises(NoSolutionError):
-                    solve_r0_numeric(market_w, rm, scen, candidates=cands)
+                assert isinstance(rep, NoSolutionError), w
                 continue
-            rep = solve_r0_numeric(market_w, rm, scen, candidates=cands)
             assert rep.r0 == want, w
             assert rep.std_error == reference_ratio_std_error(rm, z, x), w
             assert rep.residual == rm.empirical(rep.r0 * z - x), w
-        return cands
+        return capital_solver._candidate_set(rm, x, s, float(grid[0]), float(grid[-1]))
 
     @given(case=grid_markets())
     @settings(max_examples=150, deadline=None)
@@ -551,7 +559,7 @@ class TestCandidateSet:
         scen = generate_scenarios(10_000, seed=9)
         x = pareto_from_mean_beta(1.0, 2.0).sample(scen.u_claim)
         s = lognormal_from_moments(1.05, 0.2).sample(scen.u_asset)
-        cands = candidate_set(RiskMeasure("var", ALPHA), x, s, 0.0, 1.0)
+        cands = capital_solver._candidate_set(RiskMeasure("var", ALPHA), x, s, 0.0, 1.0)
         cov = np.cov(x, s)
         assert (cands.x_mean, cands.s_mean) == (x.mean(), s.mean())
         assert [cands.x_var, cands.s_var, cands.xs_cov] == pytest.approx(
@@ -562,43 +570,40 @@ class TestCandidateSet:
             assert mean == pytest.approx(losses.mean(), rel=1e-12)
             assert var == pytest.approx(losses.var(ddof=1), rel=1e-12)
 
-    def test_rejects_foreign_candidates(self):
+    def test_rejects_missing_asset_returns(self):
         scen = generate_scenarios(5_000, seed=3)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.8, eta=0.06)
-        x, s = market.claim_sample(scen), market.asset_return_sample(scen)
-        rm = RiskMeasure("var", ALPHA)
-        cands = candidate_set(rm, x, s, 0.0, 0.5)
-        with pytest.raises(ValueError, match="candidate set"):
-            solve_r0_numeric(market, rm, scen, candidates=cands)
-        with pytest.raises(ValueError, match="candidate set"):
-            solve_r0_numeric(replace(market, w=0.4), RiskMeasure("var", 0.01), scen,
-                             candidates=cands)
-        with pytest.raises(ValueError, match="asset returns"):
-            candidate_set(rm, x, None, 0.0, 0.5)
+        x, _ = samples(market, scen)
+        for kind in ("var", "es"):
+            with pytest.raises(ValueError, match="asset returns"):
+                solve_r0_numeric(RiskMeasure(kind, ALPHA), x, None, [0.0, 0.5])
+
+    @pytest.mark.parametrize("grid", [[], [0.5, 0.2], [0.2, 0.2], [-0.1, 0.5], [0.0, 1.5],
+                                      [math.nan]])
+    def test_rejects_bad_grids(self, grid):
+        x = np.linspace(1.0, 2.0, 1000)
+        with pytest.raises(ValueError, match="grid"):
+            solve_r0_numeric(RiskMeasure("var", ALPHA), x, np.full(x.size, 1.05), grid)
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_w_zero_without_asset(self, kind):
         # with no asset sample, S = 1 stands in without being built
         x = pareto_from_mean_beta(1.0, 2.0).sample(generate_scenarios(20_000, seed=7).u_claim)
         rm = RiskMeasure(kind, 0.01)
-        got = candidate_set(rm, x, None, 0.0, 0.0)
-        want = candidate_set(rm, x, np.ones(x.size), 0.0, 0.0)
+        got = capital_solver._candidate_set(rm, x, None, 0.0, 0.0)
+        want = capital_solver._candidate_set(rm, x, np.ones(x.size), 0.0, 0.0)
         for f in dataclasses.fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if isinstance(b, np.ndarray):
                 assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-            elif f.name == "ends":  # the w = 0 report under ES
-                assert len(a) == len(b) == (kind == "es")
-                for (w_a, rep_a), (w_b, rep_b) in zip(a, b):
-                    assert (w_a, rep_a) == (w_b, rep_b)
-                    assert rep_a.losses.n == rep_b.losses.n
-                    assert (rep_a.losses.mean, rep_a.losses.var) == (rep_b.losses.mean,
-                                                                     rep_b.losses.var)
-                    assert np.array_equal(rep_a.losses.positive, rep_b.losses.positive)
             else:
                 assert a == b, f.name
         assert got.x.size < x.size
+        # and the w = 0 report
+        [rep_a], [rep_b] = (solve_r0_numeric(rm, x, s, [0.0]) for s in (None, np.ones(x.size)))
+        assert rep_a == rep_b
+        assert rep_a.losses == rep_b.losses
 
 
 ULP4 = 4.0 * np.finfo(float).eps
@@ -626,6 +631,21 @@ def assert_es_agrees(got, want, x, s, w, rm):
         assert abs(got.std_error - want.std_error) <= rel * want.std_error, w
 
 
+def triangles_of(rm, x, s, grid):
+    """The grid solve, and every triangle ``_triangle`` built for it."""
+    built, real = [], capital_solver._triangle
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capital_solver, "_triangle", spy)
+        reports = solve_r0_numeric(rm, x, s, grid)
+    return reports, built
+
+
+@pytest.mark.usefixtures("positives_kept")
 class TestEsTriangle:
     """Interior ES roots selected on the kept scenarios of the triangle
     between the end roots' chord and tangents, against the full-length
@@ -633,41 +653,52 @@ class TestEsTriangle:
 
     @staticmethod
     def check_grid(x, s, grid, rm):
-        scen = generate_scenarios(x.size, 0)
-        cands = candidate_set(rm, x, s, float(grid[0]), float(grid[-1]))
-        for w in grid:
+        reports, built = triangles_of(rm, x, s, grid)
+        for w, got in zip(grid, reports):
             market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.0, 0.3), w=float(w),
                                 eta=0.06)
             try:
-                want = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x)
+                want = solve_at(market, rm, claims=x, assets=s)
             except NoSolutionError:
-                with pytest.raises(NoSolutionError):
-                    solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x,
-                                     candidates=cands)
+                assert isinstance(got, NoSolutionError), w
                 continue
-            got = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x,
-                                   candidates=cands)
             if w in (grid[0], grid[-1]):  # the end reports are the full path's
                 assert got == want and np.array_equal(got.losses.positive,
                                                       want.losses.positive), w
             assert_es_agrees(got, want, x, s, w, rm)
-        return cands
+        # one triangle, and only for interior weights between two end roots
+        ends = not isinstance(reports[0], NoSolutionError) and not isinstance(
+            reports[-1], NoSolutionError)
+        assert len(built) == (len(grid) > 2 and ends)
+        return built[0] if built else None
 
     @given(case=grid_markets("es"))
     @settings(max_examples=150, deadline=None)
     def test_roots_agree_with_full_path(self, case):
         x, s, grid, rm = case
-        cands = self.check_grid(x, s, grid, rm)
-        if cands.triangle is not None:
-            assert grid[0] < grid[-1] and cands.triangle.x.size <= x.size
+        triangle = self.check_grid(x, s, grid, rm)
+        if triangle is not None:
+            assert grid[0] < grid[-1] and triangle.x.size <= x.size
 
     def test_default_grid_sweep(self):
         # fig8b's market on all 1001 weights of the default grid
         scen = generate_scenarios(20_000, seed=5)
         claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
         x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
-        cands = self.check_grid(x, s, w_grid(), RiskMeasure("es", 0.01))
-        assert cands.triangle.x.size < x.size // 4
+        triangle = self.check_grid(x, s, w_grid(), RiskMeasure("es", 0.01))
+        assert triangle.x.size < x.size // 4
+
+    def test_triangle_built_only_for_interior_weights(self):
+        # fig8b's market: a grid of one or two weights has no interior
+        # weight to bound, so it builds no triangle
+        scen = generate_scenarios(20_000, seed=5)
+        claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
+        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        rm = RiskMeasure("es", 0.01)
+        for grid, calls in (([0.0], 0), ([0.4], 0), ([0.0, 1.0], 0), ([0.0, 0.5, 1.0], 1)):
+            reports, built = triangles_of(rm, x, s, grid)
+            assert len(built) == calls, grid
+            assert all(isinstance(rep, SolveReport) for rep in reports), grid
 
     def test_dropped_scenarios_count_below_the_quantile(self):
         # 100 claims of 3 and an atom of 150 claims of 1, all with S = 1:
@@ -680,8 +711,8 @@ class TestEsTriangle:
         x = np.concatenate([np.full(100, 3.0), np.full(150, 1.0), np.full(50, 0.9),
                             0.5 + 0.005 * rng.standard_normal(3700)])
         s = np.concatenate([np.ones(250), np.full(50, 0.2), rng.lognormal(0.05, 0.1, 3700)])
-        cands = self.check_grid(x, s, w_grid(0.01), RiskMeasure("es", 0.05))
-        assert cands.triangle.x.size < x.size // 4
+        triangle = self.check_grid(x, s, w_grid(0.01), RiskMeasure("es", 0.05))
+        assert triangle.x.size < x.size // 4
 
     def test_leaving_the_triangle_reruns_on_all_scenarios(self, monkeypatch):
         # end roots shrunk until the chord passes below every interior root,
@@ -689,28 +720,34 @@ class TestEsTriangle:
         scen = generate_scenarios(20_000, seed=5)
         claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
         x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
-        rm, grid = RiskMeasure("es", 0.01), w_grid(0.1)[1:-1]
-        markets = [MarketSpec(claim=claim, asset=asset, w=float(w), eta=0.06) for w in grid]
-        want = [solve_r0_numeric(m, rm, scen, asset_values=s, claim_values=x) for m in markets]
-        chord = candidate_set(rm, x, s, 0.0, 1.0).triangle.bounds
-        shrink = 0.999 * min(rep.r0 / chord(w)[1] for rep, w in zip(want, grid))
-        real = capital_solver._triangle
-        monkeypatch.setattr(capital_solver, "_triangle", lambda x, s, k, ends: real(
-            x, s, k, [(w, shrink * r, s_bar) for w, r, s_bar in ends]))
-        cands = candidate_set(rm, x, s, 0.0, 1.0)
-        monkeypatch.setattr(capital_solver, "_triangle", real)
-        assert cands.triangle.x.size < x.size
-        sizes, newton = [], capital_solver._es_root
-        monkeypatch.setattr(capital_solver, "_es_root",
-                            lambda x, *args: sizes.append(x.size) or newton(x, *args))
+        rm, grid = RiskMeasure("es", 0.01), w_grid(0.1)
+        inner = [float(w) for w in grid[1:-1]]
+        markets = [MarketSpec(claim=claim, asset=asset, w=w, eta=0.06) for w in inner]
+        want = [solve_at(m, rm, claims=x, assets=s) for m in markets]
+        chord = triangles_of(rm, x, s, grid)[1][0].bounds
+        shrink = 0.999 * min(rep.r0 / chord(w)[1] for rep, w in zip(want, inner))
+        real, built = capital_solver._triangle, []
+
+        def shrunk(x, s, k, ends):
+            built.append(real(x, s, k, [(w, shrink * r, s_bar) for w, r, s_bar in ends]))
+            return built[-1]
+
+        sizes, report = {}, capital_solver._es_report
+
+        def recorded(c, w, x, *args, **kwargs):  # the sample sizes each weight solves on
+            sizes.setdefault(w, []).append(x.size)
+            return report(c, w, x, *args, **kwargs)
+
+        monkeypatch.setattr(capital_solver, "_triangle", shrunk)
+        monkeypatch.setattr(capital_solver, "_es_report", recorded)
+        got = solve_r0_numeric(rm, x, s, grid)[1:-1]
+        assert built[0].x.size < x.size
         left = 0
-        for market, rep in zip(markets, want):
-            sizes.clear()
-            got = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x,
-                                   candidates=cands)
-            assert sizes[-1] == x.size, market.w  # the rerun, after at most one kept solve
-            left += len(sizes) == 2
-            assert got == rep and np.array_equal(got.losses.positive, rep.losses.positive)
+        for w, g, rep in zip(inner, got, want):
+            # the rerun on all scenarios, after at most one kept solve
+            assert sizes[w][-1] == x.size and len(sizes[w]) <= 2, w
+            left += len(sizes[w]) == 2
+            assert g == rep and np.array_equal(g.losses.positive, rep.losses.positive)
         assert left > 0  # some kept solves ran, and climbed past the chord
 
 
@@ -728,6 +765,6 @@ class TestRatioWindowStdError:
         rm = RiskMeasure("var", ALPHA)
         for w in (0.1, 0.5, 1.0):
             market = MarketSpec(claim=claim, asset=asset, w=w, eta=0.06)
-            rep = solve_r0_numeric(market, rm, scen, asset_values=s, claim_values=x)
+            rep = solve_at(market, rm, claims=x, assets=s)
             loss_window, _ = reference_root_std_error(rm, w * s + (1.0 - w), x, rep.r0)
             assert rep.std_error == pytest.approx(loss_window, rel=0.02), w

@@ -76,7 +76,7 @@ class TestNetWorth:
         scen = generate_scenarios(64, seed=0)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=Normal(1.05, 0.2), w=0.5, eta=0.06)
-        x = market.claim_sample(scen)
+        x = market.claim.sample(scen.u_claim)
         row = mc_at(0.0, market, scen)
         assert row.c0 == 0.0
         assert row.llo == float(x.mean()) / 1.06
@@ -98,8 +98,8 @@ class TestNetWorth:
         scen = generate_scenarios(20_000, seed=13)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.7, eta=0.06)
-        z = 0.7 * market.asset_return_sample(scen) + 0.3
-        x = market.claim_sample(scen)
+        z = 0.7 * market.asset.sample(scen.u_asset) + 0.3
+        x = market.claim.sample(scen.u_claim)
         levels = [var_empirical(r * z - x, 0.01) for r in np.linspace(0.0, 4.0, 41)]
         assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
 

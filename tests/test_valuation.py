@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cocval.capital_solver import (MarketSpec, NoSolutionError, solve_r0_gaussian_var,
-                                   solve_r0_numeric)
+from cocval import valuation
+from cocval.analysis import sweep, w_grid
+from cocval.capital_solver import MarketSpec, NoSolutionError, solve_r0_gaussian_var
 from cocval.distributions import (
     Degenerate,
     Lognormal,
@@ -19,9 +23,11 @@ from cocval.distributions import (
 from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import (
+    ValuationResult,
     capped_expectation_quadrature,
     gaussian_positive_part_factor,
     mc_valuation,
+    mc_valuations,
     pareto_riskless_valuation,
     v0_bounds,
     value_gaussian_es,
@@ -31,7 +37,7 @@ from cocval.valuation import (
     value_riskless_var,
 )
 
-from helpers import mc_at, reference_row, reference_var_root
+from helpers import mc_at, reference_row, reference_var_root, samples, solve_at
 
 ETA = 0.06
 ALPHA = 0.005
@@ -203,7 +209,7 @@ class TestMcValuation:
         market = MarketSpec(claim=Degenerate(0.0), asset=asset, w=1.0, eta=ETA)
         r0 = 1.7
         v0 = mc_at(r0, market, scen).v0
-        z = market.asset_return_sample(scen)
+        z = market.asset.sample(scen.u_asset)
         expected = r0 * (ETA + 1.0 - float(z.mean())) / (1.0 + ETA)
         assert v0 == pytest.approx(expected, rel=1e-12)
 
@@ -237,7 +243,7 @@ class TestMcValuation:
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.4, eta=ETA)
         rm = RiskMeasure("var", ALPHA)
-        rep = solve_r0_numeric(market, rm, scen)
+        rep = solve_at(market, rm, scen)
         row = mc_valuation(rep, market, rm)
         assert row.v0 == row.r0 - row.c0
         assert row.llo >= 0.0
@@ -259,11 +265,9 @@ class TestAgainstRebuildReference:
 
     def _rows(self, market, rm, seed=29):
         scen = generate_scenarios(self.N, seed)
-        s, x = market.asset_return_sample(scen), market.claim_sample(scen)
-        got = mc_valuation(solve_r0_numeric(market, rm, scen, asset_values=s,
-                                            claim_values=x), market, rm)
-        want = reference_row(got.r0, got.iterations, market, rm, scen,
-                             asset_values=s, claim_values=x)
+        x, s = samples(market, scen)
+        got = mc_valuation(solve_at(market, rm, claims=x, assets=s), market, rm)
+        want = reference_row(got.r0, got.iterations, market, rm, scen, claims=x, assets=s)
         return got, want
 
     @staticmethod
@@ -285,8 +289,8 @@ class TestAgainstRebuildReference:
         market = MarketSpec(claim=claim, asset=self.ASSET, w=w, eta=ETA)
         got, want = self._rows(market, RiskMeasure("var", ALPHA))
         scen = generate_scenarios(self.N, 29)
-        z = w * market.asset_return_sample(scen) + (1.0 - w)
-        x = market.claim_sample(scen)
+        x, s = samples(market, scen)
+        z = w * s + (1.0 - w)
         assert got.r0 == reference_var_root(x, z, tail_count(ALPHA, self.N))[0]
         assert (got.r0_se, got.residual) == (want.r0_se, want.residual)
         self.assert_close(got, want, 1e-12)
@@ -414,7 +418,7 @@ class TestValueMarket:
         rm = RiskMeasure(kind, 0.01)
         got = value_market(market, rm, mc_n=20_000, seed=3)
         scen = generate_scenarios(20_000, seed=3)
-        want = mc_valuation(solve_r0_numeric(market, rm, scen), market, rm)
+        want = mc_valuation(solve_at(market, rm, scen), market, rm)
         assert got == want
 
     def test_mc_route_transforms_each_stream_once(self, monkeypatch):
@@ -429,3 +433,75 @@ class TestValueMarket:
         res = value_market(market, RiskMeasure("var", ALPHA), mc_n=20_000, seed=3)
         assert res.valuation_method == "mc"
         assert sorted(calls) == ["Lognormal", "ParetoTypeI"]
+
+
+class TestMcValuations:
+    CLAIM = pareto_from_mean_beta(1.0, 2.0)
+    ASSET = lognormal_from_moments(1.05, 0.2)
+
+    def test_var_grid_rows_equal_one_weight_valuations(self):
+        # a VaR root and its split are bit-identical on any grid holding the weight
+        market = MarketSpec(claim=self.CLAIM, asset=self.ASSET, w=0.0, eta=ETA)
+        rm = RiskMeasure("var", ALPHA)
+        rows = mc_valuations(market, rm, [0.0, 0.25, 0.5], mc_n=20_000, seed=3)
+        assert rows[0].valuation_method == "mc"
+        for w, row in zip((0.25, 0.5), rows[1:]):
+            assert row == value_market(replace(market, w=w), rm, mc_n=20_000, seed=3)
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_weights_without_solution_are_returned(self, kind):
+        # an asset so volatile that large weights admit no solution
+        market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3), asset=Normal(1.0, 3.0),
+                            w=0.0, eta=ETA)
+        rm, grid = RiskMeasure(kind, 0.01), w_grid(0.25)
+        rows = mc_valuations(market, rm, grid, mc_n=50_000, seed=13)
+        assert isinstance(rows[0], ValuationResult)
+        failed = [float(w) for w, row in zip(grid, rows) if isinstance(row, NoSolutionError)]
+        assert failed
+        # no traceback, whose frames would keep the failed solves' arrays alive
+        assert all(row.__traceback__ is None for row in rows if isinstance(row, Exception))
+        with pytest.raises(NoSolutionError):  # a single valuation raises it
+            value_market(replace(market, w=failed[-1]), rm, mc_n=50_000, seed=13)
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_live_peak_does_not_grow_with_the_grid(self, kind):
+        # a report keeps sums, not its positive losses (here up to 40 kB a
+        # weight), so 201 weights peak no higher than 3 on the same scenarios
+        market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3), asset=self.ASSET,
+                            w=0.0, eta=ETA)
+        rm = RiskMeasure(kind, 0.05)
+
+        def peak(step):
+            tracemalloc.start()
+            try:
+                mc_valuations(market, rm, w_grid(step), mc_n=100_000, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(0.005) - peak(0.5) < 500_000
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    @pytest.mark.parametrize("run", [
+        lambda market, rm: value_market(replace(market, w=0.5), rm, mc_n=20_000, seed=3),
+        lambda market, rm: sweep(market, rm, [0.0, 0.5, 1.0], mc_n=20_000, seed=3),
+    ], ids=["value_market", "sweep"])
+    def test_scenario_set_dies_before_the_solve(self, monkeypatch, run, kind):
+        # only the transformed streams reach the solver, not the uniforms
+        refs, alive = [], []
+        generate, solve = valuation.generate_scenarios, valuation.solve_r0_numeric
+
+        def generated(*args):
+            scen = generate(*args)
+            refs.append(weakref.ref(scen))
+            return scen
+
+        def solved(*args):
+            alive.append([ref() is not None for ref in refs])
+            return solve(*args)
+
+        monkeypatch.setattr(valuation, "generate_scenarios", generated)
+        monkeypatch.setattr(valuation, "solve_r0_numeric", solved)
+        run(MarketSpec(claim=self.CLAIM, asset=self.ASSET, w=0.0, eta=ETA),
+            RiskMeasure(kind, 0.01))
+        assert alive == [[False]]
