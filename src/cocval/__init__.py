@@ -10,7 +10,6 @@ from .distributions import (
     lognormal_from_moments,
 )
 from .risk_measures import RiskMeasure
-from .montecarlo import ScenarioSet, generate_scenarios
 from .capital_solver import MarketSpec, NoSolutionError, SolveReport
 from .valuation import ValuationResult, value_market
 from .analysis import MutualBenefit, SweepResult, sweep, w_grid
@@ -27,11 +26,9 @@ __all__ = [
     "NoSolutionError",
     "ParetoTypeI",
     "RiskMeasure",
-    "ScenarioSet",
     "SolveReport",
     "SweepResult",
     "ValuationResult",
-    "generate_scenarios",
     "lognormal_from_moments",
     "sweep",
     "value_market",

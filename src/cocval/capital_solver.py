@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution
+from .montecarlo import BLOCK, in_chunks
 from .risk_measures import (RiskMeasure, es_multiplier, tail_average, tail_count,
                             var_multiplier)
 
@@ -310,12 +311,13 @@ def _candidate_set(rm: RiskMeasure, x: np.ndarray, s: np.ndarray | None, w_lo: f
     m = max(1, int(round(math.sqrt(n))))
     x_mean = float(x.mean())
     if s is None:  # w = 0 alone, where Z = 1 exactly: S = 1 in every sum
-        irregular, zero_risk, s_mean = np.zeros(n, dtype=bool), None, 1.0
+        zero_risk, s_mean = None, 1.0
     else:
-        irregular = s <= 0.0
-        zero_risk = rm.empirical(-x) if np.any(x[irregular] < 0.0) else None
+        # does a scenario with S <= 0 have a negative claim?
+        negative = in_chunks(lambda a, b: bool(np.any(x[a:b][s[a:b] <= 0.0] < 0.0)), n, 1)
+        zero_risk = rm.empirical(-x) if any(negative) else None
         s_mean = float(s.mean())
-    keep = _keep_mask(x, s, (w_lo, w_hi), k + m, irregular)
+    keep = _keep_mask(x, s, (w_lo, w_hi), k + m)
     kept_s = np.ones(np.count_nonzero(keep)) if s is None else s[keep]
     x_var, s_var, xs_cov = _centred_moments(x, x_mean, s, s_mean)
     return _Candidates(n=n, alpha=rm.alpha, k=k, m=m, x=x[keep], s=kept_s, x_mean=x_mean,
@@ -323,26 +325,43 @@ def _candidate_set(rm: RiskMeasure, x: np.ndarray, s: np.ndarray | None, w_lo: f
                        zero_risk=zero_risk)
 
 
-def _keep_mask(x: np.ndarray, s: np.ndarray | None, ends: tuple[float, float], j: int,
-               irregular: np.ndarray) -> np.ndarray:
-    # t is the (j+1)-th largest minimum of the end ratios outside
-    # ``irregular``.  The end ratios are computed twice, so that no more
-    # than two n-long float arrays are alive at once.
+def _keep_mask(x: np.ndarray, s: np.ndarray | None, ends: tuple[float, float],
+               j: int) -> np.ndarray:
+    # t is the (j+1)-th largest minimum of the end ratios over the
+    # scenarios with S > 0.  The end ratios are computed twice, block by
+    # block, so that the minima are the only n-long float array.
     n, ends = x.size, tuple(dict.fromkeys(ends))
     if j >= n:
         return np.ones(n, dtype=bool)
-    lo = _end_ratio(x, s, ends[0])
-    if len(ends) == 2:
-        np.minimum(lo, _end_ratio(x, s, ends[1]), out=lo)
-    lo[irregular] = -np.inf
+    lo = np.empty(n)
+
+    def minima(i: int, k: int) -> None:
+        out, xb, sb = lo[i:k], x[i:k], _part(s, i, k)
+        np.copyto(out, _end_ratio(xb, sb, ends[0]))
+        if len(ends) == 2:
+            np.minimum(out, _end_ratio(xb, sb, ends[1]), out=out)
+        if sb is not None:
+            out[sb <= 0.0] = -np.inf
+
+    _blockwise(minima, n)
     lo.partition(n - 1 - j)
     t = float(lo[n - 1 - j])
     del lo
     if not (t == 0.0 or _PRUNE_RANGE[0] < abs(t) < _PRUNE_RANGE[1]):
         return np.ones(n, dtype=bool)
-    keep = irregular.copy()
-    for w in ends:  # the maximum of the end ratios reaches the threshold
-        keep |= _end_ratio(x, s, w) >= t - _SLACK * abs(t)
+    bar = t - _SLACK * abs(t)
+    keep = np.empty(n, dtype=bool)
+
+    def reach(i: int, k: int) -> None:
+        # the maximum of the end ratios reaches the threshold
+        out, xb, sb = keep[i:k], x[i:k], _part(s, i, k)
+        np.greater_equal(_end_ratio(xb, sb, ends[0]), bar, out=out)
+        for w in ends[1:]:
+            out |= _end_ratio(xb, sb, w) >= bar
+        if sb is not None:  # scenarios with S <= 0 are always kept
+            out |= sb <= 0.0
+
+    _blockwise(reach, n)
     return keep
 
 
@@ -355,6 +374,16 @@ def _end_ratio(x: np.ndarray, s: np.ndarray | None, w: float) -> np.ndarray:
         return np.divide(x, z, out=z)
 
 
+def _blockwise(fn, n: int, size: int = BLOCK) -> list:
+    # fn(i, k) on the blocks [i, k) of ``size`` that cover range(n), the
+    # chunks of blocks on the pool of ``montecarlo.in_chunks``; the
+    # results in block order.  fn writes only into its block's slices.
+    def chunk(a: int, b: int) -> list:
+        return [fn(i, min(i + size, b)) for i in range(a, b, size)]
+
+    return [r for part in in_chunks(chunk, n, size) for r in part]
+
+
 # Block length of the moment sums, which keeps their temporaries small.
 _MOMENT_BLOCK = 1 << 16
 
@@ -364,22 +393,25 @@ def _centred_moments(x: np.ndarray, x_mean: float, s: np.ndarray | None,
     # Var X, Var S and Cov(X, S), ddof 1: pairwise sums of centred
     # products within blocks, added up in block order.  S = 1 when s is
     # None, with no variance and no covariance.
-    sums = np.zeros(3)
-    for i in range(0, x.size, _MOMENT_BLOCK):
-        xc = x[i:i + _MOMENT_BLOCK] - x_mean
+    def block(i: int, k: int) -> tuple[float, float, float]:
+        xc = x[i:k] - x_mean
         if s is None:
-            sums[0] += np.square(xc).sum()
-        else:
-            sc = s[i:i + _MOMENT_BLOCK] - s_mean
-            sums += (np.square(xc).sum(), np.square(sc).sum(), (xc * sc).sum())
+            return np.square(xc).sum(), 0.0, 0.0
+        sc = s[i:k] - s_mean
+        return np.square(xc).sum(), np.square(sc).sum(), (xc * sc).sum()
+
+    sums = np.zeros(3)
+    for part in _blockwise(block, x.size, _MOMENT_BLOCK):
+        sums += part
     x_var, s_var, xs_cov = (sums / (x.size - 1)).tolist()
     return x_var, s_var, xs_cov
 
 
 def _triangle(x: np.ndarray, s: np.ndarray, k: int,
-              tangents: list[tuple[float, float, float]]) -> _Triangle | None:
+              tangents: list[tuple[float, float, float]], lo: np.ndarray) -> _Triangle | None:
     """Prune to the scenarios of the interior ES roots, given each end's
-    weight, root and tail-weighted mean s_bar of S at the root.
+    weight, root and tail-weighted mean s_bar of S at the root; ``lo`` is
+    an n-long float array it selects in.
 
     Write the position as P = (a, b) = r (w, 1 - w).  Every loss
     X - a S - b is linear in (a, b), and the empirical ES f(a, b), the
@@ -428,20 +460,31 @@ def _triangle(x: np.ndarray, s: np.ndarray, k: int,
         return None
     vertices = ((w0, r0), (wt, 1.0 / ut), (w1, r1))
     n = x.size
-    lo = _vertex_losses(x, s, *vertices[0])
-    for v in vertices[1:]:
-        np.minimum(lo, _vertex_losses(x, s, *v), out=lo)
+
+    def minima(i: int, e: int) -> tuple[float, float]:
+        # the vertex minima into lo, and the block's largest |X| and |S|
+        out, xb, sb = lo[i:e], x[i:e], s[i:e]
+        np.minimum(_vertex_losses(xb, sb, *vertices[0]), _vertex_losses(xb, sb, *vertices[1]),
+                   out=out)
+        np.minimum(out, _vertex_losses(xb, sb, *vertices[2]), out=out)
+        return max(xb.max(), -xb.min()), max(sb.max(), -sb.min())
+
+    x_abs, s_abs = np.max(_blockwise(minima, n), axis=0).tolist()
     lo.partition(n - 1 - k)
     t = float(lo[n - 1 - k])
-    del lo
-    scale = (max(x.max(), -x.min())
-             + max(r for _, r in vertices) * (max(s.max(), -s.min()) + 1.0))
-    bar = t - 4.0 * _ES_MARGIN * float(scale)
+    scale = x_abs + max(r for _, r in vertices) * (s_abs + 1.0)
+    bar = t - 4.0 * _ES_MARGIN * scale
     if not math.isfinite(bar):
         return None
-    keep = _vertex_losses(x, s, *vertices[0]) >= bar
-    for v in vertices[1:]:
-        keep |= _vertex_losses(x, s, *v) >= bar
+    keep = np.empty(n, dtype=bool)
+
+    def reach(i: int, e: int) -> None:
+        out, xb, sb = keep[i:e], x[i:e], s[i:e]
+        np.greater_equal(_vertex_losses(xb, sb, *vertices[0]), bar, out=out)
+        for v in vertices[1:]:
+            out |= _vertex_losses(xb, sb, *v) >= bar
+
+    _blockwise(reach, n)
     return _Triangle(w=tuple(w for w, _ in vertices), r=tuple(r for _, r in vertices),
                      x=x[keep], s=s[keep])
 
@@ -504,6 +547,14 @@ def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | N
     sample moments of L and the sums over its positive values, all the
     split needs.
 
+    The full-length passes (the end-ratio and vertex-loss bounds, the
+    moment sums, and the losses, tail masks and positive losses of the
+    solves on all n scenarios) run in blocks on the thread pool of
+    ``montecarlo.in_chunks``, each block writing its own slice, and only
+    the selections run whole; every result is the serial pass's, bit for
+    bit.  An ES grid keeps two n-long arrays, the losses and their
+    selection, for all its solves on all scenarios.
+
     Raises:
         ValueError: the grid is not strictly increasing inside [0, 1];
             alpha n < 1; the asset returns are missing for a weight
@@ -515,20 +566,24 @@ def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | N
     c = _candidate_set(rm, claims, assets, ws[0], ws[-1])
     if rm.kind == "var":
         return [_outcome(_var_report, c, w) for w in ws]
+    # the losses and their selection of every solve on all scenarios; the
+    # triangle selects in the first array after the ends
+    work = (np.empty(claims.size), np.empty(claims.size))
     ends: dict[float, SolveReport | NoSolutionError] = {}
     tangents = []
     for w in dict.fromkeys((ws[0], ws[-1])):
         try:
-            report, losses, q = _es_report(c, w, claims, assets, _var_root(c, w))
+            report, losses, q = _es_report(c, w, claims, assets, _var_root(c, w), work=work)
         except NoSolutionError as exc:
             ends[w] = exc.with_traceback(None)  # as in _outcome
             continue
         ends[w] = report
         if len(ws) > 2:  # interior weights start from the tangents
-            tangents.append((w, report.r0, _tail_mean(assets, losses, q, c.k, c.alpha * c.n)))
-        del losses  # the ends hold no more n-long arrays than one solve
-    tri = _triangle(claims, assets, c.k, tangents) if len(tangents) == 2 else None
-    return [ends[w] if w in ends else _outcome(_es_interior, c, w, tri, claims, assets)
+            # s_bar is the tail mean of Z at w = 1, which is S
+            tangents.append((w, report.r0,
+                             _tail_mean(assets, 1.0, losses, q, c.k, c.alpha * c.n)))
+    tri = _triangle(claims, assets, c.k, tangents, work[0]) if len(tangents) == 2 else None
+    return [ends[w] if w in ends else _outcome(_es_interior, c, w, tri, claims, assets, work)
             for w in ws]
 
 
@@ -591,7 +646,7 @@ def _var_report(c: _Candidates, w: float) -> SolveReport:
 
 
 def _es_interior(c: _Candidates, w: float, tri: _Triangle | None, x: np.ndarray,
-                 s: np.ndarray) -> SolveReport:
+                 s: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> SolveReport:
     # Newton on the triangle's kept scenarios from its tangent bound, or
     # from the VaR root on all scenarios when there is no triangle or the
     # solve leaves it.
@@ -602,11 +657,12 @@ def _es_interior(c: _Candidates, w: float, tri: _Triangle | None, x: np.ndarray,
         found = _es_report(c, w, tri.x, tri.s, start, r_max=chord) if start <= chord else None
         if found is not None:
             return found[0]
-    return _es_report(c, w, x, s, r_var)[0]
+    return _es_report(c, w, x, s, r_var, work=work)[0]
 
 
 def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r: float,
-               r_max: float = math.inf) -> tuple[SolveReport, np.ndarray, float] | None:
+               r_max: float = math.inf, work: tuple[np.ndarray, np.ndarray] | None = None,
+               ) -> tuple[SolveReport, np.ndarray, float] | None:
     # The ES root from r at or below it on the claims x and asset returns s
     # (Z = 1 when s is None), with the losses at the root and their
     # (k+1)-th largest q.  The scenarios are all n, or a kept set
@@ -615,11 +671,10 @@ def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r:
     # with q > 0, where a positive loss may have been dropped.
     n, k, alpha, size = c.n, c.k, c.alpha, x.size
     tail = alpha * n
-    z = np.ones(size) if s is None else _mixed_return(s, w)
     dropped = n - size
-    losses, sel = np.empty_like(x), np.empty_like(x)
+    losses, sel = (np.empty(size), np.empty(size)) if work is None else work
     try:
-        r0, residual, selections = _es_root(x, z, k, tail, r, losses, sel)
+        r0, residual, selections = _es_root(x, s, w, k, tail, r, losses, sel)
     except NoSolutionError:
         if dropped:
             return None
@@ -631,7 +686,7 @@ def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r:
         raise NoSolutionError("claim is acceptable with zero capital")
     # 1-based ranks i_lo <= n - k <= i_hi of the quantile's density window
     i_lo, i_hi = max(n - k - c.m, 1), min(n - k + c.m, n)
-    slope = float(z[losses >= q].mean())
+    slope = float(_gather(lambda i, e: _z_at(_part(s, i, e), w, losses[i:e] >= q), size).mean())
     # Delta-method standard error: the noise of the empirical ES over the
     # mean mixed return beyond the boundary; none when an atom spans the
     # density window.
@@ -644,8 +699,8 @@ def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r:
         var = (float(np.square(excess - mean).sum()) + (n - k) * mean * mean) / (n - 1)
         se = math.sqrt(var / n) / slope
     # every loss below L_(n-k) is at most q
-    pool = upper if q <= 0.0 else losses
-    positive = pool[pool > 0.0]
+    positive = (upper[upper > 0.0] if q <= 0.0 else
+                _gather(lambda i, e: losses[i:e][losses[i:e] > 0.0], size))
     mean, var = c.loss_moments(r0, w)
     report = SolveReport(r0=r0, method="empirical_root", residual=residual,
                          iterations=selections, std_error=se,
@@ -653,29 +708,55 @@ def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r:
     return report, losses, q
 
 
-def _tail_mean(v: np.ndarray, losses: np.ndarray, q: float, k: int, tail: float) -> float:
-    # The mean of v under the ES tail weights of the losses: 1/tail on each
-    # loss above the (k+1)-th largest q, the rest shared equally by the ties at q.
-    above, tied = losses > q, losses == q
-    edge = k - int(np.count_nonzero(above)) + max(tail - k, 0.0)
-    return (float(v[above].sum()) + edge * float(v[tied].mean())) / tail
+def _part(s: np.ndarray | None, i: int, e: int) -> np.ndarray | None:
+    return None if s is None else s[i:e]
 
 
-def _es_root(x: np.ndarray, z: np.ndarray, k: int, tail: float, r: float,
+def _z_at(s: np.ndarray | None, w: float, mask: np.ndarray) -> np.ndarray:
+    # Z = w S + 1 - w on the scenarios of a mask, as ``_mixed_return``
+    # rounds it; 1 when s is None
+    return np.ones(np.count_nonzero(mask)) if s is None else _mixed_return(s[mask], w)
+
+
+def _gather(fn, n: int) -> np.ndarray:
+    # the arrays fn(i, e) of the blocks, in scenario order
+    return np.concatenate(_blockwise(fn, n))
+
+
+def _tail_mean(s: np.ndarray | None, w: float, losses: np.ndarray, q: float, k: int,
+               tail: float) -> float:
+    # The mean of Z = w S + 1 - w under the ES tail weights of the losses:
+    # 1/tail on each loss above the (k+1)-th largest q, the rest shared
+    # equally by the ties at q.
+    def block(i: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+        lb, sb = losses[i:e], _part(s, i, e)
+        return _z_at(sb, w, lb > q), _z_at(sb, w, lb == q)
+
+    above, tied = (np.concatenate(z) for z in zip(*_blockwise(block, losses.size)))
+    edge = k - above.size + max(tail - k, 0.0)
+    return (float(above.sum()) + edge * float(tied.mean())) / tail
+
+
+def _es_root(x: np.ndarray, s: np.ndarray | None, w: float, k: int, tail: float, r: float,
              losses: np.ndarray, sel: np.ndarray) -> tuple[float, float, int]:
     # Newton's method on the empirical ES from r at or below the root; the
-    # slope is minus the tail-weighted mean of Z.  Selections count the VaR
-    # one.  It leaves the losses at the returned r in ``losses``, selected
-    # in ``sel``.
+    # slope is minus the tail-weighted mean of Z = w S + 1 - w (1 when s is
+    # None).  Selections count the VaR one.  It leaves the losses at the
+    # returned r in ``losses``, selected in ``sel``.
+    def fill(i: int, e: int) -> None:
+        # X - r Z and its copy for the selection, block by block on the pool
+        z = np.ones(e - i) if s is None else _mixed_return(s[i:e], w)
+        out = np.subtract(x[i:e], np.multiply(z, r, out=z), out=losses[i:e])
+        sel[i:e] = out
+
     selections = 1
     while True:
-        np.subtract(x, np.multiply(z, r, out=losses), out=losses)
-        np.copyto(sel, losses)
+        _blockwise(fill, x.size)
         es, q = tail_average(sel, k, tail)
         selections += 1
         if es <= 0.0:
             return r, es, selections
-        z_bar = _tail_mean(z, losses, q, k, tail)
+        z_bar = _tail_mean(s, w, losses, q, k, tail)
         if not z_bar > 0.0:  # convex ES stays positive beyond this point
             raise NoSolutionError(f"expected shortfall does not fall at r = {r:g}")
         r_next = r + es / z_bar

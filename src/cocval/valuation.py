@@ -19,6 +19,7 @@ from .capital_solver import (
     MarketSpec,
     NoSolutionError,
     SolveReport,
+    check_grid,
     solve_r0_gaussian_es,
     solve_r0_gaussian_var,
     solve_r0_lognormal_var,
@@ -33,7 +34,7 @@ from .distributions import (
     standard_normal_cdf,
     standard_normal_pdf,
 )
-from .montecarlo import generate_scenarios
+from .montecarlo import sample_scenarios
 from .risk_measures import RiskMeasure, es_multiplier, var_multiplier
 
 __all__ = [
@@ -362,16 +363,17 @@ def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     no capital level is acceptable gets its ``NoSolutionError``.
 
     Raises:
-        ValueError: from the scenario generation or the solve.
+        ValueError: the grid is not strictly increasing inside [0, 1],
+            checked before any scenario is drawn; or from the sampling or
+            the solve.
     """
-    scen = generate_scenarios(mc_n, seed)
-    claims = market.claim.sample(scen.u_claim)
+    ws = check_grid(grid)
     # Z = 1 on a grid that is w = 0 alone: no asset returns needed
-    assets = market.asset.sample(scen.u_asset) if any(w > 0.0 for w in grid) else None
-    del scen  # the solve needs the transformed streams only, not the uniforms
-    reports = solve_r0_numeric(rm, claims, assets, grid)
+    claims, assets = sample_scenarios(market.claim, market.asset if ws[-1] > 0.0 else None,
+                                      mc_n, seed)
+    reports = solve_r0_numeric(rm, claims, assets, ws)
     return [mc_valuation(rep, replace(market, w=float(w)), rm) if isinstance(rep, SolveReport)
-            else rep for w, rep in zip(grid, reports)]
+            else rep for w, rep in zip(ws, reports)]
 
 
 def normal_model(market: MarketSpec) -> tuple[float, float, float, float] | None:

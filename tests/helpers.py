@@ -1,10 +1,12 @@
-"""Shared oracle helpers: a one-weight capital solve; analytic standard
+"""Shared oracle helpers: the serial scenario generator that
+``montecarlo.sample_scenarios`` must reproduce; a one-weight capital solve; analytic standard
 errors of empirical-rooted capital levels in the normal model, via the
 delta method; the Monte Carlo decomposition at a given capital level;
 and full-sample reference versions of the VaR root, the standard errors
 and the decomposition that rebuild every array from the scenario set."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,6 +14,37 @@ from cocval.capital_solver import LossSummary, NoSolutionError, SolveReport, sol
 from cocval.distributions import standard_normal_cdf, standard_normal_pdf
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import ValuationResult, mc_valuation, v0_bounds
+
+
+@dataclass(frozen=True)
+class ScenarioSet:
+    """Frozen pair of independent uniform streams of common length."""
+
+    n: int
+    seed: int
+    u_asset: np.ndarray
+    u_claim: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.u_asset.flags.writeable = False
+        self.u_claim.flags.writeable = False
+
+
+def open_uniform(gen, n):
+    """(k + 0.5) 2^-53 for the next n 53-bit integers k of ``gen``."""
+    return (gen.integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) * 2.0 ** -53
+
+
+def generate_scenarios(n, seed):
+    """The scenario set of n draws from ``seed``, each stream drawn whole
+    and in order: the serial reference of ``montecarlo.sample_scenarios``,
+    whose claims and asset returns are the streams' inverse transforms."""
+    if n < 1:
+        raise ValueError("need at least one scenario")
+    child_asset, child_claim = np.random.SeedSequence(seed).spawn(2)
+    u_asset = open_uniform(np.random.Generator(np.random.Philox(child_asset)), n)
+    u_claim = open_uniform(np.random.Generator(np.random.Philox(child_claim)), n)
+    return ScenarioSet(n=int(n), seed=int(seed), u_asset=u_asset, u_claim=u_claim)
 
 
 def samples(market, scen):

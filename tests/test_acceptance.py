@@ -21,7 +21,6 @@ from cocval.distributions import (
     pareto_from_mean_beta,
     standard_normal_quantile,
 )
-from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import (
     RiskMeasure,
     es_empirical,
@@ -36,7 +35,8 @@ from cocval.valuation import (
     value_lognormal_var,
 )
 
-from helpers import gaussian_r0_se_es, gaussian_r0_se_var, mc_at, samples, solve_at
+from helpers import (gaussian_r0_se_es, gaussian_r0_se_var, generate_scenarios, mc_at, samples,
+                     solve_at)
 
 ETA = 0.06
 ALPHA = 0.005

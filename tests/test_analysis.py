@@ -16,11 +16,10 @@ from cocval.analysis import (
 )
 from cocval.capital_solver import MarketSpec, solve_r0_gaussian_var
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
-from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
 from cocval.valuation import mc_valuation
 
-from helpers import solve_at
+from helpers import generate_scenarios, solve_at
 
 GAMMA, NU, MU, SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cocval import capital_solver
+from cocval import capital_solver, montecarlo
 from cocval.analysis import w_grid
 from cocval.capital_solver import (
     LossSummary,
@@ -27,12 +27,11 @@ from cocval.distributions import (
     lognormal_from_moments,
     pareto_from_mean_beta,
 )
-from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_empirical,
                                   var_multiplier)
 
-from helpers import (gaussian_r0_se_var, reference_ratio_std_error, reference_root_std_error,
-                     reference_var_root, samples, solve_at)
+from helpers import (gaussian_r0_se_var, generate_scenarios, reference_ratio_std_error,
+                     reference_root_std_error, reference_var_root, samples, solve_at)
 
 FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
@@ -728,8 +727,8 @@ class TestEsTriangle:
         shrink = 0.999 * min(rep.r0 / chord(w)[1] for rep, w in zip(want, inner))
         real, built = capital_solver._triangle, []
 
-        def shrunk(x, s, k, ends):
-            built.append(real(x, s, k, [(w, shrink * r, s_bar) for w, r, s_bar in ends]))
+        def shrunk(x, s, k, ends, *rest):
+            built.append(real(x, s, k, [(w, shrink * r, s_bar) for w, r, s_bar in ends], *rest))
             return built[-1]
 
         sizes, report = {}, capital_solver._es_report
@@ -768,3 +767,55 @@ class TestRatioWindowStdError:
             rep = solve_at(market, rm, claims=x, assets=s)
             loss_window, _ = reference_root_std_error(rm, w * s + (1.0 - w), x, rep.r0)
             assert rep.std_error == pytest.approx(loss_window, rel=0.02), w
+
+
+@pytest.mark.usefixtures("positives_kept")
+class TestBlockwisePasses:
+    """The full-length passes of the candidate build and of the solves on
+    all scenarios run in blocks on the thread pool; every report is the
+    one-thread report, bit for bit, however the scenarios are split."""
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_any_number_of_cpus(self, monkeypatch, kind):
+        # a normal asset puts S <= 0 in some 70 scenarios
+        scen = generate_scenarios(300_000, seed=4)
+        claim, asset = lognormal_from_moments(1.0, 0.3), Normal(1.05, 0.3)
+        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        assert np.any(s <= 0.0)
+        rm, grid = RiskMeasure(kind, 0.01), w_grid(0.1)
+        monkeypatch.setattr(montecarlo, "_pool", None)
+        runs = []
+        try:
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+                runs.append(solve_r0_numeric(rm, x, s, grid))
+        finally:
+            if montecarlo._pool is not None:
+                montecarlo._pool.shutdown()
+        want = runs[0]
+        assert all(isinstance(rep, SolveReport) for rep in want)
+        for got in runs[1:]:
+            assert got == want
+            for g, r in zip(got, want):
+                assert g.losses == r.losses
+                assert np.array_equal(g.losses.positive, r.losses.positive)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_moments_add_block_sums_in_order(self, monkeypatch, cpus):
+        # the serial reference: pairwise sums within blocks of 2^16, added in order
+        scen = generate_scenarios(300_000, seed=6)
+        x = lognormal_from_moments(1.0, 0.3).sample(scen.u_claim)
+        s = lognormal_from_moments(1.05, 0.2).sample(scen.u_asset)
+        x_mean, s_mean = float(x.mean()), float(s.mean())
+        sums = np.zeros(3)
+        for i in range(0, x.size, 1 << 16):
+            xc, sc = x[i:i + (1 << 16)] - x_mean, s[i:i + (1 << 16)] - s_mean
+            sums += (np.square(xc).sum(), np.square(sc).sum(), (xc * sc).sum())
+        monkeypatch.setattr(montecarlo, "_pool", None)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        try:
+            c = capital_solver._candidate_set(RiskMeasure("var", ALPHA), x, s, 0.0, 1.0)
+        finally:
+            if montecarlo._pool is not None:
+                montecarlo._pool.shutdown()
+        assert [c.x_var, c.s_var, c.xs_cov] == (sums / (x.size - 1)).tolist()

@@ -1,9 +1,14 @@
 """Command-line interface: routing, config handling, exit codes, output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cocval
 from cocval.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
@@ -113,6 +118,18 @@ class TestValue:
         assert code == EXIT_USAGE
         assert out == ""
         assert "physical memory" in err
+
+    def test_closed_form_starts_no_thread(self):
+        # the sampler's thread pool is made by the first Monte Carlo draw,
+        # so importing the program and a closed-form valuation start none
+        code = ("import threading, cocval.cli; n = threading.active_count(); "
+                f"code = cocval.cli.main(['value', '--claim', {GAUSSIAN_CLAIM!r}, "
+                f"'--asset', {GAUSSIAN_ASSET!r}, '--w', '0.5']); "
+                "print(n, threading.active_count(), code)")
+        src = str(Path(cocval.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert done.stdout.splitlines()[-1] == f"1 1 {EXIT_OK}"
 
     def test_missing_claim_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["value"])

@@ -19,7 +19,8 @@ from cocval.distributions import (
     standard_normal_cdf,
     standard_normal_quantile,
 )
-from cocval.montecarlo import generate_scenarios
+
+from helpers import generate_scenarios
 
 
 def bisect_normal_quantile(p: float, tol: float = 1e-13) -> float:

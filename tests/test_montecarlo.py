@@ -1,21 +1,41 @@
-"""Scenario generation, reproducibility, and the estimators on top."""
+"""Scenario generation, reproducibility, the chunked sampler against its
+serial reference, and the estimators on top."""
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocval import montecarlo
 from cocval.capital_solver import MarketSpec, SolveReport
-from cocval.distributions import Degenerate, Normal, lognormal_from_moments
-from cocval.montecarlo import generate_scenarios
+from cocval.distributions import Degenerate, Normal, lognormal_from_moments, pareto_from_mean_beta
+from cocval.montecarlo import sample_scenarios
 from cocval.risk_measures import RiskMeasure, var_empirical, var_multiplier
 from cocval.valuation import gaussian_positive_part_factor, mc_valuation
 
-from helpers import mc_at, summary_of
+from helpers import generate_scenarios, mc_at, summary_of
+
+
+CLAIM = lognormal_from_moments(1.0, 0.3)
+ASSET = lognormal_from_moments(1.05, 0.2)
+# the four families, each with draws of both signs or a heavy tail
+FAMILIES = (Normal(0.3, 1.7), CLAIM, pareto_from_mean_beta(1.0, 1.1), Degenerate(1.5))
+SIZES = (1, 3, 4, 5, 2 ** 14 - 1, 2 ** 14 + 1, 65_537, 10 ** 6)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestGenerate:
+    # the serial reference generator of the test helpers, which the
+    # chunked sampler reproduces bit for bit (TestSampleScenarios)
     def test_deterministic_regeneration(self):
         a = generate_scenarios(8, seed=42)
         b = generate_scenarios(8, seed=42)
@@ -32,9 +52,18 @@ class TestGenerate:
         # a machine with room for exactly 1000 scenarios
         monkeypatch.setattr(montecarlo, "_physical_memory",
                             lambda: 1000.0 * montecarlo.PEAK_BYTES_PER_SCENARIO)
-        assert generate_scenarios(1000, seed=1).n == 1000
+        x, s = sample_scenarios(CLAIM, ASSET, 1000, seed=1)
+        assert x.size == s.size == 1000
         with pytest.raises(ValueError, match="physical memory"):
-            generate_scenarios(1001, seed=1)
+            sample_scenarios(CLAIM, ASSET, 1001, seed=1)
+        # the guard runs before anything is allocated: 10^7 scenarios would be 160 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="physical memory"):
+                sample_scenarios(CLAIM, ASSET, 10 ** 7, seed=1)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
 
     def test_uniform_mean(self):
         scen = generate_scenarios(10 ** 6, seed=1)
@@ -56,11 +85,136 @@ class TestGenerate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             generate_scenarios(0, seed=1)
+        with pytest.raises(ValueError):
+            sample_scenarios(CLAIM, ASSET, 0, seed=1)
 
     def test_immutable(self):
         scen = generate_scenarios(4, seed=9)
         with pytest.raises(ValueError):
             scen.u_asset[0] = 0.5
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """A pool of the test's own, made on first use and shut down after, so
+    that a patched CPU count does not size the process's pool."""
+    monkeypatch.setattr(montecarlo, "_pool", None)
+    yield
+    if montecarlo._pool is not None:
+        montecarlo._pool.shutdown()
+
+
+class TestSampleScenarios:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("i", range(len(FAMILIES)), ids=lambda i: type(FAMILIES[i]).__name__)
+    def test_equals_serial_reference(self, i, n):
+        claim, asset = FAMILIES[i], FAMILIES[(i + 1) % len(FAMILIES)]
+        scen = generate_scenarios(n, seed=5)
+        x, s = sample_scenarios(claim, asset, n, seed=5)
+        assert same_bits(x, claim.sample(scen.u_claim))
+        assert same_bits(s, asset.sample(scen.u_asset))
+        x1, s1 = sample_scenarios(claim, None, n, seed=5)  # the claim stream alone
+        assert s1 is None and same_bits(x1, x)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+    def test_any_number_of_cpus(self, monkeypatch, own_pool, cpus):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        n = 5 * montecarlo.MIN_CHUNK + 3
+        scen = generate_scenarios(n, seed=8)
+        x, s = sample_scenarios(CLAIM, ASSET, n, seed=8)
+        assert same_bits(x, CLAIM.sample(scen.u_claim))
+        assert same_bits(s, ASSET.sample(scen.u_asset))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 2_000), cuts=st.lists(st.integers(1, 500), max_size=6),
+           block=st.sampled_from([1, 3, 8, 64, 2 ** 14]), seed=st.integers(0, 2 ** 32 - 1),
+           family=st.sampled_from(FAMILIES))
+    def test_any_split_at_multiples_of_four(self, n, cuts, block, seed, family):
+        # chunks whose starts are multiples of 4, worked in blocks of any length
+        bounds = sorted({4 * c for c in cuts if 4 * c < n})
+        out = np.full(n, np.nan)
+        _, key_claim = np.random.SeedSequence(seed).spawn(2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "BLOCK", block)
+            for a, b in zip([0, *bounds], [*bounds, n]):
+                montecarlo._fill(out, family, key_claim, a, b)
+        assert same_bits(out, family.sample(generate_scenarios(n, seed).u_claim))
+
+    def test_jump_ahead_facts(self):
+        # the chunking rests on two facts of numpy's Philox generator
+        key = np.random.SeedSequence(3)
+        raw = np.random.Philox(key).random_raw(200)
+        # integers(0, 2^53) takes one 64-bit word per value, its top 53 bits
+        gen = np.random.Generator(np.random.Philox(key))
+        ints = gen.integers(0, 1 << 53, size=81, dtype=np.int64)
+        assert np.array_equal(ints, (raw[:81] >> np.uint64(11)).astype(np.int64))
+        assert gen.bit_generator.random_raw() == raw[81]
+        # advance(d) skips 4 d words
+        for d in (1, 5, 10, 33):
+            bits = np.random.Philox(key)
+            bits.advance(d)
+            assert np.array_equal(bits.random_raw(40), raw[4 * d:4 * d + 40])
+
+    def test_concurrent_calls_share_one_pool(self, monkeypatch, own_pool):
+        # six callers race to make the pool and split into more chunks than
+        # cores, with frequent thread switches; each gets its own streams
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
+        n, seeds = 5 * montecarlo.MIN_CHUNK + 7, range(6)
+        got, pools = {}, []
+
+        def call(seed):
+            got[seed] = sample_scenarios(CLAIM, ASSET, n, seed)
+            pools.append(montecarlo._pool)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(seed,)) for seed in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(pools) == 6 and all(pool is pools[0] for pool in pools)
+        for seed in seeds:
+            scen = generate_scenarios(n, seed)
+            assert same_bits(got[seed][0], CLAIM.sample(scen.u_claim))
+            assert same_bits(got[seed][1], ASSET.sample(scen.u_asset))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch, own_pool):
+        # a child forked after the pool exists has none of its workers
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        n = 2 * montecarlo.MIN_CHUNK
+        want = sample_scenarios(CLAIM, ASSET, n, seed=2)
+        assert montecarlo._pool is not None
+
+        def draw_again():
+            x, s = sample_scenarios(CLAIM, ASSET, n, seed=2)
+            sys.exit(0 if same_bits(x, want[0]) and same_bits(s, want[1]) else 3)
+
+        child = multiprocessing.get_context("fork").Process(target=draw_again)
+        child.start()
+        child.join(timeout=60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join()
+        assert not hung and child.exitcode == 0
+
+    def test_no_full_length_uniforms(self):
+        # the uniforms exist only in blocks: the peak is the two streams
+        # and each chunk's block temporaries, not two more streams
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            x, s = sample_scenarios(CLAIM, ASSET, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.nbytes + s.nbytes <= peak < x.nbytes + s.nbytes + 4_000_000
 
 
 class TestNetWorth:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cocval.distributions import Normal, standard_normal_pdf, standard_normal_quantile
-from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import (
     RiskMeasure,
     es_empirical,
@@ -15,6 +14,9 @@ from cocval.risk_measures import (
     var_empirical,
     var_multiplier,
 )
+
+from helpers import generate_scenarios
+
 
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=64

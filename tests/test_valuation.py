@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +19,6 @@ from cocval.distributions import (
     lognormal_from_moments,
     pareto_from_mean_beta,
 )
-from cocval.montecarlo import generate_scenarios
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import (
     ValuationResult,
@@ -37,7 +35,8 @@ from cocval.valuation import (
     value_riskless_var,
 )
 
-from helpers import mc_at, reference_row, reference_var_root, samples, solve_at
+from helpers import (generate_scenarios, mc_at, reference_row, reference_var_root, samples,
+                     solve_at)
 
 ETA = 0.06
 ALPHA = 0.005
@@ -422,17 +421,19 @@ class TestValueMarket:
         assert got == want
 
     def test_mc_route_transforms_each_stream_once(self, monkeypatch):
-        calls = []
+        # the streams are transformed block by block, each draw once
+        draws = {"Lognormal": [], "ParetoTypeI": []}  # appends are safe across threads
         for cls in (Lognormal, ParetoTypeI):
             def counted(self, u, _sample=cls.sample, _name=cls.__name__):
-                calls.append(_name)
+                draws[_name].append(u.size)
                 return _sample(self, u)
             monkeypatch.setattr(cls, "sample", counted)
         market = MarketSpec(claim=pareto_from_mean_beta(1.0, 2.0),
                             asset=self.LOGNORMAL_ASSET, w=0.5, eta=ETA)
         res = value_market(market, RiskMeasure("var", ALPHA), mc_n=20_000, seed=3)
         assert res.valuation_method == "mc"
-        assert sorted(calls) == ["Lognormal", "ParetoTypeI"]
+        assert {name: sum(sizes) for name, sizes in draws.items()} == {
+            "Lognormal": 20_000, "ParetoTypeI": 20_000}
 
 
 class TestMcValuations:
@@ -487,21 +488,31 @@ class TestMcValuations:
         lambda market, rm: sweep(market, rm, [0.0, 0.5, 1.0], mc_n=20_000, seed=3),
     ], ids=["value_market", "sweep"])
     def test_scenario_set_dies_before_the_solve(self, monkeypatch, run, kind):
-        # only the transformed streams reach the solver, not the uniforms
-        refs, alive = [], []
-        generate, solve = valuation.generate_scenarios, valuation.solve_r0_numeric
+        # only the transformed streams reach the solver: when it starts, the
+        # claims and asset returns are all the live memory, no uniform stream
+        seen, solve = [], valuation.solve_r0_numeric
 
-        def generated(*args):
-            scen = generate(*args)
-            refs.append(weakref.ref(scen))
-            return scen
+        def solved(rm, claims, assets, grid):
+            seen.append((tracemalloc.get_traced_memory()[0], claims.nbytes + assets.nbytes))
+            return solve(rm, claims, assets, grid)
 
-        def solved(*args):
-            alive.append([ref() is not None for ref in refs])
-            return solve(*args)
-
-        monkeypatch.setattr(valuation, "generate_scenarios", generated)
         monkeypatch.setattr(valuation, "solve_r0_numeric", solved)
-        run(MarketSpec(claim=self.CLAIM, asset=self.ASSET, w=0.0, eta=ETA),
-            RiskMeasure(kind, 0.01))
-        assert alive == [[False]]
+        tracemalloc.start()
+        try:
+            run(MarketSpec(claim=self.CLAIM, asset=self.ASSET, w=0.0, eta=ETA),
+                RiskMeasure(kind, 0.01))
+        finally:
+            tracemalloc.stop()
+        [(live, streams)] = seen
+        assert streams <= live < 1.25 * streams  # a uniform stream is half of them
+
+    @pytest.mark.parametrize("grid", [[], [0.5, 0.2], [0.3, 0.3], [-0.1, 0.5], [0.5, 1.1],
+                                      [[0.0, 0.5]]])
+    def test_malformed_grid_draws_nothing(self, monkeypatch, grid):
+        # the grid is checked before a single scenario is drawn
+        calls = []
+        monkeypatch.setattr(valuation, "sample_scenarios", lambda *args: calls.append(args))
+        market = MarketSpec(claim=self.CLAIM, asset=self.ASSET, w=0.0, eta=ETA)
+        with pytest.raises(ValueError, match="grid"):
+            mc_valuations(market, RiskMeasure("var", ALPHA), grid, mc_n=10 ** 6, seed=1)
+        assert calls == []
