@@ -10,20 +10,14 @@ closed form in the normal model and is located numerically otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .capital_solver import MarketSpec, NoSolutionError, check_grid
 from .risk_measures import RiskMeasure
-from .valuation import (
-    ValuationResult,
-    mc_valuations,
-    normal_model,
-    value_gaussian_es,
-    value_gaussian_var,
-)
+from .valuation import ValuationResult, _gaussian_valuations, mc_valuations, normal_model
 
 __all__ = [
     "SweepResult",
@@ -142,19 +136,6 @@ class SweepResult:
             target.write(f"# {key},{_cell(getattr(self, key))}\n")
 
 
-def _closed_form_rows(market: MarketSpec, rm: RiskMeasure,
-                      grid: np.ndarray) -> list[ValuationResult | None]:
-    value = value_gaussian_var if rm.kind == "var" else value_gaussian_es
-    rows: list[ValuationResult | None] = []
-    for w in grid:
-        params = normal_model(replace(market, w=float(w)))
-        try:
-            rows.append(value(*params, rm.alpha, market.eta))
-        except NoSolutionError:
-            rows.append(None)
-    return rows
-
-
 def _closed_threshold(market: MarketSpec, rm: RiskMeasure) -> float | None:
     try:
         return _benefit_threshold(market.claim.mean, market.claim.sd,
@@ -197,10 +178,14 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     """Value the run-off across an asset-mix grid.
 
     ``market.w`` is ignored; the grid supplies every weight.  The
-    normal model uses closed forms, and everything else
-    ``valuation.mc_valuations`` on one scenario set of ``mc_n`` draws
-    from ``seed``.  Weights where no capital level is acceptable become
-    gap rows, and the summary weights come from the feasible prefix.
+    normal model uses its closed forms over the whole grid in one call,
+    which works out the Gaussian constants of the measure once per grid
+    (the path ``value_gaussian_var``/``_es`` take as a one-weight grid);
+    everything else uses ``valuation.mc_valuations`` on one scenario set
+    of ``mc_n`` draws from ``seed``.  Weights where no capital level is
+    acceptable become gap rows, among them every normal-model weight
+    whose mean return mu_w does not exceed its risk charge (mu_w <= 0
+    included), and the summary weights come from the feasible prefix.
 
     Returns:
         SweepResult with per-weight valuations, the capital-minimizing
@@ -211,13 +196,14 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     arr = check_grid(grid)
     if arr[0] != 0.0:
         raise ValueError("grid must include w = 0 as its first point")
-    if normal_model(market) is not None:
-        rows = _closed_form_rows(market, rm, arr)
+    params = normal_model(market, arr)
+    if params is not None:
+        results = _gaussian_valuations(*params, rm, market.eta)
         w_hat_closed = _closed_threshold(market, rm)
     else:
-        rows = [None if isinstance(row, NoSolutionError) else row
-                for row in mc_valuations(market, rm, arr, mc_n=mc_n, seed=seed)]
+        results = mc_valuations(market, rm, arr, mc_n=mc_n, seed=seed)
         w_hat_closed = None
+    rows = [None if isinstance(row, NoSolutionError) else row for row in results]
 
     w_star, w_hat_numeric = _derive_weights(arr, rows)
     return SweepResult(grid=arr, rows=tuple(rows), w_star=w_star,

@@ -127,20 +127,22 @@ def gaussian_hedged_risk(r: float, gamma: float, nu: float, mu: float,
 
 def _solve_r0_gaussian(gamma: float, nu: float, mu: float, sigma: float,
                        multiplier: float) -> SolveReport:
-    if gamma <= 0 or nu <= 0 or mu <= 0:
-        raise ValueError("gamma, nu and mu must be positive")
+    if gamma <= 0 or nu <= 0:
+        raise ValueError("gamma and nu must be positive")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    if mu <= sigma * multiplier:
+        # at sigma = 0 a sure return mu <= 0, which no capital level
+        # makes acceptable
+        raise NoSolutionError(
+            "mean return does not exceed its risk charge "
+            f"(mu = {mu:g} <= {sigma * multiplier:g})"
+        )
     if sigma == 0.0:
         # Degenerate return Z = mu: the requirement is the claim risk
         # deflated by the sure return.
         r0 = (gamma + nu * multiplier) / mu
     else:
-        if mu <= sigma * multiplier:
-            raise NoSolutionError(
-                "mean return does not exceed its risk charge "
-                f"(mu = {mu:g} <= {sigma * multiplier:g})"
-            )
         disc = gamma ** 2 * sigma ** 2 + nu ** 2 * (mu ** 2 - sigma ** 2 * multiplier ** 2)
         r0 = (mu * gamma + multiplier * math.sqrt(disc)) / (mu ** 2 - sigma ** 2 * multiplier ** 2)
     residual = gaussian_hedged_risk(r0, gamma, nu, mu, sigma, multiplier)
@@ -152,15 +154,22 @@ def solve_r0_gaussian_var(gamma: float, nu: float, mu: float, sigma: float,
     """Capital requirement under VaR for normal claim and normal return.
 
     Raises:
-        NoSolutionError: mu <= sigma * var_multiplier(alpha); no
-            positive capital level is acceptable then.
+        NoSolutionError: mu <= sigma * var_multiplier(alpha), which
+            includes a sure return mu <= 0; no positive capital level is
+            acceptable then.
+        ValueError: gamma or nu not positive, or sigma negative.
     """
     return _solve_r0_gaussian(gamma, nu, mu, sigma, var_multiplier(alpha))
 
 
 def solve_r0_gaussian_es(gamma: float, nu: float, mu: float, sigma: float,
                          alpha: float) -> SolveReport:
-    """Capital requirement under ES for normal claim and normal return."""
+    """Capital requirement under ES for normal claim and normal return.
+
+    Raises:
+        NoSolutionError: mu <= sigma * es_multiplier(alpha).
+        ValueError: as ``solve_r0_gaussian_var``.
+    """
     return _solve_r0_gaussian(gamma, nu, mu, sigma, es_multiplier(alpha))
 
 

@@ -19,9 +19,8 @@ from .capital_solver import (
     MarketSpec,
     NoSolutionError,
     SolveReport,
+    _solve_r0_gaussian,
     check_grid,
-    solve_r0_gaussian_es,
-    solve_r0_gaussian_var,
     solve_r0_lognormal_var,
     solve_r0_numeric,
 )
@@ -35,7 +34,7 @@ from .distributions import (
     standard_normal_pdf,
 )
 from .montecarlo import sample_scenarios
-from .risk_measures import RiskMeasure, es_multiplier, var_multiplier
+from .risk_measures import RiskMeasure
 
 __all__ = [
     "ValuationResult",
@@ -195,46 +194,82 @@ def _quadrature_breakpoints(dist: Distribution) -> list[float]:
     return []
 
 
-def _gaussian_valuation(rep: SolveReport, gamma: float, mu: float,
-                        multiplier: float, eta: float,
-                        z_var: float, x_var: float,
-                        alpha_for_lower: float | None) -> ValuationResult:
+def _gaussian_valuations(gamma: float, nu: float, mu_w, sigma_w, rm: RiskMeasure,
+                         eta: float) -> list[ValuationResult | NoSolutionError]:
+    """Closed-form valuations of the normal model, claim X ~ N(gamma, nu^2),
+    at every mixed return Z ~ N(mu_w, sigma_w^2) of a grid: the sequences
+    ``mu_w`` and ``sigma_w`` align.  The measure's Gaussian constant and
+    the positive-part factor depend on alpha alone, so each is worked out
+    once per call, not once per weight.  A weight whose mean return does
+    not exceed its risk charge (mu_w <= sigma_w times the constant, which
+    includes a sure return mu_w <= 0) gets its ``NoSolutionError``.
+
+    Raises:
+        ValueError: gamma or nu not positive, or a negative sigma_w.
+    """
+    multiplier = rm.multiplier
     factor = gaussian_positive_part_factor(multiplier)
-    margin = rep.r0 * mu - gamma  # expected net worth at the solved capital
-    c0 = margin * factor / (1.0 + eta)
-    llo = (factor - 1.0) * margin / (1.0 + eta)
-    upper, lower = v0_bounds(rep.r0, z_mean=mu, z_var=z_var, x_mean=gamma,
-                             x_var=x_var, eta=eta, alpha=alpha_for_lower)
-    return ValuationResult(
-        r0=rep.r0, c0=c0, v0=rep.r0 - c0, llo=llo,
-        v0_upper=upper, v0_lower=lower,
-        r0_method=rep.method, valuation_method="closed_form",
-        residual=rep.residual, iterations=rep.iterations,
-    )
+    alpha_for_lower = rm.alpha if rm.kind == "var" else None
+    results: list[ValuationResult | NoSolutionError] = []
+    # Python floats: each weight runs the scalar arithmetic of a one-weight call
+    for mu, sigma in zip(map(float, mu_w), map(float, sigma_w)):
+        try:
+            rep = _solve_r0_gaussian(gamma, nu, mu, sigma, multiplier)
+        except NoSolutionError as exc:
+            # kept without its traceback, whose frames would hold ``results``
+            results.append(exc.with_traceback(None))
+            continue
+        margin = rep.r0 * mu - gamma  # expected net worth at the solved capital
+        c0 = margin * factor / (1.0 + eta)
+        llo = (factor - 1.0) * margin / (1.0 + eta)
+        upper, lower = v0_bounds(rep.r0, z_mean=mu, z_var=sigma ** 2, x_mean=gamma,
+                                 x_var=nu ** 2, eta=eta, alpha=alpha_for_lower)
+        results.append(ValuationResult(
+            r0=rep.r0, c0=c0, v0=rep.r0 - c0, llo=llo,
+            v0_upper=upper, v0_lower=lower,
+            r0_method=rep.method, valuation_method="closed_form",
+            residual=rep.residual, iterations=rep.iterations,
+        ))
+    return results
+
+
+def _single(results: list[ValuationResult | NoSolutionError]) -> ValuationResult:
+    # The one result of a one-weight grid, its NoSolutionError raised.
+    [result] = results
+    if isinstance(result, NoSolutionError):
+        raise result
+    return result
 
 
 def value_gaussian_var(gamma: float, nu: float, mu: float, sigma: float,
                        alpha: float, eta: float) -> ValuationResult:
-    """Closed-form valuation for normal claim and return under VaR.
+    """Closed-form valuation for normal claim and return under VaR: a
+    one-weight grid of the normal model's path, which sweeps share.
 
     Raises:
-        NoSolutionError: propagated from the capital solve.
+        NoSolutionError: mu <= sigma * var_multiplier(alpha), which
+            includes a sure return mu <= 0.
+        ValueError: gamma or nu not positive, sigma negative, or alpha
+            outside (0, 1/2).
     """
-    rep = solve_r0_gaussian_var(gamma, nu, mu, sigma, alpha)
-    return _gaussian_valuation(rep, gamma, mu, var_multiplier(alpha), eta,
-                               sigma ** 2, nu ** 2, alpha)
+    return _single(_gaussian_valuations(gamma, nu, [mu], [sigma],
+                                        RiskMeasure("var", alpha), eta))
 
 
 def value_gaussian_es(gamma: float, nu: float, mu: float, sigma: float,
                       alpha: float, eta: float) -> ValuationResult:
-    """Closed-form valuation for normal claim and return under ES.
+    """Closed-form valuation for normal claim and return under ES, on the
+    same one-weight path as ``value_gaussian_var``.
 
     The Cauchy-Schwarz premium lower bound needs a VaR criterion and is
     reported absent here.
+
+    Raises:
+        NoSolutionError: mu <= sigma * es_multiplier(alpha).
+        ValueError: as ``value_gaussian_var``.
     """
-    rep = solve_r0_gaussian_es(gamma, nu, mu, sigma, alpha)
-    return _gaussian_valuation(rep, gamma, mu, es_multiplier(alpha), eta,
-                               sigma ** 2, nu ** 2, None)
+    return _single(_gaussian_valuations(gamma, nu, [mu], [sigma],
+                                        RiskMeasure("es", alpha), eta))
 
 
 def _capped_valuation(rep: SolveReport, gross_return: Distribution,
@@ -376,15 +411,19 @@ def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
             else rep for w, rep in zip(ws, reports)]
 
 
-def normal_model(market: MarketSpec) -> tuple[float, float, float, float] | None:
+def normal_model(market: MarketSpec, w=None) -> tuple | None:
     """Parameters (gamma, nu, mu_w, sigma_w) of the normal model.
 
-    Claim mean and sd, then the mean and sd of the mixed return at
-    ``market.w``; None unless both the claim and the asset are normal.
+    Claim mean and sd, then the mean and sd of the mixed return at the
+    weight ``w`` (``market.w`` when None; an array of weights gives
+    arrays of mu_w and sigma_w); None unless both the claim and the
+    asset are normal.
     """
-    claim, asset, w = market.claim, market.asset, market.w
+    claim, asset = market.claim, market.asset
     if not (isinstance(claim, Normal) and isinstance(asset, Normal)):
         return None
+    if w is None:
+        w = market.w
     return claim.mean, claim.sd, w * asset.mean + (1.0 - w), w * asset.sd
 
 
@@ -417,7 +456,4 @@ def value_market(market: MarketSpec, rm: RiskMeasure, *, mc_n: int,
             and isinstance(claim, Lognormal) and isinstance(asset, Lognormal)):
         return value_lognormal_var(claim.mu_log, claim.sd_log,
                                    asset.mu_log, asset.sd_log, rm.alpha, market.eta)
-    [result] = mc_valuations(market, rm, [w], mc_n=mc_n, seed=seed)
-    if isinstance(result, NoSolutionError):
-        raise result
-    return result
+    return _single(mc_valuations(market, rm, [w], mc_n=mc_n, seed=seed))

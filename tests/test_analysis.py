@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import cocval
+from cocval import distributions
 from cocval.analysis import (
     check_mutual_benefit,
     negative_loading_threshold,
     sweep,
     w_grid,
 )
-from cocval.capital_solver import MarketSpec, solve_r0_gaussian_var
+from cocval.capital_solver import MarketSpec, NoSolutionError, solve_r0_gaussian_var
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
-from cocval.valuation import mc_valuation
+from cocval.valuation import mc_valuation, value_market
 
 from helpers import generate_scenarios, solve_at
 
@@ -203,6 +205,75 @@ class TestClosedFormSweep:
             rep = solve_at(market, VAR_005, scen)
             rows.append(mc_valuation(rep, market, VAR_005))
         assert rows[1].v0 <= rows[0].v0
+
+
+# Normal assets beside the figures' N(1.05, 0.2): one so volatile that the
+# high weights have no root, one whose mixed mean return 1 - 1.5 w falls
+# to zero and below (gap rows from w = 0.496 on under VaR 0.005).
+VOLATILE_ASSET = Normal(1.3, 0.9)
+SINKING_ASSET = Normal(-0.5, 0.2)
+ES_001 = RiskMeasure("es", 0.01)
+
+
+def _bits(res) -> dict:
+    # every field, floats by their exact bits (hex tells -0.0 from 0.0)
+    return {k: v.hex() if isinstance(v, float) else v for k, v in vars(res).items()}
+
+
+class TestNormalModelPath:
+    @pytest.mark.parametrize("rm", [VAR_005, ES_001], ids=["var", "es"])
+    @pytest.mark.parametrize("asset", [Normal(MU, SIGMA), VOLATILE_ASSET, SINKING_ASSET],
+                             ids=["figure", "volatile", "sinking"])
+    def test_sweep_rows_are_value_market_bit_for_bit(self, asset, rm):
+        market = replace(FIG_MARKET, asset=asset)
+        grid = w_grid()
+        res = sweep(market, rm, grid, **MC)
+        gaps = []
+        for w, row in zip(grid, res.rows):
+            try:
+                single = value_market(replace(market, w=float(w)), rm, **MC)
+            except NoSolutionError:
+                assert row is None, w
+                gaps.append(float(w))
+                continue
+            assert row is not None, w
+            assert _bits(row) == _bits(single), w
+        # w = 0 is the sure return Z = 1 (sigma_w = 0)
+        assert res.rows[0] is not None and res.rows[0].r0_method == "closed_form"
+        if asset == Normal(MU, SIGMA):
+            assert gaps == []
+        else:
+            # the gaps are a tail of the grid: the risk charge outgrows the mean
+            assert gaps and gaps == [float(w) for w in grid[-len(gaps):]]
+        if asset == SINKING_ASSET:
+            assert any(w * asset.mean + 1.0 - w <= 0.0 for w in gaps)
+
+    @pytest.mark.parametrize("rm", [VAR_005, ES_001], ids=["var", "es"])
+    def test_gaussian_constants_once_per_grid(self, rm, monkeypatch):
+        # the regression guard of the grid-wide closed form: the normal
+        # quantile behind the measure's constant runs a fixed number of
+        # times per sweep, however many weights the grid has
+        real = distributions.standard_normal_quantile
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        modules = [cocval, *(getattr(cocval, name) for name in
+                             ("distributions", "risk_measures", "capital_solver",
+                              "valuation", "analysis"))]
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+        counts = []
+        for step in (0.1, 0.001):
+            calls.clear()
+            res = sweep(FIG_MARKET, rm, w_grid(step), **MC)
+            assert all(row is not None for row in res.rows)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestMcSweep:

@@ -97,6 +97,20 @@ class TestGaussianVar:
         with pytest.raises(NoSolutionError):
             solve_r0_gaussian_var(1.0, 0.3, 0.5, 0.2, ALPHA)
 
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 0.0), (-0.5, 0.0), (0.0, 0.2), (-0.2, 0.16)])
+    @pytest.mark.parametrize("solve", [solve_r0_gaussian_var, solve_r0_gaussian_es])
+    def test_nonpositive_mean_return_has_no_solution(self, solve, mu, sigma):
+        # a sure or risky return with mean <= 0 is a market with no
+        # acceptable capital level, not bad input
+        with pytest.raises(NoSolutionError):
+            solve(1.0, 0.3, mu, sigma, ALPHA)
+
+    @pytest.mark.parametrize("gamma, nu, sigma", [(0.0, 0.3, 0.2), (-1.0, 0.3, 0.2),
+                                                  (1.0, 0.0, 0.2), (1.0, 0.3, -0.1)])
+    def test_bad_parameters_are_value_errors(self, gamma, nu, sigma):
+        with pytest.raises(ValueError):
+            solve_r0_gaussian_var(gamma, nu, 1.05, sigma, ALPHA)
+
     def test_equivalent_form_agreement(self):
         for mu, sigma in [(1.05, 0.2), (1.02, 0.1), (1.3, 0.35)]:
             direct = solve_r0_gaussian_var(1.0, 0.3, mu, sigma, ALPHA).r0

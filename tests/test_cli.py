@@ -20,6 +20,7 @@ from cocval.cli import (
 
 GAUSSIAN_CLAIM = '{"kind":"normal","mean":1,"sd":0.3}'
 GAUSSIAN_ASSET = '{"kind":"normal","mean":1.05,"sd":0.2}'
+SINKING_ASSET = '{"kind":"normal","mean":-0.5,"sd":0.2}'
 LOGNORMAL_MARKET = ["--claim", '{"kind":"lognormal","mean":1,"sd":0.3}',
                     "--asset", '{"kind":"lognormal","mean":1.05,"sd":0.2}', "--w", "0.5"]
 
@@ -79,6 +80,17 @@ class TestValue:
         code, _, err = run(capsys, [
             "value", "--claim", GAUSSIAN_CLAIM,
             "--asset", '{"kind":"normal","mean":0.5,"sd":0.2}', "--w", "1"])
+        assert code == EXIT_NO_SOLUTION
+        assert "no solution" in err
+
+    @pytest.mark.parametrize("measure", [[], ["--risk-measure", "es", "--alpha", "0.01"]],
+                             ids=["var", "es"])
+    def test_nonpositive_mean_return_has_no_solution(self, capsys, measure):
+        # Z ~ N(-0.2, 0.16^2) at w = 0.8: a mean return at or below zero
+        # is an unacceptable market, not a usage error
+        code, _, err = run(capsys, [
+            "value", "--claim", GAUSSIAN_CLAIM, "--asset", SINKING_ASSET, "--w", "0.8",
+            *measure])
         assert code == EXIT_NO_SOLUTION
         assert "no solution" in err
 
@@ -217,6 +229,20 @@ class TestSweepAndFigures:
         assert code == EXIT_OK
         lines = out_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 5 + 3
+
+    @pytest.mark.parametrize("claim", [GAUSSIAN_CLAIM, '{"kind":"lognormal","mean":1,"sd":0.3}'],
+                             ids=["normal", "lognormal"])
+    def test_nonpositive_mean_returns_are_gap_rows(self, capsys, tmp_path, claim):
+        # the normal model and Monte Carlo agree on where the sinking
+        # asset's sweep has no solution: from w = 0.5 on
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, [
+            "sweep", "--claim", claim, "--asset", SINKING_ASSET, "--grid-step", "0.1",
+            "--mc-n", "20000", "--seed", "1", "--out", str(out_path)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:12]]
+        gaps = [row[0] for row in rows if all(cell == "" for cell in row[1:])]
+        assert gaps == ["0.5", "0.6", "0.7", "0.8", "0.9", "1"]
 
 
 class TestParetoExample:
