@@ -162,8 +162,7 @@ def _derive_weights(grid: np.ndarray, rows: list[ValuationResult | None],
             if prev_gap < 0.0:
                 w_prev, w_cur = float(grid[i - 1]), float(grid[i])
                 w_hat = w_prev - prev_gap * (w_cur - w_prev) / (gap - prev_gap)
-            else:
-                w_hat = float(grid[i])
+            # else the requirement rose at the first step: no weight is beneficial
             break
     else:
         if limit == len(rows) and grid[-1] == 1.0 and r0s[-1] < base:
@@ -190,7 +189,8 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     Returns:
         SweepResult with per-weight valuations, the capital-minimizing
         weight, the numeric benefit threshold (linear interpolation of
-        the first up-crossing of the risk-less requirement) and, in the
+        the first up-crossing of the risk-less requirement; None when
+        the requirement does not fall at the first step) and, in the
         normal model, its closed form.
     """
     arr = check_grid(grid)

@@ -328,6 +328,8 @@ def pareto_riskless_valuation(beta: float, mean: float, alpha: float,
     """
     if beta <= 1:
         raise ValueError("beta must exceed 1, otherwise the mean is infinite")
+    if not (mean > 0 and math.isfinite(mean)):
+        raise ValueError("mean must be positive and finite")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     tail_pow = alpha ** (-1.0 / beta)

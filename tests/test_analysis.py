@@ -86,6 +86,17 @@ class TestBenefitThreshold:
         assert closed_threshold(GAMMA, NU, 1.0 + SIGMA * m + 0.01, SIGMA,
                                 RiskMeasure("es", 0.01)) == 1.0
 
+    @pytest.mark.parametrize("step", [0.1, 0.01])
+    def test_numeric_none_when_no_weight_is_beneficial(self, step):
+        # the requirement rises from the first step on: no threshold at
+        # any step, not one grid step
+        market = MarketSpec(claim=Normal(GAMMA, NU), asset=Normal(0.98, SIGMA), w=0.0, eta=ETA)
+        res = sweep(market, VAR_005, w_grid(step), **MC)
+        assert res.rows[1].r0 > res.rows[0].r0
+        assert res.w_star == 0.0
+        assert res.w_hat_numeric is None
+        assert res.w_hat_closed is None
+
 
 class TestNegativeLoadingThreshold:
     def test_no_buffer_above_mean(self):

@@ -39,7 +39,8 @@ class TestValue:
         record = json.loads(out)
         assert record["r0"] == pytest.approx(1.77274879, abs=1e-7)
         assert record["r0_method"] == "closed_form"
-        assert record["v0"] + record["c0"] == record["r0"]
+        # the program sets v0 = r0 - c0; v0 + c0 need not round back to r0
+        assert record["v0"] == record["r0"] - record["c0"]
 
     def test_pareto_example_route(self, capsys):
         code, out, _ = run(capsys, [
@@ -267,6 +268,13 @@ class TestParetoExample:
         for beta in (2.0, 1.1):
             for b, s in zip(base[beta], scaled[beta]):
                 assert s == pytest.approx(2 * b, rel=1e-6)
+
+    @pytest.mark.parametrize("mean", ["0", "-1", "nan", "inf"])
+    def test_rejects_non_positive_or_non_finite_mean(self, capsys, mean):
+        code, out, err = run(capsys, ["pareto-example", "--mean", mean])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "mean must be positive and finite" in err
 
     def test_csv_output(self, capsys, tmp_path):
         out_path = tmp_path / "pareto.csv"

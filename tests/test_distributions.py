@@ -68,6 +68,80 @@ class TestStandardNormalQuantile:
             standard_normal_quantile(p)
 
 
+def _erfc_reference(x: np.ndarray) -> np.ndarray:
+    """erfc from scipy's erfcx, erfc(x) = erfcx(x) exp(-x^2) for x >= 0,
+    with x^2 carried as an exact sum hi + lo (Dekker's split) so that
+    rounding x^2 costs no accuracy; erfc(-x) = 2 - erfc(x)."""
+    from scipy import special
+
+    ax = np.abs(x)
+    c = 134217729.0 * ax  # 2^27 + 1
+    head = c - (c - ax)
+    tail = ax - head
+    hi = ax * ax
+    lo = ((head * head - hi) + 2.0 * head * tail) + tail * tail
+    upper = special.erfcx(ax) * np.exp(-hi) * (1.0 - lo)
+    return np.where(x >= 0.0, upper, 2.0 - upper)
+
+
+class TestScalarAgainstArray:
+    """Scalars take the standard library's normal functions, arrays
+    scipy's; both must give the same numbers to round-off."""
+
+    TOL = 2e-15
+    TINY = np.finfo(float).tiny  # erfc values below it are subnormal or 0
+
+    def test_erfc_matches_scipy_where_x_squared_is_exact(self):
+        from scipy import special
+
+        x = np.arange(-38 * 1024, 38 * 1024 + 1) / 1024.0
+        scalar = np.array([math.erfc(v) for v in x])
+        array = special.erfc(x)
+        keep = array >= self.TINY
+        assert keep.sum() > 0.8 * x.size
+        assert np.max(np.abs(scalar - array)[keep] / array[keep]) <= self.TOL
+
+    def test_erfc_against_reference(self):
+        # off the dyadic grid scipy's erfc rounds x^2 and drifts from the
+        # reference by up to 5.7e-14 relative for x in (4, 26.6); the
+        # scalar path must not
+        x = np.linspace(-38.0, 38.0, 100_001)
+        scalar = np.array([math.erfc(v) for v in x])
+        ref = _erfc_reference(x)
+        keep = ref >= self.TINY
+        assert np.max(np.abs(scalar - ref)[keep] / ref[keep]) <= self.TOL
+
+    def test_cdf_and_sf_scalar_paths_match_array_paths(self):
+        # erfc arguments up to 4, where scipy's erfc is itself within
+        # 2e-15 of the reference; beyond, see test_erfc_against_reference
+        x = np.linspace(-5.5, 8.0, 136)
+        assert [standard_normal_cdf(float(v)) for v in x] == pytest.approx(
+            standard_normal_cdf(x), rel=self.TOL, abs=0.0)
+        for dist in (Normal(1.0, 0.3), Lognormal(0.1, 0.4)):
+            t = np.linspace(-0.5, 2.5, 61)
+            scalar = [dist.sf(float(v)) for v in t]
+            assert all(type(v) is float for v in scalar)
+            assert scalar == pytest.approx(dist.sf(t), rel=self.TOL, abs=0.0)
+
+    def test_quantile_matches_ndtri_in_both_tails(self):
+        from scipy import special
+
+        lower = np.geomspace(1e-12, 0.5, 20_001)[:-1]
+        p = np.concatenate([lower, 1.0 - lower])
+        scalar = np.array([standard_normal_quantile(float(v)) for v in p])
+        array = special.ndtri(p)
+        assert np.max(np.abs(scalar - array) / np.abs(array)) <= self.TOL
+        assert standard_normal_quantile(0.5) == special.ndtri(0.5) == 0.0
+
+    def test_array_quantile_is_ndtri_bit_for_bit(self):
+        # the Monte Carlo transforms keep scipy's values exactly
+        from scipy import special
+
+        u = (np.arange(1, 4097) - 0.5) / 4096.0
+        assert np.array_equal(standard_normal_quantile(u), special.ndtri(u))
+        assert np.array_equal(Normal(1.0, 0.3).sample(u), 1.0 + 0.3 * special.ndtri(u))
+
+
 class TestCdfExamples:
     # the cdf is 1 - sf
     def test_normal_symmetry_point(self):
@@ -244,6 +318,19 @@ class TestConfig:
                     {"kind": "pareto", "x_m": 1.0}, {"mean": 1.0, "sd": 0.2}, "normal"]:
             with pytest.raises(ValueError):
                 distribution_from_config(bad)
+
+    def test_names_the_missing_key(self):
+        with pytest.raises(ValueError) as err:
+            distribution_from_config({"kind": "normal", "mean": 1})
+        assert str(err.value) == ("normal parameters ['mean']: missing 'sd' for {mean, sd}; "
+                                  "normal accepts {mean, sd}")
+
+    def test_names_the_extra_key(self):
+        with pytest.raises(ValueError) as err:
+            distribution_from_config({"kind": "lognormal", "mean": 1, "sd": 0.3, "beta": 2})
+        assert str(err.value) == (
+            "lognormal parameters ['beta', 'mean', 'sd']: extra 'beta' for {mean, sd}; "
+            "lognormal accepts {mu_log, sd_log} or {mean, sd}")
 
 
 class TestValidation:
