@@ -162,7 +162,8 @@ def _derive_weights(grid: np.ndarray, rows: list[ValuationResult | None],
             if prev_gap < 0.0:
                 w_prev, w_cur = float(grid[i - 1]), float(grid[i])
                 w_hat = w_prev - prev_gap * (w_cur - w_prev) / (gap - prev_gap)
-            # else the requirement rose at the first step: no weight is beneficial
+            # else the requirement rose at the first step: no crossing to
+            # interpolate on this grid
             break
     else:
         if limit == len(rows) and grid[-1] == 1.0 and r0s[-1] < base:
@@ -190,8 +191,9 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
         SweepResult with per-weight valuations, the capital-minimizing
         weight, the numeric benefit threshold (linear interpolation of
         the first up-crossing of the risk-less requirement; None when
-        the requirement does not fall at the first step) and, in the
-        normal model, its closed form.
+        the requirement does not fall below the risk-less level at the
+        first grid step, so no crossing can be interpolated on that
+        grid) and, in the normal model, its closed form.
     """
     arr = check_grid(grid)
     if arr[0] != 0.0:

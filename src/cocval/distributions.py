@@ -11,10 +11,11 @@ uniforms.  No distribution owns an RNG: the scenario module hands the
 same uniforms to every distribution, which is what makes common random
 numbers work across model families and parameter values.
 
-Scalars take the standard library's normal functions and arrays take
-scipy's, which is imported on first use: a closed-form run evaluates
-only a handful of scalar normal CDFs and quantiles, and never loads
-scipy.
+The normal CDF is ``math.erfc`` for scalars and arrays alike.  The
+normal quantile is the standard library's for scalars and scipy's
+``ndtri`` for arrays, imported on first use: a closed-form run
+evaluates only a handful of scalar normal CDFs and quantiles, and never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = statistics.NormalDist()
+_ERFC_ELEMENTWISE = np.vectorize(math.erfc, otypes=[float])
 
 
 def _match(values: np.ndarray, like) -> float | np.ndarray:
@@ -57,20 +59,17 @@ def _check_probability(p) -> np.ndarray:
     return arr
 
 
-def _half_erfc(t, like) -> float | np.ndarray:
-    """erfc(t) / 2, a float when the caller's argument ``like`` is a
-    scalar (``math.erfc``), else elementwise (scipy's ``erfc``, imported
-    on first use); ``t`` has the shape of ``like``."""
-    if np.ndim(like) == 0:
+def _half_erfc(t) -> float | np.ndarray:
+    """erfc(t) / 2 from ``math.erfc``: a float for a scalar ``t``, else
+    elementwise, so an array and a loop of scalars give the same values."""
+    if np.ndim(t) == 0:
         return 0.5 * math.erfc(t)
-    from scipy import special
-
-    return 0.5 * special.erfc(t)
+    return 0.5 * _ERFC_ELEMENTWISE(t)
 
 
 def standard_normal_cdf(x) -> float | np.ndarray:
     """P(G <= x) for standard normal G, accurate in both tails."""
-    return _half_erfc(-np.asarray(x, dtype=float) / _SQRT2, x)
+    return _half_erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 def standard_normal_pdf(x) -> float | np.ndarray:
@@ -126,7 +125,7 @@ class Normal:
         arr = np.asarray(x, dtype=float)
         if self.sd == 0.0:
             return _match((arr < self.mean).astype(float), x)
-        return _half_erfc((arr - self.mean) / (self.sd * _SQRT2), x)
+        return _half_erfc((arr - self.mean) / (self.sd * _SQRT2))
 
     def quantile(self, p) -> float | np.ndarray:
         arr = _check_probability(p)
@@ -183,7 +182,7 @@ class Lognormal:
         # log(x) of x <= 0 is -inf or nan; np.where drops those cells
         with np.errstate(divide="ignore", invalid="ignore"):
             z = (np.log(arr) - self.mu_log) / self.sd_log
-        return _match(np.where(arr > 0.0, _half_erfc(z / _SQRT2, x), 1.0), x)
+        return _match(np.where(arr > 0.0, _half_erfc(z / _SQRT2), 1.0), x)
 
     def quantile(self, p) -> float | np.ndarray:
         arr = _check_probability(p)

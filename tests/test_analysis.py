@@ -97,6 +97,16 @@ class TestBenefitThreshold:
         assert res.w_hat_numeric is None
         assert res.w_hat_closed is None
 
+    def test_numeric_none_when_crossing_lies_inside_first_step(self):
+        # the closed threshold lies inside (0, 0.5); a grid of step 0.5
+        # has no weight before the crossing to interpolate from, so the
+        # numeric threshold is empty while the closed form is set
+        res = sweep(FIG_MARKET, VAR_005, w_grid(0.5), **MC)
+        assert res.rows[1].r0 > res.rows[0].r0
+        assert 0.0 < res.w_hat_closed < 0.5
+        assert res.w_hat_numeric is None
+        assert sweep(FIG_MARKET, VAR_005, w_grid(0.1), **MC).w_hat_numeric is not None
+
 
 class TestNegativeLoadingThreshold:
     def test_no_buffer_above_mean(self):
