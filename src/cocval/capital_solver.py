@@ -17,8 +17,7 @@ import numpy as np
 
 from .distributions import Distribution
 from .montecarlo import BLOCK, in_chunks
-from .risk_measures import (RiskMeasure, es_multiplier, tail_average, tail_count,
-                            var_multiplier)
+from .risk_measures import RiskMeasure, tail_average, tail_count, var_multiplier
 
 __all__ = [
     "MarketSpec",
@@ -26,8 +25,6 @@ __all__ = [
     "SolveReport",
     "NoSolutionError",
     "gaussian_hedged_risk",
-    "solve_r0_gaussian_var",
-    "solve_r0_gaussian_es",
     "solve_r0_lognormal_var",
     "check_grid",
     "solve_r0_numeric",
@@ -127,6 +124,15 @@ def gaussian_hedged_risk(r: float, gamma: float, nu: float, mu: float,
 
 def _solve_r0_gaussian(gamma: float, nu: float, mu: float, sigma: float,
                        multiplier: float) -> SolveReport:
+    """Capital requirement of the normal model under the measure whose
+    Gaussian constant is ``multiplier``: the root in r of
+    ``gaussian_hedged_risk``.
+
+    Raises:
+        NoSolutionError: mu <= sigma * multiplier, which includes a sure
+            return mu <= 0.
+        ValueError: gamma or nu not positive, or sigma negative.
+    """
     if gamma <= 0 or nu <= 0:
         raise ValueError("gamma and nu must be positive")
     if sigma < 0:
@@ -147,30 +153,6 @@ def _solve_r0_gaussian(gamma: float, nu: float, mu: float, sigma: float,
         r0 = (mu * gamma + multiplier * math.sqrt(disc)) / (mu ** 2 - sigma ** 2 * multiplier ** 2)
     residual = gaussian_hedged_risk(r0, gamma, nu, mu, sigma, multiplier)
     return SolveReport(r0=r0, method="closed_form", residual=residual, iterations=0)
-
-
-def solve_r0_gaussian_var(gamma: float, nu: float, mu: float, sigma: float,
-                          alpha: float) -> SolveReport:
-    """Capital requirement under VaR for normal claim and normal return.
-
-    Raises:
-        NoSolutionError: mu <= sigma * var_multiplier(alpha), which
-            includes a sure return mu <= 0; no positive capital level is
-            acceptable then.
-        ValueError: gamma or nu not positive, or sigma negative.
-    """
-    return _solve_r0_gaussian(gamma, nu, mu, sigma, var_multiplier(alpha))
-
-
-def solve_r0_gaussian_es(gamma: float, nu: float, mu: float, sigma: float,
-                         alpha: float) -> SolveReport:
-    """Capital requirement under ES for normal claim and normal return.
-
-    Raises:
-        NoSolutionError: mu <= sigma * es_multiplier(alpha).
-        ValueError: as ``solve_r0_gaussian_var``.
-    """
-    return _solve_r0_gaussian(gamma, nu, mu, sigma, es_multiplier(alpha))
 
 
 def solve_r0_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,

@@ -9,6 +9,7 @@ error, 3 no acceptable capital level.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -98,6 +99,15 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an ``OSError`` raised while writing ``path`` into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_inline_distribution(text: str, flag: str) -> dict:
     try:
         spec = json.loads(text)
@@ -135,7 +145,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer") from exc
     if getattr(args, "dump_config", None):
-        with open(args.dump_config, "w", encoding="utf-8") as handle:
+        with _writing(args.dump_config), open(args.dump_config, "w", encoding="utf-8") as handle:
             handle.write(cfg.to_json() + "\n")
     return cfg
 
@@ -165,7 +175,7 @@ def _fmt(value) -> str:
 
 def _write_value_csv(path: str, record: dict) -> None:
     keys = list(record)
-    with open(path, "w", encoding="utf-8") as handle:
+    with _writing(path), open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(keys) + "\n")
         handle.write(",".join(
             _fmt(record[k]) if isinstance(record[k], (int, float)) or record[k] is None
@@ -198,7 +208,8 @@ def _run_sweep(cfg: RunConfig, default_out: str) -> int:
         raise UsageError(str(exc)) from exc
     result = sweep(market, rm, grid, mc_n=cfg.mc_n, seed=cfg.seed)
     out = cfg.out or default_out
-    result.write_csv(out)
+    with _writing(out):
+        result.write_csv(out)
     print(f"wrote {out}")
     print(f"w_star = {_fmt(result.w_star)}")
     print(f"w_hat_numeric = {_fmt(result.w_hat_numeric)}")
@@ -316,7 +327,7 @@ def cmd_pareto_example(args: argparse.Namespace) -> int:
     for beta, r0, llo, upper, v0 in rows:
         print(f"{beta:>6.2f} {r0:>12.6f} {llo:>12.6f} {upper:>12.6f} {v0:>12.6f}")
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
+        with _writing(cfg.out), open(cfg.out, "w", encoding="utf-8") as handle:
             handle.write("beta,r0,llo,v0_upper,v0\n")
             for beta, r0, llo, upper, v0 in rows:
                 handle.write(",".join(_fmt(v) for v in (beta, r0, llo, upper, v0)) + "\n")

@@ -40,7 +40,6 @@ __all__ = [
     "ValuationResult",
     "gaussian_positive_part_factor",
     "v0_bounds",
-    "capped_expectation_quadrature",
     "value_gaussian_var",
     "value_gaussian_es",
     "value_lognormal_var",
@@ -52,12 +51,6 @@ __all__ = [
     "value_market",
 ]
 
-# Absolute quadrature target as a fraction of the expected claim.
-QUAD_TOL_FRACTION = 1e-9
-# The integration window ends at this claim survival level.
-QUAD_TAIL_LEVEL = 1e-12
-
-
 @dataclass(frozen=True)
 class ValuationResult:
     """Capital decomposition at a solved requirement.
@@ -66,7 +59,7 @@ class ValuationResult:
     Bounds come from first and second moments only; ``v0_lower`` is
     None when a variance is infinite or the criterion is not VaR.
     Standard errors are set on sampled fields and None on closed-form
-    or quadrature fields.  Every float field is finite.
+    fields.  Every float field is finite.
     """
 
     r0: float
@@ -130,68 +123,6 @@ def v0_bounds(r0: float, *, z_mean: float, z_var: float, x_mean: float,
         spread = math.sqrt(r0 * r0 * z_var + x_var + (r0 * z_mean - x_mean) ** 2)
         lower = r0 - math.sqrt(1.0 - alpha) / (1.0 + eta) * spread
     return upper, lower
-
-
-def _tail_bound(asset_scaled: Distribution, claim: Distribution, t: float) -> float:
-    # Remainder of the survival-product integral beyond t.  Each factor
-    # is bounded by its value at t while the other integrates to a
-    # stop-loss expectation.
-    sl_a, sl_x = asset_scaled.stop_loss(t), claim.stop_loss(t)
-    return min(sl_x, sl_a,
-               float(claim.sf(t)) * sl_a,
-               float(asset_scaled.sf(t)) * sl_x)
-
-
-def capped_expectation_quadrature(asset_scaled: Distribution,
-                                  claim: Distribution) -> float:
-    """E[min(A, X)] for independent nonnegative A and X.
-
-    Integrates the product of the survival functions over [0, T] by
-    adaptive Gauss-Kronrod quadrature.  T starts at the smaller of the
-    two survival-level-1e-12 quantiles (the product vanishes once
-    either factor does) and is extended until the closed-form tail
-    bound falls below the absolute target of 1e-9 E[X].
-
-    Raises:
-        ValueError: either input can take negative values.
-    """
-    if not asset_scaled.nonnegative or not claim.nonnegative:
-        raise ValueError("survival-product form needs nonnegative inputs")
-    x_mean = claim.mean
-    if x_mean == 0.0 or asset_scaled.mean == 0.0:
-        return 0.0
-    tol = QUAD_TOL_FRACTION * x_mean
-
-    upper = min(float(claim.quantile(1.0 - QUAD_TAIL_LEVEL)),
-                float(asset_scaled.quantile(1.0 - QUAD_TAIL_LEVEL)))
-    for _ in range(200):
-        if _tail_bound(asset_scaled, claim, upper) <= tol:
-            break
-        upper *= 2.0
-    else:
-        raise ValueError("tail bound does not reach the quadrature tolerance")
-
-    breakpoints = sorted(
-        p for p in _quadrature_breakpoints(asset_scaled) + _quadrature_breakpoints(claim)
-        if 0.0 < p < upper
-    )
-    from scipy import integrate  # only quadrature routes pay for this import
-
-    value, _ = integrate.quad(
-        lambda t: float(asset_scaled.sf(t)) * float(claim.sf(t)),
-        0.0, upper, epsabs=tol, epsrel=1e-10, limit=200,
-        points=breakpoints or None,
-    )
-    return float(value)
-
-
-def _quadrature_breakpoints(dist: Distribution) -> list[float]:
-    # Atoms and support edges where the survival function jumps or kinks.
-    if isinstance(dist, Degenerate):
-        return [dist.value]
-    if hasattr(dist, "x_m"):
-        return [dist.x_m]
-    return []
 
 
 def _gaussian_valuations(gamma: float, nu: float, mu_w, sigma_w, rm: RiskMeasure,
@@ -273,12 +204,11 @@ def value_gaussian_es(gamma: float, nu: float, mu: float, sigma: float,
 
 
 def _capped_valuation(rep: SolveReport, gross_return: Distribution,
-                      claim: Distribution, alpha: float | None,
+                      claim: Distribution, capped: float, alpha: float | None,
                       eta: float) -> ValuationResult:
-    # Premium from the capped expectation; shareholder value and the
-    # limited-liability option follow from exact identities.
+    # Premium from the capped expectation E[min(r0 Z, X)]; shareholder
+    # value and the limited-liability option follow from exact identities.
     r0 = rep.r0
-    capped = capped_expectation_quadrature(gross_return.scaled(r0), claim)
     z_mean = gross_return.mean
     v0 = (capped + eta * r0 + r0 * (1.0 - z_mean)) / (1.0 + eta)
     upper, lower = v0_bounds(r0, z_mean=z_mean, z_var=gross_return.variance,
@@ -287,36 +217,47 @@ def _capped_valuation(rep: SolveReport, gross_return: Distribution,
     return ValuationResult(
         r0=r0, c0=r0 - v0, v0=v0, llo=upper - v0,
         v0_upper=upper, v0_lower=lower,
-        r0_method=rep.method, valuation_method="quadrature",
+        r0_method=rep.method, valuation_method="closed_form",
         residual=rep.residual, iterations=rep.iterations,
     )
 
 
 def value_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,
                         alpha: float, eta: float) -> ValuationResult:
-    """Valuation for lognormal claim and lognormal gross return under VaR.
+    """Closed-form valuation for lognormal claim X and lognormal gross
+    return Z under VaR.  ``s_z = 0`` degrades to a sure gross return
+    exp(m_z).
 
-    The capital is closed form; the premium needs one numerical
-    integral of the survival product.  ``s_z = 0`` degrades to a sure
-    gross return exp(m_z).
+    The capped expectation is Margrabe's exchange option: with A = r0 Z,
+    E[min(A, X)] = E[X] Phi(-d1) + E[A] Phi(d1 - s), where
+    s^2 = s_x^2 + s_z^2 and d1 = (ln(E[X] / E[A]) + s^2 / 2) / s.
+    s_x > 0 keeps s positive for every s_z >= 0.
     """
     rep = solve_r0_lognormal_var(m_x, s_x, m_z, s_z, alpha)
     gross = Lognormal(m_z, s_z) if s_z > 0 else Degenerate(math.exp(m_z))
-    return _capped_valuation(rep, gross, Lognormal(m_x, s_x), alpha, eta)
+    claim = Lognormal(m_x, s_x)
+    capital_mean = rep.r0 * gross.mean
+    s = math.hypot(s_x, s_z)
+    d1 = (math.log(claim.mean / capital_mean) + 0.5 * s * s) / s
+    capped = (claim.mean * standard_normal_cdf(-d1)
+              + capital_mean * standard_normal_cdf(d1 - s))
+    return _capped_valuation(rep, gross, claim, capped, alpha, eta)
 
 
 def value_riskless_var(claim: Distribution, alpha: float, eta: float) -> ValuationResult:
-    """Valuation under VaR with the whole buffer in the risk-less bond.
+    """Closed-form valuation under VaR with the whole buffer in the
+    risk-less bond.
 
-    The requirement is the claim quantile at 1 - alpha; the premium
-    integral runs over the claim survival function alone.  Needs a
-    nonnegative claim.
+    The requirement is the claim quantile at 1 - alpha, and the capped
+    expectation is E[min(X, r0)] = E[X] - E[(X - r0)^+], from the
+    claim's stop-loss transform.  Needs a nonnegative claim.
     """
     if not claim.nonnegative:
         raise ValueError("risk-less closed form needs a nonnegative claim")
     r0 = float(claim.quantile(1.0 - alpha))
     rep = SolveReport(r0=r0, method="closed_form", residual=0.0, iterations=0)
-    return _capped_valuation(rep, Degenerate(1.0), claim, alpha, eta)
+    return _capped_valuation(rep, Degenerate(1.0), claim,
+                             claim.mean - claim.stop_loss(r0), alpha, eta)
 
 
 def pareto_riskless_valuation(beta: float, mean: float, alpha: float,

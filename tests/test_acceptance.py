@@ -10,11 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from cocval.analysis import sweep, w_grid
-from cocval.capital_solver import (
-    MarketSpec,
-    solve_r0_gaussian_es,
-    solve_r0_gaussian_var,
-)
+from cocval.capital_solver import MarketSpec
 from cocval.distributions import (
     Normal,
     lognormal_from_moments,
@@ -106,7 +102,7 @@ def test_benefit_threshold_consistency():
                        seed=SEED).w_hat_closed
 
         def requirement(w):
-            return solve_r0_gaussian_var(gamma, nu, w * mu + 1 - w, w * sigma, ALPHA).r0
+            return value_gaussian_var(gamma, nu, w * mu + 1 - w, w * sigma, ALPHA, ETA).r0
 
         crossing = brentq(lambda w: requirement(w) - requirement(0.0),
                           1e-6, 0.99, xtol=1e-12)
@@ -131,7 +127,7 @@ def test_oracle_equivalence_var(scen, normals):
         rng = np.random.default_rng(99)
         for gamma, nu, mu, sigma, alpha in _random_parameter_sets(20, rng):
             assert mu > sigma * var_multiplier(alpha)  # existence condition
-            closed = solve_r0_gaussian_var(gamma, nu, mu, sigma, alpha)
+            closed = value_gaussian_var(gamma, nu, mu, sigma, alpha, ETA)
             market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma),
                                 w=1.0, eta=ETA)
             rm = RiskMeasure("var", alpha)
@@ -140,10 +136,9 @@ def test_oracle_equivalence_var(scen, normals):
             se = gaussian_r0_se_var(closed.r0, gamma, nu, mu, sigma, alpha, MC_N)
             assert abs(mc.r0 - closed.r0) <= 3 * se
 
-            valued = value_gaussian_var(gamma, nu, mu, sigma, alpha, ETA)
             at_closed = mc_at(closed.r0, market, scen, rm, **values)
-            assert abs(at_closed.c0 - valued.c0) <= 4 * at_closed.c0_se
-            assert abs(at_closed.v0 - valued.v0) <= 4 * at_closed.v0_se
+            assert abs(at_closed.c0 - closed.c0) <= 4 * at_closed.c0_se
+            assert abs(at_closed.v0 - closed.v0) <= 4 * at_closed.v0_se
 
 
 def test_oracle_equivalence_es(scen, normals):
@@ -151,7 +146,7 @@ def test_oracle_equivalence_es(scen, normals):
         g_asset, g_claim = normals
         rng = np.random.default_rng(7)
         for gamma, nu, mu, sigma, alpha in _random_parameter_sets(8, rng):
-            closed = solve_r0_gaussian_es(gamma, nu, mu, sigma, alpha)
+            closed = value_gaussian_es(gamma, nu, mu, sigma, alpha, ETA)
             market = MarketSpec(claim=Normal(gamma, nu), asset=Normal(mu, sigma),
                                 w=1.0, eta=ETA)
             rm = RiskMeasure("es", alpha)
@@ -160,10 +155,9 @@ def test_oracle_equivalence_es(scen, normals):
             se = gaussian_r0_se_es(closed.r0, gamma, nu, mu, sigma, alpha, MC_N)
             assert abs(mc.r0 - closed.r0) <= 3 * se
 
-            valued = value_gaussian_es(gamma, nu, mu, sigma, alpha, ETA)
             at_closed = mc_at(closed.r0, market, scen, rm, **values)
-            assert abs(at_closed.c0 - valued.c0) <= 4 * at_closed.c0_se
-            assert abs(at_closed.v0 - valued.v0) <= 4 * at_closed.v0_se
+            assert abs(at_closed.c0 - closed.c0) <= 4 * at_closed.c0_se
+            assert abs(at_closed.v0 - closed.v0) <= 4 * at_closed.v0_se
 
 
 LOGNORMAL_GRID = [(mean_s, sd_s, sd_x)

@@ -16,10 +16,10 @@ from cocval.analysis import (
     sweep,
     w_grid,
 )
-from cocval.capital_solver import MarketSpec, NoSolutionError, solve_r0_gaussian_var
+from cocval.capital_solver import MarketSpec, NoSolutionError
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
-from cocval.valuation import mc_valuation, value_market
+from cocval.valuation import mc_valuation, value_gaussian_var, value_market
 
 from helpers import generate_scenarios, solve_at
 
@@ -33,7 +33,7 @@ MC = {"mc_n": 20_000, "seed": 1}
 
 
 def closed_r0(w: float, mu: float = MU, sigma: float = SIGMA) -> float:
-    return solve_r0_gaussian_var(GAMMA, NU, w * mu + 1 - w, w * sigma, ALPHA).r0
+    return value_gaussian_var(GAMMA, NU, w * mu + 1 - w, w * sigma, ALPHA, ETA).r0
 
 
 def closed_threshold(gamma, nu, mu, sigma, rm=VAR_005):

@@ -34,14 +34,15 @@ _SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules
 
 
 def test_cli_import_defers_quadrature():
-    # Monte Carlo and normal-model commands never integrate, so importing
-    # the command line must not pull in scipy.integrate, nor any other
-    # part of scipy: only array transforms and quadrature load it
+    # importing the command line must not pull in scipy.integrate, nor any
+    # other part of scipy: only the array normal quantile of Monte Carlo
+    # transforms loads it
     assert _fresh(f"import sys, cocval.cli; print({_SCIPY_LOADED})") == "False"
 
 
 GAUSSIAN_MARKET = ["--claim", '{"kind":"normal","mean":1,"sd":0.3}',
                    "--asset", '{"kind":"normal","mean":1.05,"sd":0.2}', "--w", "0.5"]
+LOGNORMAL_CLAIM = ["--claim", '{"kind":"lognormal","mean":1,"sd":0.3}']
 
 
 @pytest.mark.parametrize("argv", [
@@ -49,10 +50,15 @@ GAUSSIAN_MARKET = ["--claim", '{"kind":"normal","mean":1,"sd":0.3}',
     ["pareto-example"],
     ["value", *GAUSSIAN_MARKET],
     ["value", "--claim", '{"kind":"pareto","mean":1,"beta":2}'],
-], ids=["figure-fig1b", "pareto-example", "value-normal", "value-pareto-riskless"])
+    ["value", *LOGNORMAL_CLAIM],
+    ["value", *LOGNORMAL_CLAIM, "--asset", '{"kind":"lognormal","mean":1.05,"sd":0.2}',
+     "--w", "1"],
+], ids=["figure-fig1b", "pareto-example", "value-normal", "value-pareto-riskless",
+        "value-lognormal-riskless", "value-lognormal-pair"])
 def test_closed_form_commands_never_load_scipy(argv, tmp_path):
     # closed forms need only scalar normal functions, which the standard
-    # library provides
+    # library provides: the capped expectation of the risk-less and the
+    # lognormal pair routes is a stop-loss transform or Margrabe's formula
     code = ("import contextlib, io, sys\n"
             "from cocval.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"

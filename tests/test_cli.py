@@ -58,7 +58,7 @@ class TestValue:
             "--asset", '{"kind":"lognormal","mean":1.05,"sd":0.2}', "--w", "1"])
         assert code == EXIT_OK
         record = json.loads(out)
-        assert record["valuation_method"] == "quadrature"
+        assert record["valuation_method"] == "closed_form"
         assert record["r0"] == pytest.approx(2.2818, abs=1e-3)
 
     def test_mc_route_small_sample(self, capsys):
@@ -162,6 +162,24 @@ class TestValue:
         assert header.split(",")[0] == "w"
         assert float(row.split(",")[header.split(",").index("r0")]) == pytest.approx(
             1.77274879, abs=1e-7)
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("flag", ["--out", "--dump-config"])
+    @pytest.mark.parametrize("command", [
+        ["value", "--claim", GAUSSIAN_CLAIM],
+        ["figure", "fig1b", "--grid-step", "0.1"],
+        ["pareto-example"],
+    ], ids=["value", "figure", "pareto-example"])
+    def test_is_usage_error_without_traceback(self, tmp_path, command, flag):
+        target = tmp_path / "missing" / "x.csv"
+        src = str(Path(cocval.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-m", "cocval.cli", *command, flag, str(target)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in done.stderr
 
 
 class TestSweepAndFigures:

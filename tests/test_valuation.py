@@ -1,4 +1,4 @@
-"""Valuation layer: closed forms, quadrature, Monte Carlo, bounds."""
+"""Valuation layer: closed forms, Monte Carlo, bounds."""
 
 import dataclasses
 import math
@@ -7,10 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from cocval import valuation
 from cocval.analysis import sweep, w_grid
-from cocval.capital_solver import MarketSpec, NoSolutionError, solve_r0_gaussian_var
+from cocval.capital_solver import MarketSpec, NoSolutionError, _solve_r0_gaussian
 from cocval.distributions import (
     Degenerate,
     Lognormal,
@@ -22,7 +23,6 @@ from cocval.distributions import (
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import (
     ValuationResult,
-    capped_expectation_quadrature,
     gaussian_positive_part_factor,
     mc_valuation,
     mc_valuations,
@@ -107,48 +107,85 @@ class TestGaussianValuation:
         assert res.v0_lower is not None and res.v0 >= res.v0_lower - 1e-12
 
 
+def stop_loss_reference(claim, t):
+    """E[(X - t)^+] for t > 0, lognormal terms from scipy's normal CDF."""
+    if isinstance(claim, Lognormal):
+        z = (math.log(t) - claim.mu_log) / claim.sd_log
+        return claim.mean * special.ndtr(claim.sd_log - z) - t * special.ndtr(-z)
+    if isinstance(claim, ParetoTypeI):
+        if t <= claim.x_m:
+            return claim.mean - t
+        return claim.x_m ** claim.beta * t ** (1.0 - claim.beta) / (claim.beta - 1.0)
+    return max(claim.value - t, 0.0)
+
+
+def integral_reference(claim, r0, s_z=0.0):
+    """(v0, llo) at capital r0 with gross return Z = exp(s_z G): E[(X - r0 Z)^+]
+    is integrated against the standard normal G, and the capped
+    expectation is E[X] minus that."""
+    def integrand(g):
+        return stop_loss_reference(claim, r0 * math.exp(s_z * g)) * math.exp(-0.5 * g * g)
+
+    total, _ = integrate.quad(integrand, -40.0, 40.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    excess = total / math.sqrt(2.0 * math.pi)
+    capped = claim.mean - excess
+    z_mean = math.exp(0.5 * s_z * s_z)
+    v0 = (capped + ETA * r0 + r0 * (1.0 - z_mean)) / (1.0 + ETA)
+    return v0, excess / (1.0 + ETA)
+
+
 class TestCappedExpectation:
-    def test_saturated_minimum(self):
-        # claim sits below the asset support, so the cap binds at the claim
-        assert capped_expectation_quadrature(
-            ParetoTypeI(0.7, 3.0), Degenerate(0.5)) == pytest.approx(0.5, rel=1e-9)
+    """The capped expectation E[min(r0 Z, X)] behind the two capped
+    routes, seen through their premium."""
+
+    @staticmethod
+    def capped_of(res, z_mean):
+        # inverts v0 = (E[min(r0 Z, X)] + eta r0 + r0 (1 - E[Z])) / (1 + eta)
+        return (1.0 + ETA) * res.v0 - ETA * res.r0 - res.r0 * (1.0 - z_mean)
 
     def test_zero_capital(self):
-        assert capped_expectation_quadrature(
-            Degenerate(0.0), lognormal_from_moments(1.0, 0.3)) == 0.0
+        res = value_riskless_var(Degenerate(0.0), ALPHA, ETA)
+        assert (res.r0, res.c0, res.v0, res.llo) == (0.0, 0.0, 0.0, 0.0)
 
     def test_lognormal_pair_against_mc(self):
         claim = lognormal_from_moments(1.0, 0.3)
         asset = lognormal_from_moments(1.05, 0.2)
-        r0 = 2.28
-        quad_val = capped_expectation_quadrature(asset.scaled(r0), claim)
+        res = value_lognormal_var(claim.mu_log, claim.sd_log,
+                                  asset.mu_log, asset.sd_log, ALPHA, ETA)
         scen = generate_scenarios(10 ** 6, seed=29)
         z = asset.sample(scen.u_asset)
         x = claim.sample(scen.u_claim)
-        capped = np.minimum(r0 * z, x)
+        capped = np.minimum(res.r0 * z, x)
         se = float(capped.std(ddof=1)) / math.sqrt(scen.n)
-        assert abs(quad_val - float(capped.mean())) < 4 * se
+        assert abs(self.capped_of(res, asset.mean) - float(capped.mean())) < 4 * se
 
     def test_degenerate_asset_is_partial_expectation(self):
-        # E[min(c, X)] = E[X] - E[(X - c)^+]
+        # a sure gross return c: E[min(r0 c, X)] = E[X] - E[(X - r0 c)^+]
         claim = lognormal_from_moments(1.0, 0.3)
-        got = capped_expectation_quadrature(Degenerate(1.4), claim)
-        assert got == pytest.approx(claim.mean - claim.stop_loss(1.4), rel=1e-9)
+        res = value_lognormal_var(claim.mu_log, claim.sd_log, math.log(1.4), 0.0, ALPHA, ETA)
+        want = claim.mean - claim.stop_loss(1.4 * res.r0)
+        assert self.capped_of(res, 1.4) == pytest.approx(want, rel=1e-9)
 
-    def test_rejects_negative_support(self):
-        with pytest.raises(ValueError):
-            capped_expectation_quadrature(Normal(1.0, 0.2), Degenerate(1.0))
+    @pytest.mark.parametrize("s_z", [0.0, 1e-6, 1e-5, 1e-4, 0.2])
+    def test_lognormal_pair_against_integral(self, s_z):
+        # a narrow asset law is a near step in the capital's survival
+        # function; the exchange-option form has no trouble there
+        claim = lognormal_from_moments(1.0, 0.3)
+        res = value_lognormal_var(claim.mu_log, claim.sd_log, 0.0, s_z, ALPHA, ETA)
+        v0, llo = integral_reference(claim, res.r0, s_z)
+        assert res.v0 == pytest.approx(v0, rel=1e-12, abs=0.0)
+        assert res.llo == pytest.approx(llo, rel=1e-12, abs=0.0)
 
-    def test_heavy_tail_claim_converges(self):
-        # infinite-variance claim: the asset tail truncates the integral
-        claim = pareto_from_mean_beta(1.0, 1.1)
-        asset = lognormal_from_moments(1.05, 0.2)
-        r0 = 11.0
-        quad_val = capped_expectation_quadrature(asset.scaled(r0), claim)
-        scen = generate_scenarios(10 ** 6, seed=37)
-        capped = np.minimum(r0 * asset.sample(scen.u_asset), claim.sample(scen.u_claim))
-        se = float(capped.std(ddof=1)) / math.sqrt(scen.n)
-        assert abs(quad_val - float(capped.mean())) < 4 * se
+    @pytest.mark.parametrize("claim", [
+        lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.0, 1.0),
+        pareto_from_mean_beta(1.0, 1.1), pareto_from_mean_beta(1.0, 2.0),
+        pareto_from_mean_beta(1.0, 4.5), Degenerate(1.3),
+    ], ids=["lognormal0.3", "lognormal1", "pareto1.1", "pareto2", "pareto4.5", "degenerate"])
+    def test_riskless_against_integral(self, claim):
+        res = value_riskless_var(claim, ALPHA, ETA)
+        v0, llo = integral_reference(claim, res.r0)
+        assert res.v0 == pytest.approx(v0, rel=1e-12, abs=0.0)
+        assert res.llo == pytest.approx(llo, rel=1e-12, abs=0.0)
 
 
 class TestLognormalValuation:
@@ -311,7 +348,7 @@ class TestAgainstRebuildReference:
 
     def test_closed_form_report_is_rejected(self):
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=0.5, eta=ETA)
-        rep = solve_r0_gaussian_var(1.0, 0.3, 1.025, 0.1, ALPHA)
+        rep = _solve_r0_gaussian(1.0, 0.3, 1.025, 0.1, RiskMeasure("var", ALPHA).multiplier)
         with pytest.raises(ValueError, match="losses"):
             mc_valuation(rep, market, RiskMeasure("var", ALPHA))
 
@@ -400,8 +437,8 @@ class TestValueMarket:
         (Normal(1.0, 0.3), Normal(1.05, 0.2), 0.3, "es", ("closed_form", "closed_form")),
         (pareto_from_mean_beta(1.0, 1.1), LOGNORMAL_ASSET, 0.0, "var",
          ("closed_form", "closed_form")),
-        (LOGNORMAL_CLAIM, Degenerate(1.0), 0.7, "var", ("closed_form", "quadrature")),
-        (LOGNORMAL_CLAIM, LOGNORMAL_ASSET, 1.0, "var", ("closed_form", "quadrature")),
+        (LOGNORMAL_CLAIM, Degenerate(1.0), 0.7, "var", ("closed_form", "closed_form")),
+        (LOGNORMAL_CLAIM, LOGNORMAL_ASSET, 1.0, "var", ("closed_form", "closed_form")),
         (LOGNORMAL_CLAIM, LOGNORMAL_ASSET, 1.0, "es", ("empirical_root", "mc")),
         (Normal(1.0, 0.3), Degenerate(1.0), 0.0, "var", ("empirical_root", "mc")),
     ])
