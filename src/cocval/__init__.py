@@ -10,7 +10,7 @@ from .distributions import (
     lognormal_from_moments,
 )
 from .risk_measures import RiskMeasure
-from .capital_solver import MarketSpec, NoSolutionError, SolveReport
+from .market import MarketSpec, NoSolutionError, SolveReport
 from .valuation import ValuationResult, value_market
 from .analysis import MutualBenefit, SweepResult, sweep, w_grid
 

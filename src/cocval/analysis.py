@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, TextIO
 
-import numpy as np
-
-from .capital_solver import MarketSpec, NoSolutionError, check_grid
+from .market import MarketSpec, NoSolutionError, check_grid, check_memory
 from .risk_measures import RiskMeasure
 from .valuation import ValuationResult, _gaussian_valuations, mc_valuations, normal_model
 
@@ -33,6 +31,16 @@ CSV_COLUMNS = ("w", "r0", "c0", "v0", "v0_upper", "v0_lower", "llo",
                "r0_se", "c0_se", "v0_se")
 
 DEFAULT_GRID_STEP = 1e-3
+
+# Bytes a sweep keeps per weight of its grid: the grid's float, the row
+# objects (a ValuationResult and its floats, and for a Monte Carlo row
+# the solve report and its loss summary) and the CSV line.  The peak
+# traced memory of a sweep and its CSV, less the scenario arrays, was
+# 530-650 bytes per weight in the normal model and 920-965 on Monte
+# Carlo sweeps (VaR and ES, lognormal and Pareto claims, 1e3 scenarios,
+# grid steps 1e-3 to 1e-5, the CSV written to a file or kept in
+# memory; Python 3.11, Linux x86-64).
+SWEEP_ROW_BYTES = 1024
 
 
 def _cell(value) -> str:
@@ -89,26 +97,40 @@ def _benefit_threshold(gamma: float, nu: float, mu: float, sigma: float,
     return min(value, 1.0)
 
 
-def w_grid(step: float = DEFAULT_GRID_STEP) -> np.ndarray:
-    """Uniform mix grid {0, step, ..., 1}; 1/step must be integral."""
+def w_grid(step: float = DEFAULT_GRID_STEP) -> tuple[float, ...]:
+    """Uniform mix grid {0, step, ..., 1} as a tuple of floats; 1/step
+    must be integral.  With count = 1/step, point i is i * (1 / count)
+    and the last is 1.0, the values of ``numpy.linspace(0, 1, count + 1)``
+    bit for bit.
+
+    Raises:
+        ValueError: step outside (0, 1], 1/step not an integer, or a
+            sweep on the grid would keep more than the physical memory
+            at ``SWEEP_ROW_BYTES`` per weight; checked before the grid
+            is built.
+    """
     if not 0 < step <= 1:
         raise ValueError("step must lie in (0, 1]")
     count = round(1.0 / step)
     if abs(count * step - 1.0) > 1e-9:
         raise ValueError("1/step must be an integer")
-    return np.linspace(0.0, 1.0, count + 1)
+    check_memory((count + 1) * SWEEP_ROW_BYTES,
+                 f"grid step {step:g} gives {count + 1} weights, whose sweep rows")
+    width = 1.0 / count
+    return (*(i * width for i in range(count)), 1.0)
 
 
 @dataclass(frozen=True)
 class SweepResult:
     """Per-weight valuations plus the derived decision weights.
 
-    ``rows`` aligns with ``grid``; a None row marks a weight where no
-    capital level was acceptable, and the summary weights are derived
-    from the feasible prefix of the grid.
+    ``grid`` holds the weights as a tuple of floats, and ``rows`` aligns
+    with it; a None row marks a weight where no capital level was
+    acceptable, and the summary weights are derived from the feasible
+    prefix of the grid.
     """
 
-    grid: np.ndarray
+    grid: tuple[float, ...]
     rows: tuple[ValuationResult | None, ...]
     w_star: float | None
     w_hat_numeric: float | None
@@ -129,7 +151,7 @@ class SweepResult:
             if row is None:
                 cells = [_cell(w)] + [""] * (len(CSV_COLUMNS) - 1)
             else:
-                rec = row.to_record(w=float(w))
+                rec = row.to_record(w=w)
                 cells = [_cell(rec[c]) for c in CSV_COLUMNS]
             target.write(",".join(cells) + "\n")
         for key in ("w_star", "w_hat_numeric", "w_hat_closed"):
@@ -145,13 +167,13 @@ def _closed_threshold(market: MarketSpec, rm: RiskMeasure) -> float | None:
         return None
 
 
-def _derive_weights(grid: np.ndarray, rows: list[ValuationResult | None],
+def _derive_weights(grid: tuple[float, ...], rows: list[ValuationResult | None],
                     ) -> tuple[float | None, float | None]:
     limit = next((i for i, row in enumerate(rows) if row is None), len(rows))
     if limit == 0:
         return None, None
     r0s = [rows[i].r0 for i in range(limit)]
-    w_star = float(grid[int(np.argmin(r0s))])  # argmin takes the first minimum
+    w_star = grid[r0s.index(min(r0s))]  # the first minimum
 
     base = r0s[0]
     w_hat = None
@@ -160,7 +182,7 @@ def _derive_weights(grid: np.ndarray, rows: list[ValuationResult | None],
         if gap >= 0.0:
             prev_gap = r0s[i - 1] - base
             if prev_gap < 0.0:
-                w_prev, w_cur = float(grid[i - 1]), float(grid[i])
+                w_prev, w_cur = grid[i - 1], grid[i]
                 w_hat = w_prev - prev_gap * (w_cur - w_prev) / (gap - prev_gap)
             # else the requirement rose at the first step: no crossing to
             # interpolate on this grid
@@ -195,18 +217,18 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
         first grid step, so no crossing can be interpolated on that
         grid) and, in the normal model, its closed form.
     """
-    arr = check_grid(grid)
-    if arr[0] != 0.0:
+    ws = check_grid(grid)
+    if ws[0] != 0.0:
         raise ValueError("grid must include w = 0 as its first point")
-    params = normal_model(market, arr)
+    params = normal_model(market, ws)
     if params is not None:
         results = _gaussian_valuations(*params, rm, market.eta)
         w_hat_closed = _closed_threshold(market, rm)
     else:
-        results = mc_valuations(market, rm, arr, mc_n=mc_n, seed=seed)
+        results = mc_valuations(market, rm, ws, mc_n=mc_n, seed=seed)
         w_hat_closed = None
     rows = [None if isinstance(row, NoSolutionError) else row for row in results]
 
-    w_star, w_hat_numeric = _derive_weights(arr, rows)
-    return SweepResult(grid=arr, rows=tuple(rows), w_star=w_star,
+    w_star, w_hat_numeric = _derive_weights(ws, rows)
+    return SweepResult(grid=ws, rows=tuple(rows), w_star=w_star,
                        w_hat_numeric=w_hat_numeric, w_hat_closed=w_hat_closed)

@@ -1,11 +1,12 @@
-"""Solvers for the total capital requirement.
+"""The empirical capital requirement on a Monte Carlo scenario set.
 
 The requirement is the capital level r at which the chosen risk measure
 of the terminal net worth r Z - X vanishes, where Z = w S + 1 - w is
-the mixed gross return and X the aggregate claim.  Closed forms cover
-the normal model (both measures) and the lognormal model under VaR;
-everything else is the exact root of the empirical criterion on a
-shared Monte Carlo scenario set.
+the mixed gross return and X the aggregate claim.  Here it is the exact
+root of the empirical criterion on a shared scenario set, at every
+weight of a grid; the closed forms of the normal and lognormal models
+are in ``market``.  Only Monte Carlo runs import this module, and with
+it numpy.
 """
 
 from __future__ import annotations
@@ -15,53 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution
+from .market import NoSolutionError, SolveReport, check_grid
 from .montecarlo import BLOCK, in_chunks
-from .risk_measures import RiskMeasure, tail_average, tail_count, var_multiplier
+from .risk_measures import RiskMeasure, tail_average, tail_count
 
 __all__ = [
-    "MarketSpec",
     "LossSummary",
-    "SolveReport",
-    "NoSolutionError",
-    "gaussian_hedged_risk",
-    "solve_r0_lognormal_var",
-    "check_grid",
     "solve_r0_numeric",
 ]
-
-
-class NoSolutionError(Exception):
-    """No positive capital level makes the net worth acceptable."""
-
-
-@dataclass(frozen=True)
-class MarketSpec:
-    """Run-off market: claim X, risky gross return S, mix weight w,
-    cost-of-capital rate eta.
-
-    The buffer earns Z = w S + 1 - w, a fraction w in the risky asset
-    and the rest in the risk-less bond.
-    """
-
-    claim: Distribution
-    asset: Distribution
-    w: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError("w must lie in [0, 1]")
-        if not 0.0 < self.eta < math.inf:
-            raise ValueError("eta must be positive and finite")
-
-    @property
-    def z_mean(self) -> float:
-        return self.w * self.asset.mean + 1.0 - self.w
-
-    @property
-    def z_variance(self) -> float:
-        return self.w ** 2 * self.asset.variance
 
 
 @dataclass(frozen=True)
@@ -86,91 +48,6 @@ class LossSummary:
         p_ss = float(np.square(positive - p_mean).sum()) + (n - positive.size) * p_mean * p_mean
         pl_sum = float((positive * (positive - mean)).sum())
         return cls(n=n, mean=mean, var=var, p_mean=p_mean, p_ss=p_ss, pl_sum=pl_sum)
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    """Outcome of a capital solve.
-
-    ``residual`` is the risk measure re-evaluated at the returned
-    level: in capital units for the Gaussian forms and the empirical
-    root (zero to round-off), in log units for the lognormal closed
-    form.  ``iterations`` counts the selections the empirical root made
-    on its weight: the VaR one, then under ES the Newton steps, which on
-    an interior weight of a grid start from the tangent bound of the end
-    roots' triangle (``_triangle``); closed forms report zero.  A weight
-    rerun on all scenarios reports the rerun's count.  ``losses``
-    summarizes the losses X - r0 Z of an empirical root for
-    ``valuation.mc_valuation``; closed forms leave it None.
-    """
-
-    r0: float
-    method: str  # "closed_form" | "empirical_root"
-    residual: float
-    iterations: int
-    std_error: float | None = None
-    losses: LossSummary | None = field(default=None, repr=False, compare=False)
-
-
-def gaussian_hedged_risk(r: float, gamma: float, nu: float, mu: float,
-                         sigma: float, multiplier: float) -> float:
-    """Risk of r Z - X for normal X ~ (gamma, nu^2), Z ~ (mu, sigma^2).
-
-    ``multiplier`` is the Gaussian tail constant of the measure, so the
-    same expression serves VaR and ES.
-    """
-    return gamma - r * mu + multiplier * math.hypot(r * sigma, nu)
-
-
-def _solve_r0_gaussian(gamma: float, nu: float, mu: float, sigma: float,
-                       multiplier: float) -> SolveReport:
-    """Capital requirement of the normal model under the measure whose
-    Gaussian constant is ``multiplier``: the root in r of
-    ``gaussian_hedged_risk``.
-
-    Raises:
-        NoSolutionError: mu <= sigma * multiplier, which includes a sure
-            return mu <= 0.
-        ValueError: gamma or nu not positive, or sigma negative.
-    """
-    if gamma <= 0 or nu <= 0:
-        raise ValueError("gamma and nu must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if mu <= sigma * multiplier:
-        # at sigma = 0 a sure return mu <= 0, which no capital level
-        # makes acceptable
-        raise NoSolutionError(
-            "mean return does not exceed its risk charge "
-            f"(mu = {mu:g} <= {sigma * multiplier:g})"
-        )
-    if sigma == 0.0:
-        # Degenerate return Z = mu: the requirement is the claim risk
-        # deflated by the sure return.
-        r0 = (gamma + nu * multiplier) / mu
-    else:
-        disc = gamma ** 2 * sigma ** 2 + nu ** 2 * (mu ** 2 - sigma ** 2 * multiplier ** 2)
-        r0 = (mu * gamma + multiplier * math.sqrt(disc)) / (mu ** 2 - sigma ** 2 * multiplier ** 2)
-    residual = gaussian_hedged_risk(r0, gamma, nu, mu, sigma, multiplier)
-    return SolveReport(r0=r0, method="closed_form", residual=residual, iterations=0)
-
-
-def solve_r0_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,
-                           alpha: float) -> SolveReport:
-    """Capital requirement under VaR for lognormal claim and lognormal return.
-
-    Valid only when the gross return itself is lognormal (pure risky or
-    pure bond positions); a mixed return w S + 1 - w is not lognormal
-    and must go through the numeric solver.
-    """
-    if s_x <= 0:
-        raise ValueError("s_x must be positive")
-    if s_z < 0:
-        raise ValueError("s_z must be nonnegative")
-    log_r0 = m_x - m_z + var_multiplier(alpha) * math.hypot(s_z, s_x)
-    r0 = math.exp(log_r0)
-    return SolveReport(r0=r0, method="closed_form",
-                       residual=log_r0 - math.log(r0), iterations=0)
 
 
 # Relative slack on the candidate threshold t; the bound behind it is at
@@ -486,23 +363,6 @@ def _vertex_losses(x: np.ndarray, s: np.ndarray, w: float, r: float) -> np.ndarr
     return np.subtract(x, np.multiply(losses, r, out=losses), out=losses)
 
 
-def check_grid(grid) -> np.ndarray:
-    """A grid of mix weights as a float array, checked to be nonempty,
-    one-dimensional, strictly increasing and inside [0, 1].
-
-    Raises:
-        ValueError: it is not.
-    """
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("grid must be a nonempty 1-d collection")
-    if not np.all(np.diff(arr) > 0.0):
-        raise ValueError("grid must be strictly increasing")
-    if not (0.0 <= arr[0] and arr[-1] <= 1.0):
-        raise ValueError("grid must stay inside [0, 1]")
-    return arr
-
-
 def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | None,
                      grid) -> list[SolveReport | NoSolutionError]:
     """Exact capital level with zero empirical risk at every weight of a
@@ -553,7 +413,7 @@ def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | N
             claim, which makes the criterion non-monotone, and zero
             capital is not acceptable.
     """
-    ws = check_grid(grid).tolist()
+    ws = check_grid(grid)
     c = _candidate_set(rm, claims, assets, ws[0], ws[-1])
     if rm.kind == "var":
         return [_outcome(_var_report, c, w) for w in ws]

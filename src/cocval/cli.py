@@ -16,8 +16,8 @@ import os
 import sys
 
 from .analysis import DEFAULT_GRID_STEP, sweep, w_grid
-from .capital_solver import MarketSpec, NoSolutionError
 from .distributions import distribution_from_config
+from .market import MarketSpec, NoSolutionError
 from .risk_measures import RiskMeasure
 from .valuation import pareto_riskless_valuation, value_market
 
@@ -396,6 +396,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # math on parameters too large for a float
+        print(f"error: the inputs overflow ({exc})", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -11,11 +11,17 @@ uniforms.  No distribution owns an RNG: the scenario module hands the
 same uniforms to every distribution, which is what makes common random
 numbers work across model families and parameter values.
 
-The normal CDF is ``math.erfc`` for scalars and arrays alike.  The
-normal quantile is the standard library's for scalars and scipy's
-``ndtri`` for arrays, imported on first use: a closed-form run
-evaluates only a handful of scalar normal CDFs and quantiles, and never
-loads scipy.
+Every function takes a scalar or an array.  A scalar (a number, or a
+numpy scalar or 0-d array) runs on ``math`` and ``statistics`` and
+returns a float; a list, tuple or array of one or more dimensions
+returns a numpy array, and numpy is imported on that first use.  A
+closed-form run evaluates only scalars, so it loads neither numpy nor
+scipy.  The survival functions and the normal CDF and density map the
+scalar function over an array, so both give the same values to the last
+bit.  The quantiles, which the Monte Carlo transforms call on every
+block of uniforms, run on numpy arrays: the normal quantile is the
+standard library's ``NormalDist.inv_cdf`` for a scalar and scipy's
+``ndtri`` for an array, imported on first use.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Normal",
@@ -44,37 +52,61 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = statistics.NormalDist()
-_ERFC_ELEMENTWISE = np.vectorize(math.erfc, otypes=[float])
 
 
-def _match(values: np.ndarray, like) -> float | np.ndarray:
-    """Return a bare float when the caller passed a scalar."""
-    return float(values) if np.ndim(like) == 0 else values
+def _is_array(x) -> bool:
+    # a list, a tuple or an array of one or more dimensions; anything
+    # else, numpy scalars and 0-d arrays included, is a scalar
+    return isinstance(x, (list, tuple)) or getattr(x, "ndim", 0) > 0
 
 
-def _check_probability(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+def _elementwise(fn, x) -> np.ndarray:
+    """The scalar function ``fn`` on every element of the array ``x``."""
+    import numpy as np
+
+    return np.vectorize(fn, otypes=[float])(np.asarray(x, dtype=float))
+
+
+def _full(shape, value: float) -> np.ndarray:
+    import numpy as np
+
+    return np.full(shape, value)
+
+
+def _probabilities(p) -> float | np.ndarray:
+    """p as a float, or as a float array when it is one, each checked to
+    lie strictly inside (0, 1).
+
+    Raises:
+        ValueError: a p outside the open interval, nan included.
+    """
+    if _is_array(p):
+        import numpy as np
+
+        arr = np.asarray(p, dtype=float)
+        # min and max propagate nan, which fails both comparisons
+        if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
+            raise ValueError("probability level must lie strictly inside (0, 1)")
+        return arr
+    p = float(p)
+    if not 0.0 < p < 1.0:
         raise ValueError("probability level must lie strictly inside (0, 1)")
-    return arr
-
-
-def _half_erfc(t) -> float | np.ndarray:
-    """erfc(t) / 2 from ``math.erfc``: a float for a scalar ``t``, else
-    elementwise, so an array and a loop of scalars give the same values."""
-    if np.ndim(t) == 0:
-        return 0.5 * math.erfc(t)
-    return 0.5 * _ERFC_ELEMENTWISE(t)
+    return p
 
 
 def standard_normal_cdf(x) -> float | np.ndarray:
-    """P(G <= x) for standard normal G, accurate in both tails."""
-    return _half_erfc(-np.asarray(x, dtype=float) / _SQRT2)
+    """P(G <= x) for standard normal G, accurate in both tails: erfc of
+    -x / sqrt(2), halved, from ``math.erfc``."""
+    if _is_array(x):
+        return _elementwise(standard_normal_cdf, x)
+    return 0.5 * math.erfc(-float(x) / _SQRT2)
 
 
 def standard_normal_pdf(x) -> float | np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    return _match(np.exp(-0.5 * arr * arr) / _SQRT_TWO_PI, x)
+    if _is_array(x):
+        return _elementwise(standard_normal_pdf, x)
+    x = float(x)
+    return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
 
 
 def standard_normal_quantile(p) -> float | np.ndarray:
@@ -87,14 +119,14 @@ def standard_normal_quantile(p) -> float | np.ndarray:
     for p in [1e-12, 1 - 1e-12].
 
     Raises:
-        ValueError: any p outside the open interval (0, 1).
+        ValueError: any p outside the open interval (0, 1), nan included.
     """
-    arr = _check_probability(p)
-    if np.ndim(p) == 0:
-        return _STANDARD_NORMAL.inv_cdf(float(arr))
+    p = _probabilities(p)
+    if isinstance(p, float):
+        return _STANDARD_NORMAL.inv_cdf(p)
     from scipy import special
 
-    return special.ndtri(arr)
+    return special.ndtri(p)
 
 
 @dataclass(frozen=True)
@@ -122,16 +154,18 @@ class Normal:
         return self.sd == 0.0 and self.mean >= 0.0
 
     def sf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
+        if _is_array(x):
+            return _elementwise(self.sf, x)
+        x = float(x)
         if self.sd == 0.0:
-            return _match((arr < self.mean).astype(float), x)
-        return _half_erfc((arr - self.mean) / (self.sd * _SQRT2))
+            return float(x < self.mean)
+        return 0.5 * math.erfc((x - self.mean) / (self.sd * _SQRT2))
 
     def quantile(self, p) -> float | np.ndarray:
-        arr = _check_probability(p)
+        p = _probabilities(p)
         if self.sd == 0.0:
-            return _match(np.full(arr.shape, self.mean), p)
-        return _match(self.mean + self.sd * standard_normal_quantile(arr), p)
+            return float(self.mean) if isinstance(p, float) else _full(p.shape, self.mean)
+        return self.mean + self.sd * standard_normal_quantile(p)
 
     def sample(self, u) -> float | np.ndarray:
         """Inverse-transform sample; equals ``quantile(u)`` by contract."""
@@ -178,15 +212,22 @@ class Lognormal:
         return True
 
     def sf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        # log(x) of x <= 0 is -inf or nan; np.where drops those cells
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (np.log(arr) - self.mu_log) / self.sd_log
-        return _match(np.where(arr > 0.0, _half_erfc(z / _SQRT2), 1.0), x)
+        if _is_array(x):
+            return _elementwise(self.sf, x)
+        x = float(x)
+        if not x > 0.0:
+            return 1.0
+        z = (math.log(x) - self.mu_log) / self.sd_log
+        return 0.5 * math.erfc(z / _SQRT2)
 
     def quantile(self, p) -> float | np.ndarray:
-        arr = _check_probability(p)
-        return _match(np.exp(self.mu_log + self.sd_log * standard_normal_quantile(arr)), p)
+        p = _probabilities(p)
+        log_q = self.mu_log + self.sd_log * standard_normal_quantile(p)
+        if isinstance(p, float):
+            return math.exp(log_q)
+        import numpy as np
+
+        return np.exp(log_q)
 
     def sample(self, u) -> float | np.ndarray:
         """Inverse-transform sample; equals ``quantile(u)`` by contract."""
@@ -235,15 +276,14 @@ class ParetoTypeI:
         return True
 
     def sf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        out = np.ones(arr.shape)
-        above = arr > self.x_m
-        out[above] = (arr[above] / self.x_m) ** (-self.beta)
-        return _match(out, x)
+        if _is_array(x):
+            return _elementwise(self.sf, x)
+        x = float(x)
+        return (x / self.x_m) ** (-self.beta) if x > self.x_m else 1.0
 
     def quantile(self, p) -> float | np.ndarray:
-        arr = _check_probability(p)
-        return _match(self.x_m * (1.0 - arr) ** (-1.0 / self.beta), p)
+        p = _probabilities(p)
+        return self.x_m * (1.0 - p) ** (-1.0 / self.beta)
 
     def sample(self, u) -> float | np.ndarray:
         """Inverse-transform sample; equals ``quantile(u)`` by contract."""
@@ -278,12 +318,13 @@ class Degenerate:
         return self.value >= 0.0
 
     def sf(self, x) -> float | np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        return _match((arr < self.value).astype(float), x)
+        if _is_array(x):
+            return _elementwise(self.sf, x)
+        return float(float(x) < self.value)
 
     def quantile(self, p) -> float | np.ndarray:
-        arr = _check_probability(p)
-        return _match(np.full(arr.shape, self.value), p)
+        p = _probabilities(p)
+        return float(self.value) if isinstance(p, float) else _full(p.shape, self.value)
 
     def sample(self, u) -> float | np.ndarray:
         return self.quantile(u)
@@ -332,7 +373,11 @@ def pareto_from_moments(mean: float, sd: float) -> ParetoTypeI:
     if mean <= 0 or sd <= 0:
         raise ValueError("mean and sd must be positive")
     cv = sd / mean
-    beta = 1.0 + math.sqrt(1.0 + 1.0 / (cv * cv))
+    # a cv below about 1e-154 squares to a subnormal or 0: the index is inf
+    beta = 1.0 + math.sqrt(1.0 + 1.0 / (cv * cv)) if cv * cv > 0.0 else math.inf
+    if beta == math.inf:
+        raise ValueError("sd is too small against the mean: the matched tail index "
+                         "is not finite")
     return ParetoTypeI(x_m=mean * (beta - 1.0) / beta, beta=beta)
 
 

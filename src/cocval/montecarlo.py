@@ -26,7 +26,6 @@ to the solver's full-length passes.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from concurrent.futures import wait
@@ -34,6 +33,7 @@ from concurrent.futures import wait
 import numpy as np
 
 from .distributions import Distribution
+from .market import check_memory
 
 __all__ = [
     "sample_scenarios",
@@ -136,10 +136,7 @@ def sample_scenarios(claim: Distribution, asset: Distribution | None, n: int,
     """
     if n < 1:
         raise ValueError("need at least one scenario")
-    need, have = n * PEAK_BYTES_PER_SCENARIO, _physical_memory()
-    if need > have:
-        raise ValueError(f"{n} scenarios need about {need / 2 ** 30:.3g} GiB at peak, "
-                         f"more than the {have / 2 ** 30:.3g} GiB of physical memory")
+    check_memory(n * PEAK_BYTES_PER_SCENARIO, f"{n} scenarios")
     key_asset, key_claim = np.random.SeedSequence(seed).spawn(2)
     x = np.empty(n)
     s = None if asset is None else np.empty(n)
@@ -152,11 +149,3 @@ def sample_scenarios(claim: Distribution, asset: Distribution | None, n: int,
     in_chunks(chunk, n, 4)
     return x, s
 
-
-def _physical_memory() -> float:
-    # bytes, or inf where the system does not tell
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-    return float(have) if have > 0 else math.inf

@@ -9,17 +9,21 @@ empirical loss quantile over the worst tail with a fractional edge
 term, which makes the estimator continuous in alpha.
 
 Neither function mutates caller data; partial selection happens on a
-private copy.
+private copy.  Both take an array and import numpy on first use; the
+Gaussian constants and the parsing of a measure run on the standard
+library alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import standard_normal_pdf, standard_normal_quantile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RiskMeasure",
@@ -31,6 +35,8 @@ __all__ = [
 
 
 def _losses(values) -> np.ndarray:
+    import numpy as np
+
     arr = -np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty sample")
@@ -62,8 +68,8 @@ def var_empirical(values, alpha: float) -> float:
     _check_alpha(alpha)
     n = losses.size
     rank = n - tail_count(alpha, n)  # 1-based rank of the quantile element
-    part = np.partition(losses, rank - 1)
-    return float(part[rank - 1])
+    losses.partition(rank - 1)  # _losses made a private copy
+    return float(losses[rank - 1])
 
 
 def es_empirical(values, alpha: float) -> float:

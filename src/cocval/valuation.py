@@ -15,15 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .capital_solver import (
-    MarketSpec,
-    NoSolutionError,
-    SolveReport,
-    _solve_r0_gaussian,
-    check_grid,
-    solve_r0_lognormal_var,
-    solve_r0_numeric,
-)
 from .distributions import (
     Degenerate,
     Distribution,
@@ -33,7 +24,14 @@ from .distributions import (
     standard_normal_cdf,
     standard_normal_pdf,
 )
-from .montecarlo import sample_scenarios
+from .market import (
+    MarketSpec,
+    NoSolutionError,
+    SolveReport,
+    _solve_r0_gaussian,
+    check_grid,
+    solve_r0_lognormal_var,
+)
 from .risk_measures import RiskMeasure
 
 __all__ = [
@@ -210,12 +208,13 @@ def _capped_valuation(rep: SolveReport, gross_return: Distribution,
     # value and the limited-liability option follow from exact identities.
     r0 = rep.r0
     z_mean = gross_return.mean
-    v0 = (capped + eta * r0 + r0 * (1.0 - z_mean)) / (1.0 + eta)
+    c0 = r0 - (capped + eta * r0 + r0 * (1.0 - z_mean)) / (1.0 + eta)
+    v0 = r0 - c0  # the premium identity, exact in floating point
     upper, lower = v0_bounds(r0, z_mean=z_mean, z_var=gross_return.variance,
                              x_mean=claim.mean, x_var=claim.variance,
                              eta=eta, alpha=alpha)
     return ValuationResult(
-        r0=r0, c0=r0 - v0, v0=v0, llo=upper - v0,
+        r0=r0, c0=c0, v0=v0, llo=upper - v0,
         v0_upper=upper, v0_lower=lower,
         r0_method=rep.method, valuation_method="closed_form",
         residual=rep.residual, iterations=rep.iterations,
@@ -273,11 +272,14 @@ def pareto_riskless_valuation(beta: float, mean: float, alpha: float,
         raise ValueError("mean must be positive and finite")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly inside (0, 1)")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     tail_pow = alpha ** (-1.0 / beta)
     r0 = (beta - 1.0) / beta * tail_pow * mean
     llo = (alpha * tail_pow / beta) * mean / (1.0 + eta)
     upper = (mean / (1.0 + eta)) * (1.0 + (tail_pow / beta) * eta * (beta - 1.0))
-    v0 = upper - llo
+    c0 = r0 - (upper - llo)
+    v0 = r0 - c0  # the premium identity, exact in floating point
     lower = None
     if beta > 2.0:
         x_m = mean * (beta - 1.0) / beta
@@ -285,7 +287,7 @@ def pareto_riskless_valuation(beta: float, mean: float, alpha: float,
         _, lower = v0_bounds(r0, z_mean=1.0, z_var=0.0, x_mean=mean,
                              x_var=x_var, eta=eta, alpha=alpha)
     return ValuationResult(
-        r0=r0, c0=r0 - v0, v0=v0, llo=llo, v0_upper=upper, v0_lower=lower,
+        r0=r0, c0=c0, v0=v0, llo=llo, v0_upper=upper, v0_lower=lower,
         r0_method="closed_form", valuation_method="closed_form",
         residual=0.0, iterations=0,
     )
@@ -340,11 +342,17 @@ def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     ``solve_r0_numeric``, each split by ``mc_valuation``.  A weight where
     no capital level is acceptable gets its ``NoSolutionError``.
 
+    The sampler and the solver, and numpy with them, are imported here,
+    on the first Monte Carlo run.
+
     Raises:
         ValueError: the grid is not strictly increasing inside [0, 1],
             checked before any scenario is drawn; or from the sampling or
             the solve.
     """
+    from .capital_solver import solve_r0_numeric
+    from .montecarlo import sample_scenarios
+
     ws = check_grid(grid)
     # Z = 1 on a grid that is w = 0 alone: no asset returns needed
     claims, assets = sample_scenarios(market.claim, market.asset if ws[-1] > 0.0 else None,
@@ -358,15 +366,18 @@ def normal_model(market: MarketSpec, w=None) -> tuple | None:
     """Parameters (gamma, nu, mu_w, sigma_w) of the normal model.
 
     Claim mean and sd, then the mean and sd of the mixed return at the
-    weight ``w`` (``market.w`` when None; an array of weights gives
-    arrays of mu_w and sigma_w); None unless both the claim and the
-    asset are normal.
+    weight ``w`` (``market.w`` when None; a tuple of weights, such as a
+    checked grid, gives tuples of mu_w and sigma_w); None unless both
+    the claim and the asset are normal.
     """
     claim, asset = market.claim, market.asset
     if not (isinstance(claim, Normal) and isinstance(asset, Normal)):
         return None
     if w is None:
         w = market.w
+    if isinstance(w, tuple):
+        return (claim.mean, claim.sd, tuple(v * asset.mean + (1.0 - v) for v in w),
+                tuple(v * asset.sd for v in w))
     return claim.mean, claim.sd, w * asset.mean + (1.0 - w), w * asset.sd
 
 

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cocval.capital_solver import LossSummary, NoSolutionError, SolveReport, solve_r0_numeric
+from cocval.capital_solver import LossSummary, solve_r0_numeric
 from cocval.distributions import standard_normal_cdf, standard_normal_pdf
+from cocval.market import NoSolutionError, SolveReport
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import ValuationResult, mc_valuation, v0_bounds
 

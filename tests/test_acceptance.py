@@ -10,13 +10,13 @@ import pytest
 from scipy.optimize import brentq
 
 from cocval.analysis import sweep, w_grid
-from cocval.capital_solver import MarketSpec
 from cocval.distributions import (
     Normal,
     lognormal_from_moments,
     pareto_from_mean_beta,
     standard_normal_quantile,
 )
+from cocval.market import MarketSpec
 from cocval.risk_measures import (
     RiskMeasure,
     es_empirical,

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,15 +10,15 @@ import pytest
 from scipy.optimize import brentq
 
 import cocval
-from cocval import distributions
+from cocval import analysis, distributions
 from cocval.analysis import (
     check_mutual_benefit,
     negative_loading_threshold,
     sweep,
     w_grid,
 )
-from cocval.capital_solver import MarketSpec, NoSolutionError
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
+from cocval.market import MarketSpec, NoSolutionError
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
 from cocval.valuation import mc_valuation, value_gaussian_var, value_market
 
@@ -28,6 +29,8 @@ ALPHA = 0.005
 ETA = 0.06
 FIG_MARKET = MarketSpec(claim=Normal(GAMMA, NU), asset=Normal(MU, SIGMA), w=0.0, eta=ETA)
 VAR_005 = RiskMeasure("var", ALPHA)
+LOGNORMAL_MARKET = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
+                            asset=lognormal_from_moments(1.05, 0.2), w=0.0, eta=ETA)
 # the scenario set of a sweep; the normal model's closed forms do not use it
 MC = {"mc_n": 20_000, "seed": 1}
 
@@ -145,12 +148,54 @@ class TestMutualBenefit:
 class TestGrid:
     def test_default_grid(self):
         grid = w_grid(1e-3)
-        assert grid.size == 1001
+        assert len(grid) == 1001
         assert grid[0] == 0.0 and grid[-1] == 1.0
+
+    @pytest.mark.parametrize("step", [1, 0.5, 0.25, 0.1, 0.05, 0.01, 0.001, 2e-4])
+    def test_grid_is_linspace_bit_for_bit(self, step):
+        grid = w_grid(step)
+        assert type(grid) is tuple and all(type(w) is float for w in grid)
+        assert grid == tuple(np.linspace(0.0, 1.0, round(1 / step) + 1).tolist())
 
     def test_rejects_non_divisor_step(self):
         with pytest.raises(ValueError):
             w_grid(0.3)
+
+    def test_grid_beyond_memory_is_refused_before_it_exists(self, monkeypatch):
+        # a machine with room for the rows of exactly 101 weights
+        monkeypatch.setattr("cocval.market._physical_memory",
+                            lambda: 101.0 * analysis.SWEEP_ROW_BYTES)
+        assert len(w_grid(0.01)) == 101
+        with pytest.raises(ValueError, match="grid step 0.005 gives 201 weights"):
+            w_grid(0.005)
+        # 10^9 + 1 weights would be 32 GB of floats alone
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"grid step 1e-09 .* physical memory"):
+                w_grid(1e-9)
+            assert tracemalloc.get_traced_memory()[1] < 100_000
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("market, rm", [
+        (FIG_MARKET, VAR_005),
+        (LOGNORMAL_MARKET, VAR_005),
+        (LOGNORMAL_MARKET, RiskMeasure("es", 0.01)),
+    ], ids=["normal-var", "lognormal-var", "lognormal-es"])
+    def test_row_bytes_cover_a_sweep_and_its_csv(self, market, rm):
+        # what a sweep and its CSV, kept in memory, add per weight of the
+        # grid: the difference of two grids cancels the scenario set
+        def peak(step):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sweep(market, rm, w_grid(step), mc_n=1000, seed=1).write_csv(io.StringIO())
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(0.1)  # first-use imports and caches
+        assert 0 < (peak(5e-4) - peak(1e-3)) / 1000 <= analysis.SWEEP_ROW_BYTES
 
     def test_sweep_rejects_bad_grids(self):
         for bad in ([0.1, 0.2], [0.0, 0.2, 0.1], [0.0, 0.5, 1.2]):

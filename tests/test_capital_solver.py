@@ -9,22 +9,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cocval import capital_solver, montecarlo
 from cocval.analysis import w_grid
-from cocval.capital_solver import (
-    LossSummary,
-    MarketSpec,
-    NoSolutionError,
-    SolveReport,
-    _solve_r0_gaussian,
-    gaussian_hedged_risk,
-    solve_r0_lognormal_var,
-    solve_r0_numeric,
-)
+from cocval.capital_solver import LossSummary, solve_r0_numeric
 from cocval.distributions import (
     Degenerate,
     Lognormal,
     Normal,
     lognormal_from_moments,
     pareto_from_mean_beta,
+)
+from cocval.market import (
+    MarketSpec,
+    NoSolutionError,
+    SolveReport,
+    _solve_r0_gaussian,
+    gaussian_hedged_risk,
+    solve_r0_lognormal_var,
 )
 from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_empirical,
                                   var_multiplier)

@@ -42,6 +42,20 @@ class TestValue:
         # the program sets v0 = r0 - c0; v0 + c0 need not round back to r0
         assert record["v0"] == record["r0"] - record["c0"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--claim", '{"kind":"pareto","mean":1,"beta":1.1}'],
+        ["--claim", '{"kind":"lognormal","mean":1,"sd":0.6}',
+         "--asset", '{"kind":"lognormal","mean":1.05,"sd":0.2}', "--w", "1"],
+    ], ids=["pareto-riskless", "lognormal-pair"])
+    def test_capped_routes_print_the_premium_identity(self, capsys, argv):
+        # these two routes compute the premium first; v0 is then set back
+        # to r0 - c0, which rounding would otherwise move by one ulp
+        code, out, _ = run(capsys, ["value", *argv])
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert record["valuation_method"] == "closed_form"
+        assert record["v0"] == record["r0"] - record["c0"]
+
     def test_pareto_example_route(self, capsys):
         code, out, _ = run(capsys, [
             "value", "--claim", '{"kind":"pareto","mean":1,"beta":2}'])
@@ -131,6 +145,16 @@ class TestValue:
         assert code == EXIT_USAGE
         assert out == ""
         assert "physical memory" in err
+
+    @pytest.mark.parametrize("command", [["sweep", *LOGNORMAL_MARKET[:4], "--mc-n", "1000"],
+                                         ["figure", "fig1b"]])
+    def test_grid_beyond_memory_is_usage_error(self, capsys, monkeypatch, command):
+        # 10^9 + 1 weights on a machine of 8 GiB: refused before the grid exists
+        monkeypatch.setattr("cocval.market._physical_memory", lambda: 8.0 * 2 ** 30)
+        code, out, err = run(capsys, [*command, "--grid-step", "1e-9"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "grid step 1e-09" in err and "physical memory" in err
 
     def test_closed_form_starts_no_thread(self):
         # the sampler's thread pool is made by the first Monte Carlo draw,

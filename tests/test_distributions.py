@@ -180,6 +180,31 @@ class TestQuantileExamples:
             with pytest.raises(ValueError):
                 dist.quantile(1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, np.float64(math.nan), np.array(math.nan),
+                                   [0.5, math.nan], np.array([math.nan, 0.5])],
+                             ids=["float", "numpy-scalar", "0-d", "list", "array"])
+    def test_nan_level_is_a_domain_error(self, p):
+        # nan is neither inside (0, 1) nor outside by comparison, so the
+        # check decides it explicitly, for scalars and arrays alike
+        for dist in (Normal(0, 1), Normal(1, 0), Lognormal(0, 1), ParetoTypeI(1, 2),
+                     Degenerate(3)):
+            with pytest.raises(ValueError, match="strictly inside"):
+                dist.quantile(p)
+        with pytest.raises(ValueError, match="strictly inside"):
+            standard_normal_quantile(p)
+
+    def test_scalar_and_array_types(self):
+        # a scalar level, numpy scalars and 0-d arrays included, gives a
+        # float; a list or an array gives an array
+        for dist in (Normal(0, 1), Normal(1, 0), Lognormal(0, 1), ParetoTypeI(1, 2),
+                     Degenerate(3)):
+            for p in (0.25, np.float64(0.25), np.array(0.25)):
+                assert type(dist.quantile(p)) is float
+                assert type(dist.sf(p)) is float
+            assert dist.quantile([0.25, 0.5]).shape == (2,)
+            assert dist.sf(np.array([[0.25], [2.0]])).shape == (2, 1)
+            assert dist.quantile(np.empty(0)).shape == (0,)
+
 
 class TestSampleExamples:
     def test_normal_median_draw(self):

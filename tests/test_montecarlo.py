@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocval import montecarlo
-from cocval.capital_solver import MarketSpec, SolveReport
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments, pareto_from_mean_beta
+from cocval.market import MarketSpec, SolveReport
 from cocval.montecarlo import sample_scenarios
 from cocval.risk_measures import RiskMeasure, var_empirical, var_multiplier
 from cocval.valuation import gaussian_positive_part_factor, mc_valuation
@@ -50,7 +50,7 @@ class TestGenerate:
 
     def test_memory_guard(self, monkeypatch):
         # a machine with room for exactly 1000 scenarios
-        monkeypatch.setattr(montecarlo, "_physical_memory",
+        monkeypatch.setattr("cocval.market._physical_memory",
                             lambda: 1000.0 * montecarlo.PEAK_BYTES_PER_SCENARIO)
         x, s = sample_scenarios(CLAIM, ASSET, 1000, seed=1)
         assert x.size == s.size == 1000

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from cocval import valuation
+from cocval import capital_solver, montecarlo, valuation
 from cocval.analysis import sweep, w_grid
-from cocval.capital_solver import MarketSpec, NoSolutionError, _solve_r0_gaussian
 from cocval.distributions import (
     Degenerate,
     Lognormal,
@@ -20,6 +19,7 @@ from cocval.distributions import (
     lognormal_from_moments,
     pareto_from_mean_beta,
 )
+from cocval.market import MarketSpec, NoSolutionError, _solve_r0_gaussian
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import (
     ValuationResult,
@@ -527,13 +527,13 @@ class TestMcValuations:
     def test_scenario_set_dies_before_the_solve(self, monkeypatch, run, kind):
         # only the transformed streams reach the solver: when it starts, the
         # claims and asset returns are all the live memory, no uniform stream
-        seen, solve = [], valuation.solve_r0_numeric
+        seen, solve = [], capital_solver.solve_r0_numeric
 
         def solved(rm, claims, assets, grid):
             seen.append((tracemalloc.get_traced_memory()[0], claims.nbytes + assets.nbytes))
             return solve(rm, claims, assets, grid)
 
-        monkeypatch.setattr(valuation, "solve_r0_numeric", solved)
+        monkeypatch.setattr(capital_solver, "solve_r0_numeric", solved)
         tracemalloc.start()
         try:
             run(MarketSpec(claim=self.CLAIM, asset=self.ASSET, w=0.0, eta=ETA),
@@ -548,7 +548,7 @@ class TestMcValuations:
     def test_malformed_grid_draws_nothing(self, monkeypatch, grid):
         # the grid is checked before a single scenario is drawn
         calls = []
-        monkeypatch.setattr(valuation, "sample_scenarios", lambda *args: calls.append(args))
+        monkeypatch.setattr(montecarlo, "sample_scenarios", lambda *args: calls.append(args))
         market = MarketSpec(claim=self.CLAIM, asset=self.ASSET, w=0.0, eta=ETA)
         with pytest.raises(ValueError, match="grid"):
             mc_valuations(market, RiskMeasure("var", ALPHA), grid, mc_n=10 ** 6, seed=1)
