@@ -18,7 +18,7 @@ import numpy as np
 
 from .market import NoSolutionError, SolveReport, check_grid
 from .montecarlo import BLOCK, in_chunks
-from .risk_measures import RiskMeasure, tail_average, tail_count
+from .risk_measures import RiskMeasure, shortfall, tail_average, tail_count
 
 __all__ = [
     "LossSummary",
@@ -55,39 +55,21 @@ class LossSummary:
 _SLACK = 2.0 ** -48
 # Pruning needs |t| clear of underflow and overflow (or t = 0).
 _PRUNE_RANGE = (2.0 ** -900, 2.0 ** 900)
-# Relative margin of an interior ES start below the tangents; the bound
-# behind it and the kept set's slack are at ``_triangle``.
+# Relative margin of an ES start below its lower bound and of an end
+# root above its upper bound; the kept set's slack behind it is at
+# ``_polygon``.
 _ES_MARGIN = 2.0 ** -40
 
 
 @dataclass(frozen=True)
-class _Triangle:
-    """The scenarios that decide the empirical ES root at every weight
-    strictly inside a weight range, and the triangle they were kept on.
-
-    With the position P = r (w, 1 - w) in the asset and the bond, the
-    vertices are the end roots P_lo and P_hi and the meeting point T of
-    their tangents; ``w`` and ``r`` hold their weights and capital
-    levels in the order P_lo, T, P_hi.  ``x`` and ``s`` are the kept
-    claims and asset returns in scenario order.
+class _Polygon:
+    """The scenarios that decide the empirical ES root at every weight of
+    a grid or of a part of it: ``x`` and ``s`` are the kept claims and
+    asset returns in scenario order; ``s`` is None where Z = 1.
     """
 
-    w: tuple[float, float, float]
-    r: tuple[float, float, float]
     x: np.ndarray = field(repr=False)
-    s: np.ndarray = field(repr=False)
-
-    def bounds(self, w: float) -> tuple[float, float]:
-        """The capital levels where the ray of an interior weight w meets
-        the tangents and the chord: the triangle's bottom and top."""
-        # 1/r is affine in w along a line, and every weight below is >= 0
-        (w0, wt, w1), (u0, ut, u1) = self.w, [1.0 / r for r in self.r]
-        if w < wt:
-            tangent = ((wt - w) * u0 + (w - w0) * ut) / (wt - w0)
-        else:
-            tangent = ((w1 - w) * ut + (w - wt) * u1) / (w1 - wt)
-        chord = ((w1 - w) * u0 + (w - w0) * u1) / (w1 - w0)
-        return 1.0 / tangent, 1.0 / chord
+    s: np.ndarray | None = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -275,92 +257,166 @@ def _centred_moments(x: np.ndarray, x_mean: float, s: np.ndarray | None,
     return x_var, s_var, xs_cov
 
 
-def _triangle(x: np.ndarray, s: np.ndarray, k: int,
-              tangents: list[tuple[float, float, float]], lo: np.ndarray) -> _Triangle | None:
-    """Prune to the scenarios of the interior ES roots, given each end's
-    weight, root and tail-weighted mean s_bar of S at the root; ``lo`` is
-    an n-long float array it selects in.
+def _line_root(line: tuple[float, float], w: float) -> float:
+    # Where the ray of weight w meets the line s_bar a + b = x_bar of the
+    # positions P = (a, b) = r (w, 1 - w), x_bar / (w s_bar + 1 - w); 0
+    # when it does not meet it ahead of the origin.
+    x_bar, s_bar = line
+    z_bar = w * s_bar + (1.0 - w)
+    return x_bar / z_bar if x_bar > 0.0 and z_bar > 0.0 else 0.0
 
-    Write the position as P = (a, b) = r (w, 1 - w).  Every loss
-    X - a S - b is linear in (a, b), and the empirical ES f(a, b), the
-    largest tail-weighted mean of the losses, is convex, so its
-    acceptance set {f <= 0} is convex: the chord P_lo P_hi lies in it,
-    and r_es(w) is at most the chord's r on the ray of weight w.  The
-    tail weights at an end root give the supporting line
-    s_bar a + b = s_bar a_end + b_end, below which f is positive: r_es(w)
-    is at least the r where the ray meets it.  The two lines meet at T,
-    and 1/r is affine in w along each line, so ``_Triangle.bounds`` reads
-    both bounds off the vertices.  There is no triangle when the
-    tangents are parallel, or T is not finite, not ahead of the origin,
-    or outside the end rays.
 
-    An interior solve starts Newton at the larger of the VaR root and
-    the tangent bound less a margin mu = 2^-40 of it, and its iterates
-    climb to the root; it is accepted only when the root is at most the
-    chord bound.  Both bounds are computed within 8u (u = 2^-53) of the
-    triangle's, so every iterate (w, r) lies within (mu + 8u) R of the
-    triangle along its ray (R the largest vertex r), which moves a loss
-    by at most (mu + 8u) R (|S| + 1).  A computed loss X - r Z, at an
-    iterate or a vertex, is within 4u (|X| + R (|S| + 1)) of the exact
-    one.  So with L = max|X| + R (max|S| + 1), the computed loss of a
-    scenario at any iterate lies within e = (mu + 16u) L of the range of
-    its computed vertex losses, the extremes over the triangle.  Take t,
-    the (k+1)-th largest of the vertex minima: at every iterate the
-    (k+1)-th largest loss q is at least t - e, and a scenario whose
-    vertex maximum is below t - 4 mu L > t - 2e loses less than q.  The
-    kept set therefore holds the k+1 largest losses at every iterate,
+def _end_bounds(c: _Candidates, w: float, r_var: float,
+                low_mean: float) -> tuple[tuple[float, float], float | None]:
+    """Bound the ES root at an end weight w from below by a line and from
+    above by a level, both read off the candidates' losses at the VaR
+    root r_v; ``low_mean`` is LTM(Z), the mean of the alpha n lowest Z.
+
+    Lower line.  The empirical ES f(P) is the largest mean of the losses
+    under tail weights p (each in [0, 1/(alpha n)], summing to 1), so
+    with any such p it is at least x_bar - s_bar a - b, the p-weighted
+    means of X and S: every acceptable position has s_bar a + b >= x_bar.
+    Here p is the ES tail of the candidates' losses at r_v, whose mean is
+    es_c, so x_bar = es_c + r_v z_bar.
+
+    Upper level.  Empirical ES is subadditive and positively homogeneous,
+    so at r >= r_v it is at most ES(r_v) - (r - r_v) LTM(Z): every r at or
+    beyond r_U = r_v + ES(r_v) / LTM(Z) is acceptable when LTM(Z) > 0.
+    The k largest losses at r_v are the positive ones and ties at the
+    root, all candidates, so es_c is ES(r_v) up to rounding.
+
+    The level is None when LTM(Z) <= 0 or the line does not meet the
+    ray ahead of the origin.
+    """
+    z = _mixed_return(c.s, w)
+    losses = np.subtract(c.x, np.multiply(z, r_var, out=z), out=z)
+    tail = c.alpha * c.n
+    es, q = tail_average(losses.copy(), c.k, tail)
+    s_bar = _tail_mean(c.s, 1.0, losses, q, c.k, tail)
+    line = (es + r_var * (w * s_bar + (1.0 - w)), s_bar)
+    if not (low_mean > 0.0 and 0.0 < _line_root(line, w) < math.inf):
+        return line, None
+    return line, r_var + max(es, 0.0) / low_mean
+
+
+def _corners(bounds: dict[float, tuple[tuple[float, float], float]],
+             ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]] | None:
+    """The bottom and top corners (w, r) of the polygon of ES roots between
+    a grid's end weights, given each end's lower line and upper level;
+    None when a corner is not finite and ahead of the origin.
+
+    Every acceptable position lies above both lower lines, so on the ray
+    of w the root is at least the larger of their r; and the acceptance
+    set is convex, so between the ends the roots lie below the chord of
+    the end roots, itself below the chord of the upper levels.  Along a
+    line 1/r is affine in w, so the bottom is the lower lines' r at the
+    end weights, joined through the point where the lines cross inside
+    the range, and the top is the chord of the upper levels.  A single
+    end weight gives the segment between its two bounds.
+    """
+    lines = [line for line, _ in bounds.values()]
+    bottom, top = [], []
+    for w, (_, upper) in bounds.items():
+        lows = [_line_root(line, w) for line in lines]
+        if not min(lows) > 0.0:
+            return None
+        bottom.append((w, max(lows)))
+        top.append((w, upper))
+    if len(lines) == 2:
+        # in (w, u = 1/r) a line is u = (1 + (s_bar - 1) w) / x_bar
+        (w0, w1), ((x0, s0), (x1, s1)) = bounds, lines
+        b0, b1 = (s0 - 1.0) / x0, (s1 - 1.0) / x1
+        if b0 != b1:
+            wt = (1.0 / x1 - 1.0 / x0) / (b0 - b1)
+            if w0 < wt < w1:
+                bottom.insert(1, (wt, 1.0 / (1.0 / x0 + b0 * wt)))
+    if not all(0.0 < r < math.inf for _, r in bottom + top):
+        return None
+    return bottom, top
+
+
+def _polygon(x: np.ndarray, s: np.ndarray | None, k: int,
+             bottom: list[tuple[float, float]], top: list[tuple[float, float]],
+             ) -> _Polygon | None:
+    """Prune to the scenarios of the ES roots at every weight of a grid,
+    given the bottom and top corners (w, r) of their polygon
+    (``_corners``); ``s`` may be None where the grid is w = 0 alone.
+
+    Write the position as P = (a, b) = r (w, 1 - w).  On the ray of a
+    weight of the range, a solve starts Newton at or above the polygon's
+    bottom less a margin mu = 2^-40 of it, and its iterates climb to the
+    root; it is accepted only at or below a top no more than mu above the
+    polygon's.  A scenario with S > 0 has Z > 0 at every weight, so its
+    loss X - a S - b falls as r grows: over the polygon it is largest on
+    the bottom and smallest on the top.  Both are chains of segments in
+    P, along which the loss is linear, so these extremes are its largest
+    bottom-corner loss and its smallest top-corner loss.  The bounds are
+    computed within 8u (u = 2^-53) of the polygon's, so every iterate
+    (w, r) lies within (mu + 8u) R of the polygon along its ray (R the
+    largest corner r), which moves a loss by at most (mu + 8u) R
+    (|S| + 1).  A computed loss X - r Z, at an iterate or a corner, is
+    within 4u (|X| + R (|S| + 1)) of the exact one.  So with
+    L = max|X| + R (max|S| + 1), the computed loss of a scenario with
+    S > 0 at any iterate lies within e = (mu + 16u) L of the range from
+    its smallest computed top-corner loss to its largest computed
+    bottom-corner loss.  Take t, the (k+1)-th largest of those smallest
+    top-corner losses over the scenarios with S > 0: at every iterate the
+    (k+1)-th largest loss q is at least t - e, and such a scenario whose
+    largest bottom-corner loss is below t - 4 mu L > t - 2e loses less
+    than q.  The kept set, those that reach t - 4 mu L and every scenario
+    with S <= 0, therefore holds the k+1 largest losses at every iterate,
     every loss tied at q, and every positive loss at a root with q <= 0;
     a solve with q > 0 is not accepted either.  Every dropped scenario
-    counts as below q.
+    counts as below q.  The argument holds for a part of the scenarios
+    that already holds all of these at every iterate, such as the kept
+    set of a larger polygon: then t is taken over that part.  None when
+    the slack is not finite.
     """
-    (w0, r0, s0), (w1, r1, s1) = tangents
-    # in (w, u = 1/r) a tangent is u = (1 + (s_bar - 1) w) / c with
-    # c = r_end (1 + (s_bar - 1) w_end), the tail mean of Z times r_end
-    c0, c1 = r0 * (1.0 + (s0 - 1.0) * w0), r1 * (1.0 + (s1 - 1.0) * w1)
-    if not (0.0 < c0 < math.inf and 0.0 < c1 < math.inf):
-        return None
-    b0, b1 = (s0 - 1.0) / c0, (s1 - 1.0) / c1
-    if not b0 != b1:
-        return None
-    wt = (1.0 / c1 - 1.0 / c0) / (b0 - b1)
-    ut = 1.0 / c0 + b0 * wt
-    if not (w0 <= wt <= w1 and 0.0 < ut < math.inf):
-        return None
-    vertices = ((w0, r0), (wt, 1.0 / ut), (w1, r1))
     n = x.size
+    lo = np.empty(n)
 
     def minima(i: int, e: int) -> tuple[float, float]:
-        # the vertex minima into lo, and the block's largest |X| and |S|
-        out, xb, sb = lo[i:e], x[i:e], s[i:e]
-        np.minimum(_vertex_losses(xb, sb, *vertices[0]), _vertex_losses(xb, sb, *vertices[1]),
-                   out=out)
-        np.minimum(out, _vertex_losses(xb, sb, *vertices[2]), out=out)
+        # the smallest top-corner losses into lo, -inf where S <= 0, and
+        # the block's largest |X| and |S|
+        out, xb, sb = lo[i:e], x[i:e], _part(s, i, e)
+        _corner_losses(xb, sb, *top[0], out=out)
+        for corner in top[1:]:
+            np.minimum(out, _corner_losses(xb, sb, *corner), out=out)
+        if sb is None:
+            return max(xb.max(), -xb.min()), 1.0
+        out[sb <= 0.0] = -np.inf
         return max(xb.max(), -xb.min()), max(sb.max(), -sb.min())
 
     x_abs, s_abs = np.max(_blockwise(minima, n), axis=0).tolist()
     lo.partition(n - 1 - k)
     t = float(lo[n - 1 - k])
-    scale = x_abs + max(r for _, r in vertices) * (s_abs + 1.0)
+    del lo
+    scale = x_abs + max(r for _, r in bottom + top) * (s_abs + 1.0)
     bar = t - 4.0 * _ES_MARGIN * scale
     if not math.isfinite(bar):
         return None
     keep = np.empty(n, dtype=bool)
 
     def reach(i: int, e: int) -> None:
-        out, xb, sb = keep[i:e], x[i:e], s[i:e]
-        np.greater_equal(_vertex_losses(xb, sb, *vertices[0]), bar, out=out)
-        for v in vertices[1:]:
-            out |= _vertex_losses(xb, sb, *v) >= bar
+        # the largest bottom-corner loss reaches the bar, or S <= 0
+        out, xb, sb = keep[i:e], x[i:e], _part(s, i, e)
+        np.greater_equal(_corner_losses(xb, sb, *bottom[0]), bar, out=out)
+        for corner in bottom[1:]:
+            out |= _corner_losses(xb, sb, *corner) >= bar
+        if sb is not None:
+            out |= sb <= 0.0
 
     _blockwise(reach, n)
-    return _Triangle(w=tuple(w for w, _ in vertices), r=tuple(r for _, r in vertices),
-                     x=x[keep], s=s[keep])
+    return _Polygon(x=x[keep], s=None if s is None else s[keep])
 
 
-def _vertex_losses(x: np.ndarray, s: np.ndarray, w: float, r: float) -> np.ndarray:
-    # X - r Z, computed as a Newton step computes it
-    losses = _mixed_return(s, w)
-    return np.subtract(x, np.multiply(losses, r, out=losses), out=losses)
+def _corner_losses(x: np.ndarray, s: np.ndarray | None, w: float, r: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    # X - r Z, computed as a Newton step computes it (Z = 1 when s is None)
+    if s is None:
+        return np.subtract(x, r, out=out)
+    z = _mixed_return(s, w)
+    return np.subtract(x, np.multiply(z, r, out=z), out=z if out is None else out)
 
 
 def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | None,
@@ -379,15 +435,32 @@ def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | N
     nonnegative claim loses at every r > 0.  Every weight selects it
     among the candidates built once for the grid's ends
     (``_candidate_set``), which hold that ratio and its density window.
+
     The empirical ES of r Z - X is convex and piecewise linear in r, so
     Newton steps from below reach its root in finitely many steps, each
-    one selection of the losses.  The end weights solve from the VaR
-    root on all n losses.  When the grid has interior weights and both
-    ends a root, the end roots' chord and tangents bound the interior
-    roots (``_triangle``): an interior weight starts from the larger of
-    the VaR root and the tangent bound, and selects among the
-    triangle's kept scenarios only; it reruns from the VaR root on all
-    n losses when there is no triangle or the solve leaves it.
+    one selection of the losses.  Before any of them, each end weight's
+    root is bounded from the candidates at its VaR root
+    (``_end_bounds``): from below by a line, the tail weights' minorant
+    of the ES, and from above by the subadditivity level r_U.  An end
+    without r_U solves on all n scenarios first, and its root and
+    tangent serve as its bounds.  One kept set, the scenarios that can
+    decide a root anywhere in the polygon the bounds enclose
+    (``_corners``, ``_polygon``), serves the whole grid: an end weight
+    starts from the larger of its VaR root and the lower lines, less a
+    margin, and is accepted at or below r_U plus the margin; an interior
+    weight, once both ends have a root in the polygon, starts from the
+    larger of its VaR root, the lower lines and the end roots' tangents,
+    less the margin, and is accepted at or below the end roots' chord.
+    Its iterates stay in the triangle between these tangents and that
+    chord, so it selects among the scenarios of that triangle, pruned
+    once out of the kept set by the same argument: fewer than the
+    polygon's, whose upper levels lie above the end roots.  A solve is
+    accepted only with its (k+1)-th largest loss at most zero, and, when
+    it made no step, only from the VaR root: a start the ES already
+    accepts could lie beyond the root.  A weight whose solve is not
+    accepted, or every weight when there is no polygon, reruns from the
+    VaR root on all n scenarios.  ``iterations`` counts the selections,
+    the VaR one that gave the start included.
 
     The standard error of a VaR root is the ratio window's,
     sqrt(alpha (1 - alpha) / n) / f_R(r0), with the density f_R of X/Z
@@ -398,13 +471,14 @@ def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | N
     sample moments of L and the sums over its positive values, all the
     split needs.
 
-    The full-length passes (the end-ratio and vertex-loss bounds, the
+    The full-length passes (the end-ratio and corner-loss bounds, the
     moment sums, and the losses, tail masks and positive losses of the
-    solves on all n scenarios) run in blocks on the thread pool of
+    reruns on all n scenarios) run in blocks on the thread pool of
     ``montecarlo.in_chunks``, each block writing its own slice, and only
     the selections run whole; every result is the serial pass's, bit for
-    bit.  An ES grid keeps two n-long arrays, the losses and their
-    selection, for all its solves on all scenarios.
+    bit.  An ES grid needs two n-long arrays, the losses and their
+    selection, only when a weight reruns on all scenarios; the first
+    rerun makes them and the later ones reuse them.
 
     Raises:
         ValueError: the grid is not strictly increasing inside [0, 1];
@@ -417,25 +491,93 @@ def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | N
     c = _candidate_set(rm, claims, assets, ws[0], ws[-1])
     if rm.kind == "var":
         return [_outcome(_var_report, c, w) for w in ws]
-    # the losses and their selection of every solve on all scenarios; the
-    # triangle selects in the first array after the ends
-    work = (np.empty(claims.size), np.empty(claims.size))
-    ends: dict[float, SolveReport | NoSolutionError] = {}
-    tangents = []
+    return _es_grid(c, ws, claims, assets)
+
+
+def _es_grid(c: _Candidates, ws: list[float], x: np.ndarray,
+             s: np.ndarray | None) -> list[SolveReport | NoSolutionError]:
+    # The ES reports of ``solve_r0_numeric``.
+    tail, work = c.alpha * c.n, []
+
+    def solve(w, r_var, start=None, r_max=None, kept=None):
+        # The root at w, its losses and their (k+1)-th largest, and the
+        # asset returns it was solved on: on the kept set from start when
+        # that solve is accepted, else on all scenarios from the VaR root.
+        if kept is not None and start <= r_max:
+            found = _es_report(c, w, kept.x, kept.s, start, r_max)
+            # with no step from above the VaR root, the start may lie
+            # beyond the root
+            if found is not None and not found[0].r0 == start > r_var:
+                return (*found, kept.s)
+        if not work:
+            work.extend((np.empty(x.size), np.empty(x.size)))
+        return (*_es_report(c, w, x, s, r_var, work=tuple(work)), s)
+
+    def tangent(w, found):
+        # the line through the root with the tail mean s_bar of S there
+        report, losses, q, kept_s = found
+        s_bar = _tail_mean(kept_s, 1.0, losses, q, c.k, tail)
+        return report.r0 * (w * s_bar + (1.0 - w)), s_bar
+
+    def start_at(w, r_var):
+        return max(r_var, (1.0 - _ES_MARGIN) * max(_line_root(line, w) for line in lines))
+
+    # LTM(S), the mean of the alpha n lowest asset returns
+    low_s = -tail_average(np.negative(s), c.k, tail)[0] if ws[-1] > 0.0 else 1.0
+    reports: dict[float, SolveReport | NoSolutionError] = {}
+    bounds = {}
     for w in dict.fromkeys((ws[0], ws[-1])):
         try:
-            report, losses, q = _es_report(c, w, claims, assets, _var_root(c, w), work=work)
+            r_var = _var_root(c, w)
+            line, upper = _end_bounds(c, w, r_var, w * low_s + (1.0 - w))
+            if upper is None:
+                found = solve(w, r_var)
+                reports[w], line, upper = found[0], tangent(w, found), found[0].r0
         except NoSolutionError as exc:
-            ends[w] = exc.with_traceback(None)  # as in _outcome
+            reports[w] = exc.with_traceback(None)  # as in _outcome
             continue
-        ends[w] = report
-        if len(ws) > 2:  # interior weights start from the tangents
-            # s_bar is the tail mean of Z at w = 1, which is S
-            tangents.append((w, report.r0,
-                             _tail_mean(assets, 1.0, losses, q, c.k, c.alpha * c.n)))
-    tri = _triangle(claims, assets, c.k, tangents, work[0]) if len(tangents) == 2 else None
-    return [ends[w] if w in ends else _outcome(_es_interior, c, w, tri, claims, assets, work)
-            for w in ws]
+        bounds[w] = (line, upper, r_var)
+    corners = _corners({w: (line, upper) for w, (line, upper, _) in bounds.items()})
+    kept = _polygon(x, s, c.k, *corners) if corners and corners[0] else None
+    lines = [line for line, _, _ in bounds.values()]
+    ends = {}  # the end roots in the polygon, each with its tangent
+    for w, (line, upper, r_var) in bounds.items():
+        if w in reports:  # solved on all scenarios: the tangent and root
+            ends[w] = (line, upper)
+            continue
+        r_max = upper * (1.0 + _ES_MARGIN)
+        try:
+            found = solve(w, r_var, start_at(w, r_var), r_max, kept)
+        except NoSolutionError as exc:
+            reports[w] = exc.with_traceback(None)
+            continue
+        reports[w] = found[0]
+        if found[0].r0 <= r_max and len(ws) > 2:
+            ends[w] = (tangent(w, found), found[0].r0)
+    chord = None
+    if len(ends) == 2 and kept is not None:
+        chord = [(w, r) for w, (_, r) in ends.items()]
+        lines += [line for line, _ in ends.values()]
+        # the interior iterates stay between the tangents and the chord of
+        # the end roots: the scenarios of that triangle, out of the kept set
+        inner = _corners(ends)
+        if inner:
+            kept = _polygon(kept.x, kept.s, c.k, *inner) or kept
+
+    def interior(w):
+        r_var = _var_root(c, w)
+        if chord is None:
+            return solve(w, r_var)[0]
+        return solve(w, r_var, start_at(w, r_var), _chord(w, chord), kept)[0]
+
+    return [reports[w] if w in reports else _outcome(interior, w) for w in ws]
+
+
+def _chord(w: float, ends: list[tuple[float, float]]) -> float:
+    # the r where the ray of w meets the chord of the end roots: 1/r is
+    # affine in w along it, and every weight below is >= 0
+    (w0, r0), (w1, r1) = ends
+    return (w1 - w0) / ((w1 - w) / r0 + (w - w0) / r1)
 
 
 def _outcome(solve, *args) -> SolveReport | NoSolutionError:
@@ -496,21 +638,6 @@ def _var_report(c: _Candidates, w: float) -> SolveReport:
                        losses=LossSummary.of(n, mean, var, positive))
 
 
-def _es_interior(c: _Candidates, w: float, tri: _Triangle | None, x: np.ndarray,
-                 s: np.ndarray, work: tuple[np.ndarray, np.ndarray]) -> SolveReport:
-    # Newton on the triangle's kept scenarios from its tangent bound, or
-    # from the VaR root on all scenarios when there is no triangle or the
-    # solve leaves it.
-    r_var = _var_root(c, w)
-    if tri is not None:
-        tangent, chord = tri.bounds(w)
-        start = max(r_var, tangent * (1.0 - _ES_MARGIN))
-        found = _es_report(c, w, tri.x, tri.s, start, r_max=chord) if start <= chord else None
-        if found is not None:
-            return found[0]
-    return _es_report(c, w, x, s, r_var, work=work)[0]
-
-
 def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r: float,
                r_max: float = math.inf, work: tuple[np.ndarray, np.ndarray] | None = None,
                ) -> tuple[SolveReport, np.ndarray, float] | None:
@@ -525,33 +652,41 @@ def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r:
     dropped = n - size
     losses, sel = (np.empty(size), np.empty(size)) if work is None else work
     try:
-        r0, residual, selections = _es_root(x, s, w, k, tail, r, losses, sel)
+        r0, selections = _es_root(x, s, w, k, tail, r, losses, sel)
     except NoSolutionError:
         if dropped:
             return None
         raise
-    upper, q = sel[size - k - 1:], float(sel[size - k - 1])  # L_(n-k), then the k largest
+    q = float(sel[size - k - 1])  # L_(n-k)
     if dropped and not (r0 <= r_max and q <= 0.0):
         return None
     if r0 <= 0.0:
         raise NoSolutionError("claim is acceptable with zero capital")
+
+    def tail_block(i: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+        return _at_or_above(losses[i:e], _part(s, i, e), w, q)
+
+    # In scenario order, which a kept set keeps: the report is a function
+    # of the losses at the root, whichever set they were selected in.
+    tail_l, tail_z = (np.concatenate(a) for a in zip(*_blockwise(tail_block, size)))
+    above = tail_l[tail_l > q]
+    slope = float(tail_z.mean())
     # 1-based ranks i_lo <= n - k <= i_hi of the quantile's density window
     i_lo, i_hi = max(n - k - c.m, 1), min(n - k + c.m, n)
-    slope = float(_gather(lambda i, e: _z_at(_part(s, i, e), w, losses[i:e] >= q), size).mean())
     # Delta-method standard error: the noise of the empirical ES over the
-    # mean mixed return beyond the boundary; none when an atom spans the
-    # density window.
+    # mean mixed return beyond the boundary; none when an atom at q spans
+    # the density window.  Every dropped scenario counts below q.
     se = None
-    if slope > 0.0 and not (n - k + np.count_nonzero(upper[1:] == q) >= i_hi
-                            and np.count_nonzero(losses < q) + dropped < i_lo):
-        # the influence q + (L - q)^+ / alpha equals q off the k largest losses
-        excess = (upper[1:] - q) / alpha
+    if slope > 0.0 and not (n - above.size >= i_hi and n - tail_z.size < i_lo):
+        # the influence q + (L - q)^+ / alpha equals q off the losses above q
+        excess = (above - q) / alpha
         mean = float(excess.sum()) / n
-        var = (float(np.square(excess - mean).sum()) + (n - k) * mean * mean) / (n - 1)
+        var = (float(np.square(excess - mean).sum()) + (n - above.size) * mean * mean) / (n - 1)
         se = math.sqrt(var / n) / slope
-    # every loss below L_(n-k) is at most q
-    positive = (upper[upper > 0.0] if q <= 0.0 else
+    # every loss not above q is at most q
+    positive = (above[above > 0.0] if q <= 0.0 else
                 _gather(lambda i, e: losses[i:e][losses[i:e] > 0.0], size))
+    residual = shortfall(above, q, tail)
     mean, var = c.loss_moments(r0, w)
     report = SolveReport(r0=r0, method="empirical_root", residual=residual,
                          iterations=selections, std_error=se,
@@ -563,10 +698,15 @@ def _part(s: np.ndarray | None, i: int, e: int) -> np.ndarray | None:
     return None if s is None else s[i:e]
 
 
-def _z_at(s: np.ndarray | None, w: float, mask: np.ndarray) -> np.ndarray:
-    # Z = w S + 1 - w on the scenarios of a mask, as ``_mixed_return``
-    # rounds it; 1 when s is None
-    return np.ones(np.count_nonzero(mask)) if s is None else _mixed_return(s[mask], w)
+def _at_or_above(losses: np.ndarray, s: np.ndarray | None, w: float,
+                 q: float) -> tuple[np.ndarray, np.ndarray]:
+    # The losses at or above q and their Z = w S + 1 - w, as
+    # ``_mixed_return`` rounds it (1 when s is None), in scenario order.
+    # A fifth of a kept set can be in the tail, where taking by index is
+    # about three times faster than a boolean mask.
+    idx = np.flatnonzero(losses >= q)
+    z = np.ones(idx.size) if s is None else _mixed_return(s.take(idx), w)
+    return losses.take(idx), z
 
 
 def _gather(fn, n: int) -> np.ndarray:
@@ -580,8 +720,8 @@ def _tail_mean(s: np.ndarray | None, w: float, losses: np.ndarray, q: float, k: 
     # 1/tail on each loss above the (k+1)-th largest q, the rest shared
     # equally by the ties at q.
     def block(i: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        lb, sb = losses[i:e], _part(s, i, e)
-        return _z_at(sb, w, lb > q), _z_at(sb, w, lb == q)
+        lb, z = _at_or_above(losses[i:e], _part(s, i, e), w, q)
+        return z[lb > q], z[lb == q]
 
     above, tied = (np.concatenate(z) for z in zip(*_blockwise(block, losses.size)))
     edge = k - above.size + max(tail - k, 0.0)
@@ -589,7 +729,7 @@ def _tail_mean(s: np.ndarray | None, w: float, losses: np.ndarray, q: float, k: 
 
 
 def _es_root(x: np.ndarray, s: np.ndarray | None, w: float, k: int, tail: float, r: float,
-             losses: np.ndarray, sel: np.ndarray) -> tuple[float, float, int]:
+             losses: np.ndarray, sel: np.ndarray) -> tuple[float, int]:
     # Newton's method on the empirical ES from r at or below the root; the
     # slope is minus the tail-weighted mean of Z = w S + 1 - w (1 when s is
     # None).  Selections count the VaR one.  It leaves the losses at the
@@ -606,11 +746,11 @@ def _es_root(x: np.ndarray, s: np.ndarray | None, w: float, k: int, tail: float,
         es, q = tail_average(sel, k, tail)
         selections += 1
         if es <= 0.0:
-            return r, es, selections
+            return r, selections
         z_bar = _tail_mean(s, w, losses, q, k, tail)
         if not z_bar > 0.0:  # convex ES stays positive beyond this point
             raise NoSolutionError(f"expected shortfall does not fall at r = {r:g}")
         r_next = r + es / z_bar
         if not r_next > r:  # the step is below round-off
-            return r, es, selections
+            return r, selections
         r = r_next

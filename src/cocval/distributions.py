@@ -18,10 +18,10 @@ returns a numpy array, and numpy is imported on that first use.  A
 closed-form run evaluates only scalars, so it loads neither numpy nor
 scipy.  The survival functions and the normal CDF and density map the
 scalar function over an array, so both give the same values to the last
-bit.  The quantiles, which the Monte Carlo transforms call on every
-block of uniforms, run on numpy arrays: the normal quantile is the
-standard library's ``NormalDist.inv_cdf`` for a scalar and scipy's
-``ndtri`` for an array, imported on first use.
+bit; a survival function is nan at nan.  The quantiles, which the Monte
+Carlo transforms call on every block of uniforms, run on numpy arrays:
+the normal quantile is the standard library's ``NormalDist.inv_cdf`` for
+a scalar and scipy's ``ndtri`` for an array, imported on first use.
 """
 
 from __future__ import annotations
@@ -157,6 +157,8 @@ class Normal:
         if _is_array(x):
             return _elementwise(self.sf, x)
         x = float(x)
+        if math.isnan(x):
+            return math.nan
         if self.sd == 0.0:
             return float(x < self.mean)
         return 0.5 * math.erfc((x - self.mean) / (self.sd * _SQRT2))
@@ -215,6 +217,8 @@ class Lognormal:
         if _is_array(x):
             return _elementwise(self.sf, x)
         x = float(x)
+        if math.isnan(x):
+            return math.nan
         if not x > 0.0:
             return 1.0
         z = (math.log(x) - self.mu_log) / self.sd_log
@@ -279,6 +283,8 @@ class ParetoTypeI:
         if _is_array(x):
             return _elementwise(self.sf, x)
         x = float(x)
+        if math.isnan(x):
+            return math.nan
         return (x / self.x_m) ** (-self.beta) if x > self.x_m else 1.0
 
     def quantile(self, p) -> float | np.ndarray:
@@ -320,7 +326,8 @@ class Degenerate:
     def sf(self, x) -> float | np.ndarray:
         if _is_array(x):
             return _elementwise(self.sf, x)
-        return float(float(x) < self.value)
+        x = float(x)
+        return math.nan if math.isnan(x) else float(x < self.value)
 
     def quantile(self, p) -> float | np.ndarray:
         p = _probabilities(p)

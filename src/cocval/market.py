@@ -75,10 +75,10 @@ class SolveReport:
     level: in capital units for the Gaussian forms and the empirical
     root (zero to round-off), in log units for the lognormal closed
     form.  ``iterations`` counts the selections the empirical root made
-    on its weight: the VaR one, then under ES the Newton steps, which on
-    an interior weight of a grid start from the tangent bound of the end
-    roots' triangle (``capital_solver._triangle``); closed forms report
-    zero.  A weight rerun on all scenarios reports the rerun's count.
+    on its weight: the VaR one, then under ES the Newton steps, which
+    start from the bounds of the grid's polygon
+    (``capital_solver._polygon``); closed forms report zero.  A weight
+    rerun on all scenarios reports the rerun's count.
     ``losses`` summarizes the losses X - r0 Z of an empirical root for
     ``valuation.mc_valuation``; closed forms leave it None.
     """

@@ -44,13 +44,16 @@ _INV_2_53 = 2.0 ** -53
 # Peak resident bytes per scenario of a Monte Carlo valuation or sweep:
 # the slope of peak RSS between 1e6 and 2e6 scenarios (seed 1, numpy 2.4,
 # Linux x86-64) was 24 on fig3b and fig15b at grid steps 0.1 and 0.001
-# and on the lognormal VaR and Pareto-1.1 valuations, and 34-35 on fig8b
-# at both steps and on the lognormal ES valuation.  The claims and asset
+# and on the lognormal VaR and Pareto-1.1 valuations, and 26 on fig8b at
+# both steps and on the lognormal ES valuation (34-35 while the ES end
+# weights solved on all scenarios).  The claims and asset
 # returns are the only n-long arrays the sampler leaves; a VaR solve adds
-# the end-ratio minima, and an ES grid the losses and their selection,
-# which every solve on all scenarios reuses.  Interior ES weights solve
-# on the triangle's kept scenarios, and a solved weight keeps sums of its
-# losses, no array.
+# the end-ratio minima, and an ES grid one n-long array at a time for the
+# lowest asset returns and then the polygon's corner minima.  Every ES
+# weight solves on the polygon's kept scenarios, and a solved weight keeps
+# sums of its losses, no array.  Only a weight that reruns on all
+# scenarios makes the two n-long arrays of the losses and their selection,
+# which later reruns reuse; the constant keeps room for them.
 PEAK_BYTES_PER_SCENARIO = 40
 
 # Length of the blocks a chunk works through: its temporaries stay small

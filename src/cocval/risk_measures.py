@@ -77,7 +77,8 @@ def es_empirical(values, alpha: float) -> float:
 
     With sorted losses l_1 <= ... <= l_n and k = floor(alpha n) the
     estimate is (sum of the k largest + (alpha n - k) l_{n-k}) / (alpha n),
-    the exact tail average of the left-continuous empirical quantile.
+    the exact tail average of the left-continuous empirical quantile,
+    summed as ``shortfall`` sums it.
 
     Raises:
         ValueError: alpha n < 1, the tail is not resolved at this
@@ -89,12 +90,25 @@ def es_empirical(values, alpha: float) -> float:
     k = tail_count(alpha, n)
     if k < 1:
         raise ValueError("alpha * n < 1: tail not resolved at this sample size")
-    return tail_average(losses, k, alpha * n)[0]
+    tail = losses.copy()
+    tail.partition(n - k - 1)
+    q = float(tail[n - k - 1])
+    return shortfall(losses[losses > q], q, alpha * n)
+
+
+def shortfall(above: np.ndarray, q: float, tail: float) -> float:
+    """The empirical ES (tail = alpha n) from the (k+1)-th largest loss q
+    and the losses above it, in sample order: (sum above + (tail - a) q)
+    / tail for the a losses above q, since the k largest are these and
+    k - a ties at q.  The sum runs in sample order, not in the order a
+    selection leaves, so the value is that of the sample."""
+    return (float(above.sum()) + (tail - above.size) * q) / tail
 
 
 def tail_average(losses: np.ndarray, k: int, tail: float) -> tuple[float, float]:
     """``es_empirical`` of losses (k = tail_count, tail = alpha n) and the
-    (k+1)-th largest, selecting in place."""
+    (k+1)-th largest, selecting in place; the tail is summed in the order
+    the selection leaves it, so the last bits depend on that order."""
     n = losses.size
     losses.partition(n - k - 1)
     q = float(losses[n - k - 1])

@@ -349,11 +349,16 @@ def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
         ValueError: the grid is not strictly increasing inside [0, 1],
             checked before any scenario is drawn; or from the sampling or
             the solve.
+        OverflowError: a model moment of the premium bounds overflows,
+            also checked before any scenario is drawn.
     """
     from .capital_solver import solve_r0_numeric
     from .montecarlo import sample_scenarios
 
     ws = check_grid(grid)
+    # the model moments of the premium bounds, which raise OverflowError
+    # on parameters too large for a float: before anything is drawn
+    market.claim.mean, market.claim.variance, market.z_mean, market.z_variance
     # Z = 1 on a grid that is w = 0 alone: no asset returns needed
     claims, assets = sample_scenarios(market.claim, market.asset if ws[-1] > 0.0 else None,
                                       mc_n, seed)

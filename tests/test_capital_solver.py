@@ -648,74 +648,121 @@ def assert_es_agrees(got, want, x, s, w, rm):
         assert abs(got.std_error - want.std_error) <= rel * want.std_error, w
 
 
-def triangles_of(rm, x, s, grid):
-    """The grid solve, and every triangle ``_triangle`` built for it."""
-    built, real = [], capital_solver._triangle
+def full_length_report(rm, x, s, w):
+    """The ES report at weight w solved on all n scenarios, by the
+    solver's rerun path from the VaR root; its ``NoSolutionError`` is
+    raised."""
+    c = capital_solver._candidate_set(rm, x, s, w, w)
+    return capital_solver._es_report(c, w, x, s, capital_solver._var_root(c, w))[0]
 
-    def spy(*args):
-        built.append(real(*args))
+
+def assert_same_report(got, want, w):
+    # field by field, the positive losses too, apart from the selections a
+    # different start takes
+    assert dataclasses.replace(got, iterations=want.iterations) == want, w
+    assert got.losses == want.losses, w
+    assert np.array_equal(got.losses.positive, want.losses.positive), w
+
+
+def polygons_of(rm, x, s, grid):
+    """The grid solve, every kept set ``_polygon`` built for it, and the
+    sizes of the scenario sets its Newton solves ran on."""
+    built, sizes = [], []
+    real_polygon, real_root = capital_solver._polygon, capital_solver._es_root
+
+    def polygon(*args):
+        built.append(real_polygon(*args))
         return built[-1]
 
+    def root(x, *args):
+        sizes.append(x.size)
+        return real_root(x, *args)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(capital_solver, "_triangle", spy)
+        patch.setattr(capital_solver, "_polygon", polygon)
+        patch.setattr(capital_solver, "_es_root", root)
         reports = solve_r0_numeric(rm, x, s, grid)
-    return reports, built
+    return reports, built, sizes
+
+
+def fig8b_sample(n, seed=5):
+    scen = generate_scenarios(n, seed=seed)
+    claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
+    return claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+
+
+def solve_recording(rm, x, s, grid):
+    """The grid solve, and the sizes of the scenario sets each weight's
+    ``_es_report`` calls ran on, in call order."""
+    sizes, report = {}, capital_solver._es_report
+
+    def recorded(c, w, x, *args, **kwargs):
+        sizes.setdefault(w, []).append(x.size)
+        return report(c, w, x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capital_solver, "_es_report", recorded)
+        return solve_r0_numeric(rm, x, s, grid), sizes
 
 
 @pytest.mark.usefixtures("positives_kept")
 class TestEsTriangle:
-    """Interior ES roots selected on the kept scenarios of the triangle
-    between the end roots' chord and tangents, against the full-length
-    Newton path of a one-weight solve."""
+    """Every ES root of a grid, the end weights too, selected on the kept
+    scenarios of the polygon between the ends' lower lines and upper
+    levels, and the interior ones on those of the triangle between the
+    end roots' tangents and chord, pruned from them, against the
+    full-length Newton path of the solver's rerun."""
 
     @staticmethod
     def check_grid(x, s, grid, rm):
-        reports, built = triangles_of(rm, x, s, grid)
+        reports, built, _ = polygons_of(rm, x, s, grid)
         for w, got in zip(grid, reports):
-            market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.0, 0.3), w=float(w),
-                                eta=0.06)
             try:
-                want = solve_at(market, rm, claims=x, assets=s)
+                want = full_length_report(rm, x, s, float(w))
             except NoSolutionError:
                 assert isinstance(got, NoSolutionError), w
                 continue
-            if w in (grid[0], grid[-1]):  # the end reports are the full path's
-                assert got == want and np.array_equal(got.losses.positive,
-                                                      want.losses.positive), w
             assert_es_agrees(got, want, x, s, w, rm)
-        # one triangle, and only for interior weights between two end roots
-        ends = not isinstance(reports[0], NoSolutionError) and not isinstance(
-            reports[-1], NoSolutionError)
-        assert len(built) == (len(grid) > 2 and ends)
-        return built[0] if built else None
+            if got.r0 == want.r0:  # the report is a function of the root's losses
+                assert_same_report(got, want, w)
+        # the grid's kept set, then at most the interior weights' out of it
+        assert len(built) <= 1 + (len(grid) > 2)
+        sizes = [x.size] + [b.x.size for b in built]
+        assert sizes == sorted(sizes, reverse=True)
+        return built[-1] if built else None
 
     @given(case=grid_markets("es"))
     @settings(max_examples=150, deadline=None)
     def test_roots_agree_with_full_path(self, case):
         x, s, grid, rm = case
-        triangle = self.check_grid(x, s, grid, rm)
-        if triangle is not None:
-            assert grid[0] < grid[-1] and triangle.x.size <= x.size
+        self.check_grid(x, s, grid, rm)
 
     def test_default_grid_sweep(self):
         # fig8b's market on all 1001 weights of the default grid
-        scen = generate_scenarios(20_000, seed=5)
-        claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
-        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
-        triangle = self.check_grid(x, s, w_grid(), RiskMeasure("es", 0.01))
-        assert triangle.x.size < x.size // 4
+        x, s = fig8b_sample(20_000)
+        polygon = self.check_grid(x, s, w_grid(), RiskMeasure("es", 0.01))
+        assert polygon.x.size < x.size // 4
 
-    def test_triangle_built_only_for_interior_weights(self):
-        # fig8b's market: a grid of one or two weights has no interior
-        # weight to bound, so it builds no triangle
-        scen = generate_scenarios(20_000, seed=5)
-        claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
-        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+    def test_one_kept_set_for_every_grid(self):
+        # fig8b's market: a grid of any length, the ends included, solves
+        # on one kept set, its interior weights on a part of it, and no
+        # Newton step runs on all scenarios
+        x, s = fig8b_sample(20_000)
         rm = RiskMeasure("es", 0.01)
-        for grid, calls in (([0.0], 0), ([0.4], 0), ([0.0, 1.0], 0), ([0.0, 0.5, 1.0], 1)):
-            reports, built = triangles_of(rm, x, s, grid)
-            assert len(built) == calls, grid
+        for grid in ([0.0], [0.4], [1.0], [0.0, 1.0], [0.0, 0.5, 1.0]):
+            reports, built, sizes = polygons_of(rm, x, s, grid)
+            assert len(built) == 1 + (len(grid) > 2), grid
+            assert built[0].x.size < x.size // 4 and built[-1].x.size <= built[0].x.size, grid
+            assert sizes == [built[0].x.size] * min(len(grid), 2) + [built[-1].x.size] * (
+                len(grid) - 2), grid
             assert all(isinstance(rep, SolveReport) for rep in reports), grid
+
+    def test_no_solve_on_all_scenarios(self):
+        # fig8b's market at n = 200 000 on the grid of step 0.1
+        x, s = fig8b_sample(200_000)
+        reports, built, sizes = polygons_of(RiskMeasure("es", 0.01), x, s, w_grid(0.1))
+        assert all(isinstance(rep, SolveReport) for rep in reports)
+        assert len(sizes) == 11 and max(sizes) < x.size // 10
 
     def test_dropped_scenarios_count_below_the_quantile(self):
         # 100 claims of 3 and an atom of 150 claims of 1, all with S = 1:
@@ -723,49 +770,52 @@ class TestEsTriangle:
         # the atom fills the density window above it but not below, so
         # the root has an error only while the dropped scenarios count
         # below the quantile.  50 claims of 0.9 with S = 0.2 join the tail
-        # beyond w = 1/16, which gives the two end roots distinct tangents.
+        # beyond w = 1/16, which gives the two ends distinct lower lines.
         rng = np.random.default_rng(3)
         x = np.concatenate([np.full(100, 3.0), np.full(150, 1.0), np.full(50, 0.9),
                             0.5 + 0.005 * rng.standard_normal(3700)])
         s = np.concatenate([np.ones(250), np.full(50, 0.2), rng.lognormal(0.05, 0.1, 3700)])
-        triangle = self.check_grid(x, s, w_grid(0.01), RiskMeasure("es", 0.05))
-        assert triangle.x.size < x.size // 4
+        polygon = self.check_grid(x, s, w_grid(0.01), RiskMeasure("es", 0.05))
+        assert polygon.x.size < x.size // 4
 
-    def test_leaving_the_triangle_reruns_on_all_scenarios(self, monkeypatch):
-        # end roots shrunk until the chord passes below every interior root,
-        # and a triangle with its own kept set built on them
-        scen = generate_scenarios(20_000, seed=5)
-        claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
-        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+    def test_root_above_the_upper_level_reruns_on_all_scenarios(self, monkeypatch):
+        # each end's upper level shrunk below its root by more than the
+        # margin: the end solves rerun, after a kept solve that climbs past
+        # it where the lower line leaves room, and with no end root in the
+        # polygon every interior weight reruns as well
+        x, s = fig8b_sample(20_000)
         rm, grid = RiskMeasure("es", 0.01), w_grid(0.1)
-        inner = [float(w) for w in grid[1:-1]]
-        markets = [MarketSpec(claim=claim, asset=asset, w=w, eta=0.06) for w in inner]
-        want = [solve_at(m, rm, claims=x, assets=s) for m in markets]
-        chord = triangles_of(rm, x, s, grid)[1][0].bounds
-        shrink = 0.999 * min(rep.r0 / chord(w)[1] for rep, w in zip(want, inner))
-        real, built = capital_solver._triangle, []
+        want = {float(w): full_length_report(rm, x, s, float(w)) for w in grid}
+        real = capital_solver._end_bounds
 
-        def shrunk(x, s, k, ends, *rest):
-            built.append(real(x, s, k, [(w, shrink * r, s_bar) for w, r, s_bar in ends], *rest))
-            return built[-1]
+        def shrunk(c, w, r_var, low_mean):
+            line, upper = real(c, w, r_var, low_mean)
+            assert want[w].r0 <= upper
+            return line, want[w].r0 * (1.0 - 2.0 ** -38)
 
-        sizes, report = {}, capital_solver._es_report
+        monkeypatch.setattr(capital_solver, "_end_bounds", shrunk)
+        got, sizes = solve_recording(rm, x, s, grid)
+        assert sizes[grid[-1]][0] < x.size  # the kept solve at w = 1
+        for w, rep in zip(grid, got):
+            assert len(sizes[w]) <= 2 and sizes[w][-1] == x.size, w
+            assert rep == want[w], w
+            assert_same_report(rep, want[w], w)
 
-        def recorded(c, w, x, *args, **kwargs):  # the sample sizes each weight solves on
-            sizes.setdefault(w, []).append(x.size)
-            return report(c, w, x, *args, **kwargs)
-
-        monkeypatch.setattr(capital_solver, "_triangle", shrunk)
-        monkeypatch.setattr(capital_solver, "_es_report", recorded)
-        got = solve_r0_numeric(rm, x, s, grid)[1:-1]
-        assert built[0].x.size < x.size
-        left = 0
-        for w, g, rep in zip(inner, got, want):
-            # the rerun on all scenarios, after at most one kept solve
-            assert sizes[w][-1] == x.size and len(sizes[w]) <= 2, w
-            left += len(sizes[w]) == 2
-            assert g == rep and np.array_equal(g.losses.positive, rep.losses.positive)
-        assert left > 0  # some kept solves ran, and climbed past the chord
+    def test_leaving_the_chord_reruns_on_all_scenarios(self, monkeypatch):
+        # the chord shrunk just below every interior root: each interior
+        # solve climbs past it on the kept set and reruns on all scenarios
+        x, s = fig8b_sample(20_000)
+        rm, grid = RiskMeasure("es", 0.01), w_grid(0.1)
+        want = {float(w): full_length_report(rm, x, s, float(w)) for w in grid}
+        monkeypatch.setattr(capital_solver, "_chord",
+                            lambda w, ends: want[w].r0 * (1.0 - 2.0 ** -41))
+        got, sizes = solve_recording(rm, x, s, grid)
+        for w, rep in zip(grid[1:-1], got[1:-1]):
+            assert len(sizes[w]) == 2 and sizes[w][0] < x.size == sizes[w][1], w
+            assert rep == want[w], w
+            assert_same_report(rep, want[w], w)
+        assert all(sizes[w] == [sizes[w][0]] and sizes[w][0] < x.size
+                   for w in (grid[0], grid[-1]))
 
 
 class TestRatioWindowStdError:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,25 @@ class TestValue:
         assert code == EXIT_USAGE
         assert out == ""
         assert "v0_upper is not finite" in err
+
+    def test_overflowing_moments_fail_before_drawing(self, capsys, monkeypatch, tmp_path):
+        # the claim's variance overflows a float: exit 2 before a scenario
+        # is drawn, so numpy has no array to warn about
+        from cocval import montecarlo
+
+        calls, real = [], montecarlo.sample_scenarios
+        monkeypatch.setattr(montecarlo, "sample_scenarios",
+                            lambda *args: calls.append(args) or real(*args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, [
+                "sweep", "--claim", '{"kind":"lognormal","mean":1e300,"sd":1e300}',
+                "--grid-step", "1", "--mc-n", "1000", "--out", str(tmp_path / "sweep.csv")])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "overflow" in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert calls == []
 
     @pytest.mark.parametrize("command", [["value", *LOGNORMAL_MARKET],
                                          ["figure", "fig3b", "--grid-step", "0.5"]])

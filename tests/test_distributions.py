@@ -152,6 +152,16 @@ class TestCdfExamples:
     def test_lognormal_median(self):
         assert Lognormal(0.0, 1.0).sf(1.0) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("dist", [Normal(0.0, 1.0), Normal(1.0, 0.0), Lognormal(0.0, 1.0),
+                                      ParetoTypeI(1.0, 2.0), Degenerate(1.0)],
+                             ids=["normal", "normal-sd0", "lognormal", "pareto", "degenerate"])
+    def test_sf_of_nan_is_nan(self, dist):
+        # scalar and array alike; the other elements of an array keep their values
+        got = dist.sf(math.nan)
+        assert type(got) is float and math.isnan(got)
+        arr = dist.sf(np.array([math.nan, 1.5]))
+        assert math.isnan(arr[0]) and arr[1] == dist.sf(1.5)
+
     def test_cdf_monotone_and_bounded(self):
         xs = np.linspace(-5, 25, 400)
         for dist in (Normal(1.0, 0.3), Lognormal(0.0, 0.5), ParetoTypeI(0.5, 2.0), Degenerate(1.0)):
