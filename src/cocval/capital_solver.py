@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .market import NoSolutionError, SolveReport, check_grid
-from .montecarlo import BLOCK, in_chunks
+from .montecarlo import BLOCK
 from .risk_measures import RiskMeasure, shortfall, tail_average, tail_count
 
 __all__ = [
@@ -108,10 +108,10 @@ class _Candidates:
         return mean, max(var, 0.0)
 
 
-def _mixed_return(s: np.ndarray, w: float) -> np.ndarray:
+def _mixed_return(s: np.ndarray, w: float, out: np.ndarray | None = None) -> np.ndarray:
     # Z = w S + 1 - w, rounded the same way for the candidate bounds and
     # every solve; at w = 0 it is 1 exactly.
-    z = np.multiply(s, w)
+    z = np.multiply(s, w, out=out)
     z += 1.0 - w
     return z
 
@@ -164,8 +164,7 @@ def _candidate_set(rm: RiskMeasure, x: np.ndarray, s: np.ndarray | None, w_lo: f
         zero_risk, s_mean = None, 1.0
     else:
         # does a scenario with S <= 0 have a negative claim?
-        negative = in_chunks(lambda a, b: bool(np.any(x[a:b][s[a:b] <= 0.0] < 0.0)), n, 1)
-        zero_risk = rm.empirical(-x) if any(negative) else None
+        zero_risk = rm.empirical(-x) if np.any(x[s <= 0.0] < 0.0) else None
         s_mean = float(s.mean())
     keep = _keep_mask(x, s, (w_lo, w_hi), k + m)
     kept_s = np.ones(np.count_nonzero(keep)) if s is None else s[keep]
@@ -225,13 +224,9 @@ def _end_ratio(x: np.ndarray, s: np.ndarray | None, w: float) -> np.ndarray:
 
 
 def _blockwise(fn, n: int, size: int = BLOCK) -> list:
-    # fn(i, k) on the blocks [i, k) of ``size`` that cover range(n), the
-    # chunks of blocks on the pool of ``montecarlo.in_chunks``; the
-    # results in block order.  fn writes only into its block's slices.
-    def chunk(a: int, b: int) -> list:
-        return [fn(i, min(i + size, b)) for i in range(a, b, size)]
-
-    return [r for part in in_chunks(chunk, n, size) for r in part]
+    # fn(i, k) on the blocks [i, k) of ``size`` that cover range(n), in
+    # order; blocks keep the temporaries of an n-long pass small.
+    return [fn(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 # Block length of the moment sums, which keeps their temporaries small.
@@ -471,14 +466,12 @@ def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | N
     sample moments of L and the sums over its positive values, all the
     split needs.
 
-    The full-length passes (the end-ratio and corner-loss bounds, the
-    moment sums, and the losses, tail masks and positive losses of the
-    reruns on all n scenarios) run in blocks on the thread pool of
-    ``montecarlo.in_chunks``, each block writing its own slice, and only
-    the selections run whole; every result is the serial pass's, bit for
-    bit.  An ES grid needs two n-long arrays, the losses and their
-    selection, only when a weight reruns on all scenarios; the first
-    rerun makes them and the later ones reuse them.
+    Every pass runs in the calling thread.  The end-ratio and corner-loss
+    bounds run in blocks, which keep their temporaries small, and the
+    moment sums add the pairwise sums of blocks of 2^16 in order.  An ES
+    grid needs two n-long arrays, the losses and their selection, only
+    when a weight reruns on all scenarios; the first rerun makes them
+    and the later ones reuse them.
 
     Raises:
         ValueError: the grid is not strictly increasing inside [0, 1];
@@ -663,12 +656,9 @@ def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r:
     if r0 <= 0.0:
         raise NoSolutionError("claim is acceptable with zero capital")
 
-    def tail_block(i: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        return _at_or_above(losses[i:e], _part(s, i, e), w, q)
-
     # In scenario order, which a kept set keeps: the report is a function
     # of the losses at the root, whichever set they were selected in.
-    tail_l, tail_z = (np.concatenate(a) for a in zip(*_blockwise(tail_block, size)))
+    tail_l, tail_z = _at_or_above(losses, s, w, q)
     above = tail_l[tail_l > q]
     slope = float(tail_z.mean())
     # 1-based ranks i_lo <= n - k <= i_hi of the quantile's density window
@@ -684,8 +674,7 @@ def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r:
         var = (float(np.square(excess - mean).sum()) + (n - above.size) * mean * mean) / (n - 1)
         se = math.sqrt(var / n) / slope
     # every loss not above q is at most q
-    positive = (above[above > 0.0] if q <= 0.0 else
-                _gather(lambda i, e: losses[i:e][losses[i:e] > 0.0], size))
+    positive = above[above > 0.0] if q <= 0.0 else losses[losses > 0.0]
     residual = shortfall(above, q, tail)
     mean, var = c.loss_moments(r0, w)
     report = SolveReport(r0=r0, method="empirical_root", residual=residual,
@@ -709,21 +698,13 @@ def _at_or_above(losses: np.ndarray, s: np.ndarray | None, w: float,
     return losses.take(idx), z
 
 
-def _gather(fn, n: int) -> np.ndarray:
-    # the arrays fn(i, e) of the blocks, in scenario order
-    return np.concatenate(_blockwise(fn, n))
-
-
 def _tail_mean(s: np.ndarray | None, w: float, losses: np.ndarray, q: float, k: int,
                tail: float) -> float:
     # The mean of Z = w S + 1 - w under the ES tail weights of the losses:
     # 1/tail on each loss above the (k+1)-th largest q, the rest shared
     # equally by the ties at q.
-    def block(i: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        lb, z = _at_or_above(losses[i:e], _part(s, i, e), w, q)
-        return z[lb > q], z[lb == q]
-
-    above, tied = (np.concatenate(z) for z in zip(*_blockwise(block, losses.size)))
+    lb, z = _at_or_above(losses, s, w, q)
+    above, tied = z[lb > q], z[lb == q]
     edge = k - above.size + max(tail - k, 0.0)
     return (float(above.sum()) + edge * float(tied.mean())) / tail
 
@@ -734,15 +715,16 @@ def _es_root(x: np.ndarray, s: np.ndarray | None, w: float, k: int, tail: float,
     # slope is minus the tail-weighted mean of Z = w S + 1 - w (1 when s is
     # None).  Selections count the VaR one.  It leaves the losses at the
     # returned r in ``losses``, selected in ``sel``.
-    def fill(i: int, e: int) -> None:
-        # X - r Z and its copy for the selection, block by block on the pool
-        z = np.ones(e - i) if s is None else _mixed_return(s[i:e], w)
-        out = np.subtract(x[i:e], np.multiply(z, r, out=z), out=losses[i:e])
-        sel[i:e] = out
-
     selections = 1
     while True:
-        _blockwise(fill, x.size)
+        # X - r Z into ``losses``, with r Z made in ``sel``, which then
+        # takes a copy for the selection
+        if s is None:
+            np.subtract(x, r, out=losses)
+        else:
+            z = _mixed_return(s, w, out=sel)
+            np.subtract(x, np.multiply(z, r, out=z), out=losses)
+        np.copyto(sel, losses)
         es, q = tail_average(sel, k, tail)
         selections += 1
         if es <= 0.0:

@@ -144,6 +144,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             cfg.seed = int(os.environ[SEED_ENV_VAR])
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer") from exc
+    if cfg.seed < 0:
+        raise UsageError(f"--seed must be a nonnegative integer, got {cfg.seed}")
     if getattr(args, "dump_config", None):
         with _writing(args.dump_config), open(args.dump_config, "w", encoding="utf-8") as handle:
             handle.write(cfg.to_json() + "\n")

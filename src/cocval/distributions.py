@@ -3,8 +3,8 @@
 Every model in the engine is built from four families: normal,
 lognormal, Pareto type I, and a degenerate point mass standing in for
 the risk-less bond.  Each one exposes a closed-form survival function
-and quantile, exact first and second moments, stop-loss expectations,
-and positive rescaling.
+and quantile, exact first and second moments, and stop-loss
+expectations.
 
 ``sample`` is strict inverse-transform sampling from caller-supplied
 uniforms.  No distribution owns an RNG: the scenario module hands the
@@ -180,9 +180,6 @@ class Normal:
         z = (t - self.mean) / self.sd
         return (self.mean - t) * standard_normal_cdf(-z) + self.sd * standard_normal_pdf(z)
 
-    def scaled(self, a: float) -> "Distribution":
-        return _scaled_common(self, a) or Normal(a * self.mean, a * self.sd)
-
 
 @dataclass(frozen=True)
 class Lognormal:
@@ -244,9 +241,6 @@ class Lognormal:
         z = (math.log(t) - self.mu_log) / self.sd_log
         return self.mean * standard_normal_cdf(self.sd_log - z) - t * standard_normal_cdf(-z)
 
-    def scaled(self, a: float) -> "Distribution":
-        return _scaled_common(self, a) or Lognormal(self.mu_log + math.log(a), self.sd_log)
-
 
 @dataclass(frozen=True)
 class ParetoTypeI:
@@ -301,9 +295,6 @@ class ParetoTypeI:
             return self.mean - t
         return self.x_m * (t / self.x_m) ** (1.0 - self.beta) / (self.beta - 1.0)
 
-    def scaled(self, a: float) -> "Distribution":
-        return _scaled_common(self, a) or ParetoTypeI(a * self.x_m, self.beta)
-
 
 @dataclass(frozen=True)
 class Degenerate:
@@ -339,19 +330,8 @@ class Degenerate:
     def stop_loss(self, t: float) -> float:
         return max(self.value - t, 0.0)
 
-    def scaled(self, a: float) -> "Distribution":
-        return _scaled_common(self, a) or Degenerate(a * self.value)
-
 
 Distribution = Normal | Lognormal | ParetoTypeI | Degenerate
-
-
-def _scaled_common(dist: Distribution, a: float) -> Distribution | None:
-    if a < 0:
-        raise ValueError("scale factor must be nonnegative")
-    if a == 0:
-        return Degenerate(0.0)
-    return None
 
 
 def lognormal_from_moments(mean: float, sd: float) -> Lognormal:

@@ -20,8 +20,7 @@ draws long, that run on a thread pool (numpy and scipy release the GIL
 in their loops), and each chunk transforms blocks of ``BLOCK`` uniforms
 straight into its slice of the samples: no full-length uniform array
 exists.  Every stream is a function of (n, seed) alone, bit for bit,
-whatever the split or the platform.  ``in_chunks`` lends the same pool
-to the solver's full-length passes.
+whatever the split or the platform.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ PEAK_BYTES_PER_SCENARIO = 40
 # and are reused from block to block.
 BLOCK = 1 << 14
 # The shortest chunk: a hand-off to the pool costs tens of microseconds,
-# so shorter runs, such as the solves on a kept set, stay in one thread.
+# so shorter runs stay in one thread.
 MIN_CHUNK = 1 << 16
 
 _pool = None  # the concurrent.futures.ThreadPoolExecutor, made on first use
@@ -87,26 +86,6 @@ def _executor():
                                        thread_name_prefix="cocval-chunk")
             _pool_pid = os.getpid()
         return _pool
-
-
-def in_chunks(fn, n: int, align: int) -> list:
-    """``fn(start, stop)`` on contiguous chunks that cover range(n), one
-    per usable CPU, each at least ``MIN_CHUNK`` long and each start a
-    multiple of ``align``; the results in chunk order.
-
-    The chunks run on the module's thread pool, made on first use, and a
-    single chunk runs in the calling thread.  ``fn`` must write only
-    into its own chunk's slice of any shared output.  Every chunk ends
-    before the call returns or raises the first chunk's exception.
-    """
-    size = max(MIN_CHUNK, -(-n // _usable_cpus()))
-    size = -(-size // align) * align
-    spans = [(a, min(a + size, n)) for a in range(0, n, size)]
-    if len(spans) == 1:
-        return [fn(0, n)]
-    futures = [_executor().submit(fn, a, b) for a, b in spans]
-    wait(futures)
-    return [f.result() for f in futures]
 
 
 def _fill(out: np.ndarray, dist: Distribution, key: np.random.SeedSequence,
@@ -149,6 +128,16 @@ def sample_scenarios(claim: Distribution, asset: Distribution | None, n: int,
         if s is not None:
             _fill(s, asset, key_asset, start, stop)
 
-    in_chunks(chunk, n, 4)
+    # chunks of at least MIN_CHUNK draws, one per usable CPU, each start a
+    # multiple of 4; a single chunk runs in the calling thread
+    size = max(MIN_CHUNK, -(-n // _usable_cpus()))
+    size = -(-size // 4) * 4
+    if size >= n:
+        chunk(0, n)
+        return x, s
+    futures = [_executor().submit(chunk, a, min(a + size, n)) for a in range(0, n, size)]
+    wait(futures)  # every chunk ends before the first exception is raised
+    for future in futures:
+        future.result()
     return x, s
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cocval.capital_solver import LossSummary, solve_r0_numeric
-from cocval.distributions import standard_normal_cdf, standard_normal_pdf
+from cocval.distributions import (Degenerate, Lognormal, Normal, ParetoTypeI,
+                                  standard_normal_cdf, standard_normal_pdf)
 from cocval.market import NoSolutionError, SolveReport
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import ValuationResult, mc_valuation, v0_bounds
@@ -93,6 +94,22 @@ def mc_at(r0, market, scen, rm=RiskMeasure("var", 0.005), *, claims=None, assets
     rep = SolveReport(r0=r0, method="closed_form", residual=0.0, iterations=0,
                       losses=summary_of(losses))
     return mc_valuation(rep, market, rm)
+
+
+def scaled(dist, a):
+    """The law of a X for X ~ ``dist`` and a >= 0: the same family, or a
+    point mass at 0 when a = 0."""
+    if a < 0:
+        raise ValueError("scale factor must be nonnegative")
+    if a == 0:
+        return Degenerate(0.0)
+    if isinstance(dist, Normal):
+        return Normal(a * dist.mean, a * dist.sd)
+    if isinstance(dist, Lognormal):
+        return Lognormal(dist.mu_log + math.log(a), dist.sd_log)
+    if isinstance(dist, ParetoTypeI):
+        return ParetoTypeI(a * dist.x_m, dist.beta)
+    return Degenerate(a * dist.value)
 
 
 def reference_var_root(x, z, k):

@@ -32,7 +32,7 @@ from cocval.valuation import (
 )
 
 from helpers import (gaussian_r0_se_es, gaussian_r0_se_var, generate_scenarios, mc_at, samples,
-                     solve_at)
+                     scaled, solve_at)
 
 ETA = 0.06
 ALPHA = 0.005
@@ -221,9 +221,9 @@ def test_property_suite(scen):
         # claim rescaling: closed forms at float identity precision
         valued = value_gaussian_var(1.0, 0.3, 1.05, 0.2, ALPHA, ETA)
         for a in (0.5, 2.0, 7.3):
-            scaled = value_gaussian_var(a * 1.0, a * 0.3, 1.05, 0.2, ALPHA, ETA)
+            rescaled = value_gaussian_var(a * 1.0, a * 0.3, 1.05, 0.2, ALPHA, ETA)
             for field in ("r0", "c0", "v0", "llo", "v0_upper"):
-                assert getattr(scaled, field) == pytest.approx(
+                assert getattr(rescaled, field) == pytest.approx(
                     a * getattr(valued, field), rel=5e-14)
 
         # claim rescaling: numeric solver on shared scenarios,
@@ -233,7 +233,7 @@ def test_property_suite(scen):
         mkt = MarketSpec(claim=claim, asset=asset, w=0.5, eta=ETA)
         x, s = samples(mkt, scen)
         ref = solve_at(mkt, rm, claims=x, assets=s)
-        doubled = solve_at(MarketSpec(claim=claim.scaled(2.0), asset=asset, w=0.5, eta=ETA),
+        doubled = solve_at(MarketSpec(claim=scaled(claim, 2.0), asset=asset, w=0.5, eta=ETA),
                            rm, claims=2.0 * x, assets=s)
         assert doubled.r0 == 2.0 * ref.r0
 

@@ -22,7 +22,7 @@ from cocval.market import MarketSpec, NoSolutionError
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
 from cocval.valuation import mc_valuation, value_gaussian_var, value_market
 
-from helpers import generate_scenarios, solve_at
+from helpers import generate_scenarios, scaled, solve_at
 
 GAMMA, NU, MU, SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
@@ -265,7 +265,7 @@ class TestClosedFormSweep:
         claim = lognormal_from_moments(1.0, 0.3)
         base_asset = lognormal_from_moments(1.02, 0.2)
         rows = []
-        for asset in (base_asset, base_asset.scaled(1.02)):
+        for asset in (base_asset, scaled(base_asset, 1.02)):
             market = MarketSpec(claim=claim, asset=asset, w=0.8, eta=ETA)
             assert market.z_mean <= 1.0 + ETA
             rep = solve_at(market, VAR_005, scen)

@@ -29,7 +29,7 @@ from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_em
                                   var_multiplier)
 
 from helpers import (gaussian_r0_se_var, generate_scenarios, reference_ratio_std_error,
-                     reference_root_std_error, reference_var_root, samples, solve_at)
+                     reference_root_std_error, reference_var_root, samples, scaled, solve_at)
 
 FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
@@ -311,11 +311,11 @@ class TestNumericSolver:
             # exactly scaled claim data reproduces the solve path bit for
             # bit whenever the scale is a power of two
             for a in (0.25, 2.0, 8.0):
-                rep = solve_at(MarketSpec(claim=claim.scaled(a), asset=asset, w=0.5, eta=0.06),
+                rep = solve_at(MarketSpec(claim=scaled(claim, a), asset=asset, w=0.5, eta=0.06),
                                rm, claims=a * x, assets=s)
                 assert rep.r0 == a * base.r0
                 assert rep.residual == a * base.residual
-            rep = solve_at(MarketSpec(claim=claim.scaled(3.7), asset=asset, w=0.5, eta=0.06),
+            rep = solve_at(MarketSpec(claim=scaled(claim, 3.7), asset=asset, w=0.5, eta=0.06),
                            rm, claims=3.7 * x, assets=s)
             assert rep.r0 == pytest.approx(3.7 * base.r0, rel=1e-12)
 
@@ -840,16 +840,41 @@ class TestRatioWindowStdError:
 @pytest.mark.usefixtures("positives_kept")
 class TestBlockwisePasses:
     """The full-length passes of the candidate build and of the solves on
-    all scenarios run in blocks on the thread pool; every report is the
-    one-thread report, bit for bit, however the scenarios are split."""
+    all scenarios run in blocks in the calling thread, never on the
+    sampler's thread pool; every report is the same, bit for bit, however
+    many CPUs are usable."""
 
-    @pytest.mark.parametrize("kind", ["var", "es"])
-    def test_any_number_of_cpus(self, monkeypatch, kind):
-        # a normal asset puts S <= 0 in some 70 scenarios
+    @staticmethod
+    def normal_asset_sample():
+        # n = 300 000, above two chunks of ``montecarlo.MIN_CHUNK``; a normal
+        # asset puts S <= 0 in some 70 scenarios
         scen = generate_scenarios(300_000, seed=4)
         claim, asset = lognormal_from_moments(1.0, 0.3), Normal(1.05, 0.3)
         x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
-        assert np.any(s <= 0.0)
+        assert np.any(s <= 0.0) and x.size > 2 * montecarlo.MIN_CHUNK
+        return x, s
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_solver_never_touches_the_pool(self, monkeypatch, kind):
+        # with two CPUs any hand-off to the pool raises; the chord at 0
+        # sends every interior ES weight to a rerun on all scenarios
+        x, s = self.normal_asset_sample()
+
+        def no_pool():
+            raise AssertionError("the solver used the thread pool")
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_executor", no_pool)
+        monkeypatch.setattr(capital_solver, "_chord", lambda w, ends: 0.0)
+        rm, grid = RiskMeasure(kind, 0.01), w_grid(0.1)
+        got, sizes = solve_recording(rm, x, s, grid)
+        assert all(isinstance(rep, SolveReport) for rep in got)
+        if kind == "es":
+            assert all(sizes[w] == [x.size] for w in grid[1:-1])
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_any_number_of_cpus(self, monkeypatch, kind):
+        x, s = self.normal_asset_sample()
         rm, grid = RiskMeasure(kind, 0.01), w_grid(0.1)
         monkeypatch.setattr(montecarlo, "_pool", None)
         runs = []

@@ -400,6 +400,20 @@ class TestConfig:
             assert code == EXIT_USAGE
             assert key in err
 
+    def test_negative_seed_names_the_flag(self, capsys, tmp_path):
+        # Monte Carlo and closed-form commands alike, from the flag or a file
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        claim = ["--claim", '{"kind":"lognormal","mean":1,"sd":0.3}']
+        for argv in (["value", *LOGNORMAL_MARKET, "--mc-n", "1000"], ["value", *claim],
+                     ["sweep", *claim, "--grid-step", "0.5"],
+                     ["figure", "fig3b", "--grid-step", "0.5", "--mc-n", "1000"],
+                     ["figure", "fig1b", "--grid-step", "0.5"], ["pareto-example"]):
+            for seed in (["--seed", "-1"], ["--config", str(cfg)]):
+                code, out, err = run(capsys, [*argv, *seed])
+                assert (code, out) == (EXIT_USAGE, ""), (argv, seed)
+                assert "--seed" in err and "Traceback" not in err, err
+
     def test_config_seed_beats_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COC_SEED", "321")
         cfg = tmp_path / "run.json"

@@ -20,7 +20,7 @@ from cocval.distributions import (
     standard_normal_quantile,
 )
 
-from helpers import generate_scenarios
+from helpers import generate_scenarios, scaled
 
 
 def bisect_normal_quantile(p: float, tol: float = 1e-13) -> float:
@@ -296,8 +296,7 @@ class TestInvariants:
     @settings(max_examples=200, deadline=None)
     def test_scale_equivariance_of_quantiles(self, a, p):
         for dist in (Lognormal(0.1, 0.4), ParetoTypeI(0.7, 2.5)):
-            scaled = dist.scaled(a)
-            assert scaled.quantile(p) == pytest.approx(a * dist.quantile(p), rel=1e-12)
+            assert scaled(dist, a).quantile(p) == pytest.approx(a * dist.quantile(p), rel=1e-12)
 
     def test_inverse_transform_law(self):
         scen = generate_scenarios(10 ** 6, seed=2024)
@@ -383,6 +382,6 @@ class TestValidation:
         assert math.isfinite(ParetoTypeI(0.5, 2.1).variance)
 
     def test_scaled_zero_collapses_to_point_mass(self):
-        assert Lognormal(0.0, 1.0).scaled(0.0) == Degenerate(0.0)
+        assert scaled(Lognormal(0.0, 1.0), 0.0) == Degenerate(0.0)
         with pytest.raises(ValueError):
-            ParetoTypeI(1.0, 2.0).scaled(-1.0)
+            scaled(ParetoTypeI(1.0, 2.0), -1.0)

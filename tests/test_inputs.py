@@ -4,8 +4,9 @@ message and never a traceback.
 
 Each parameter of every family, in every parameter form, and w, alpha
 and eta are drawn from plausible values and from 0, negative, huge and
-nan ones.  The runs go through ``cli.main`` in this process, on at most
-1e4 scenarios and grid steps of at least 0.01.
+nan ones, and seeds from negative ones too, which must exit 2 with a
+message that names ``--seed``.  The runs go through ``cli.main`` in this
+process, on at most 1e4 scenarios and grid steps of at least 0.01.
 """
 
 import contextlib
@@ -57,7 +58,7 @@ def measure_flags():
     return st.tuples(flag("alpha", number("alpha")), flag("eta", number("eta")),
                      st.sampled_from([[], ["--risk-measure", "var"], ["--risk-measure", "es"]]),
                      st.sampled_from(MC_N).map(lambda n: ["--mc-n", str(n)]),
-                     st.integers(0, 2 ** 32).map(lambda s: ["--seed", str(s)]),
+                     st.integers(-2 ** 32, 2 ** 32).map(lambda s: ["--seed", str(s)]),
                      ).map(lambda parts: sum(parts, []))
 
 
@@ -121,6 +122,8 @@ def test_every_input_runs_or_exits_with_a_message(command, csv_path):
         code, out, err = run(argv)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_NO_SOLUTION), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
+        if "--seed" in argv and int(argv[argv.index("--seed") + 1]) < 0:
+            assert code == EXIT_USAGE and "--seed" in err, (argv, code, err)
         if code != EXIT_OK:
             assert err.strip() and out == "", (argv, out, err)
             return
