@@ -12,7 +12,7 @@ from .distributions import (
 from .risk_measures import RiskMeasure
 from .market import MarketSpec, NoSolutionError, SolveReport
 from .valuation import ValuationResult, value_market
-from .analysis import MutualBenefit, SweepResult, sweep, w_grid
+from .analysis import SweepResult, sweep, w_grid
 
 __version__ = "0.1.0"
 
@@ -21,7 +21,6 @@ __all__ = [
     "Distribution",
     "Lognormal",
     "MarketSpec",
-    "MutualBenefit",
     "Normal",
     "NoSolutionError",
     "ParetoTypeI",

@@ -11,7 +11,7 @@ closed form in the normal model and is located numerically otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 from .market import MarketSpec, NoSolutionError, check_grid, check_memory
 from .risk_measures import RiskMeasure
@@ -19,11 +19,8 @@ from .valuation import ValuationResult, _gaussian_valuations, mc_valuations, nor
 
 __all__ = [
     "SweepResult",
-    "MutualBenefit",
     "sweep",
     "w_grid",
-    "negative_loading_threshold",
-    "check_mutual_benefit",
     "CSV_COLUMNS",
 ]
 
@@ -46,38 +43,6 @@ SWEEP_ROW_BYTES = 1024
 def _cell(value) -> str:
     # locale-independent '.' decimals, 15 significant digits
     return "" if value is None else format(float(value), ".15g")
-
-
-class MutualBenefit(NamedTuple):
-    """Checkable sufficient conditions for a mutually beneficial mix.
-
-    ``capital_condition``: the requirement times the mean mixed return
-    reaches the risk-less requirement, which forces the shareholder
-    contribution up.  ``premium_condition``: additionally the
-    requirement itself does not exceed the risk-less one, which forces
-    the premium down.
-    """
-
-    capital_condition: bool
-    premium_condition: bool
-
-
-def check_mutual_benefit(r0_w: float, mu_w: float, r0_0: float) -> MutualBenefit:
-    """Evaluate both sufficient conditions at one mix weight."""
-    capital = r0_w * mu_w >= r0_0
-    return MutualBenefit(capital, capital and r0_0 >= r0_w)
-
-
-def negative_loading_threshold(r0_w: float, mean_claim: float,
-                               mean_asset: float, eta: float) -> float:
-    """Weight beyond which the premium loading turns negative in any model.
-
-    Derived from the moment-based premium upper bound; compare the
-    actual weight against the returned value.
-    """
-    if mean_asset <= 1.0:
-        raise ValueError("risky asset must out-return the bond on average")
-    return (eta / (mean_asset - 1.0)) * (r0_w - mean_claim) / r0_w
 
 
 def _benefit_threshold(gamma: float, nu: float, mu: float, sigma: float,

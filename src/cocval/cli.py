@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .analysis import DEFAULT_GRID_STEP, sweep, w_grid
+from .analysis import DEFAULT_GRID_STEP, _cell, sweep, w_grid
 from .distributions import distribution_from_config
 from .market import MarketSpec, NoSolutionError
 from .risk_measures import RiskMeasure
@@ -171,16 +171,12 @@ def _build_risk_measure(cfg: RunConfig) -> RiskMeasure:
         raise UsageError(str(exc)) from exc
 
 
-def _fmt(value) -> str:
-    return "" if value is None else format(float(value), ".15g")
-
-
 def _write_value_csv(path: str, record: dict) -> None:
     keys = list(record)
     with _writing(path), open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(keys) + "\n")
         handle.write(",".join(
-            _fmt(record[k]) if isinstance(record[k], (int, float)) or record[k] is None
+            _cell(record[k]) if isinstance(record[k], (int, float)) or record[k] is None
             else str(record[k]) for k in keys) + "\n")
 
 
@@ -204,18 +200,14 @@ def cmd_value(args: argparse.Namespace) -> int:
 def _run_sweep(cfg: RunConfig, default_out: str) -> int:
     market = _build_market(cfg, 0.0)
     rm = _build_risk_measure(cfg)
-    try:
-        grid = w_grid(cfg.grid_step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    result = sweep(market, rm, grid, mc_n=cfg.mc_n, seed=cfg.seed)
+    result = sweep(market, rm, w_grid(cfg.grid_step), mc_n=cfg.mc_n, seed=cfg.seed)
     out = cfg.out or default_out
     with _writing(out):
         result.write_csv(out)
     print(f"wrote {out}")
-    print(f"w_star = {_fmt(result.w_star)}")
-    print(f"w_hat_numeric = {_fmt(result.w_hat_numeric)}")
-    print(f"w_hat_closed = {_fmt(result.w_hat_closed)}")
+    print(f"w_star = {_cell(result.w_star)}")
+    print(f"w_hat_numeric = {_cell(result.w_hat_numeric)}")
+    print(f"w_hat_closed = {_cell(result.w_hat_closed)}")
     return EXIT_OK
 
 
@@ -332,7 +324,7 @@ def cmd_pareto_example(args: argparse.Namespace) -> int:
         with _writing(cfg.out), open(cfg.out, "w", encoding="utf-8") as handle:
             handle.write("beta,r0,llo,v0_upper,v0\n")
             for beta, r0, llo, upper, v0 in rows:
-                handle.write(",".join(_fmt(v) for v in (beta, r0, llo, upper, v0)) + "\n")
+                handle.write(",".join(_cell(v) for v in (beta, r0, llo, upper, v0)) + "\n")
     return EXIT_OK
 
 
@@ -393,10 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:  # math on parameters too large for a float
@@ -405,7 +394,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at exit cannot fail again,
+        # and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

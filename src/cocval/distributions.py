@@ -2,26 +2,24 @@
 
 Every model in the engine is built from four families: normal,
 lognormal, Pareto type I, and a degenerate point mass standing in for
-the risk-less bond.  Each one exposes a closed-form survival function
-and quantile, exact first and second moments, and stop-loss
-expectations.
+the risk-less bond.  Each one exposes a closed-form quantile, exact
+first and second moments, and stop-loss expectations.
 
 ``sample`` is strict inverse-transform sampling from caller-supplied
 uniforms.  No distribution owns an RNG: the scenario module hands the
 same uniforms to every distribution, which is what makes common random
 numbers work across model families and parameter values.
 
-Every function takes a scalar or an array.  A scalar (a number, or a
-numpy scalar or 0-d array) runs on ``math`` and ``statistics`` and
-returns a float; a list, tuple or array of one or more dimensions
-returns a numpy array, and numpy is imported on that first use.  A
-closed-form run evaluates only scalars, so it loads neither numpy nor
-scipy.  The survival functions and the normal CDF and density map the
-scalar function over an array, so both give the same values to the last
-bit; a survival function is nan at nan.  The quantiles, which the Monte
-Carlo transforms call on every block of uniforms, run on numpy arrays:
-the normal quantile is the standard library's ``NormalDist.inv_cdf`` for
-a scalar and scipy's ``ndtri`` for an array, imported on first use.
+The quantile is the one function that takes an array: the Monte Carlo
+transforms call it on every block of uniforms.  A scalar level (a
+number, or a numpy scalar or 0-d array) runs on ``math`` and
+``statistics`` and returns a float; a list, tuple or array of one or
+more dimensions returns a numpy array, and numpy is imported on that
+first use.  The normal quantile is the standard library's
+``NormalDist.inv_cdf`` for a scalar and scipy's ``ndtri`` for an array,
+imported on first use.  Everything else, the normal CDF and density
+included, is scalar, so a closed-form run loads neither numpy nor
+scipy.
 """
 
 from __future__ import annotations
@@ -54,19 +52,6 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _STANDARD_NORMAL = statistics.NormalDist()
 
 
-def _is_array(x) -> bool:
-    # a list, a tuple or an array of one or more dimensions; anything
-    # else, numpy scalars and 0-d arrays included, is a scalar
-    return isinstance(x, (list, tuple)) or getattr(x, "ndim", 0) > 0
-
-
-def _elementwise(fn, x) -> np.ndarray:
-    """The scalar function ``fn`` on every element of the array ``x``."""
-    import numpy as np
-
-    return np.vectorize(fn, otypes=[float])(np.asarray(x, dtype=float))
-
-
 def _full(shape, value: float) -> np.ndarray:
     import numpy as np
 
@@ -80,7 +65,9 @@ def _probabilities(p) -> float | np.ndarray:
     Raises:
         ValueError: a p outside the open interval, nan included.
     """
-    if _is_array(p):
+    # a list, a tuple or an array of one or more dimensions; anything
+    # else, numpy scalars and 0-d arrays included, is a scalar
+    if isinstance(p, (list, tuple)) or getattr(p, "ndim", 0) > 0:
         import numpy as np
 
         arr = np.asarray(p, dtype=float)
@@ -94,18 +81,13 @@ def _probabilities(p) -> float | np.ndarray:
     return p
 
 
-def standard_normal_cdf(x) -> float | np.ndarray:
+def standard_normal_cdf(x: float) -> float:
     """P(G <= x) for standard normal G, accurate in both tails: erfc of
     -x / sqrt(2), halved, from ``math.erfc``."""
-    if _is_array(x):
-        return _elementwise(standard_normal_cdf, x)
-    return 0.5 * math.erfc(-float(x) / _SQRT2)
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def standard_normal_pdf(x) -> float | np.ndarray:
-    if _is_array(x):
-        return _elementwise(standard_normal_pdf, x)
-    x = float(x)
+def standard_normal_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
 
 
@@ -153,16 +135,6 @@ class Normal:
     def nonnegative(self) -> bool:
         return self.sd == 0.0 and self.mean >= 0.0
 
-    def sf(self, x) -> float | np.ndarray:
-        if _is_array(x):
-            return _elementwise(self.sf, x)
-        x = float(x)
-        if math.isnan(x):
-            return math.nan
-        if self.sd == 0.0:
-            return float(x < self.mean)
-        return 0.5 * math.erfc((x - self.mean) / (self.sd * _SQRT2))
-
     def quantile(self, p) -> float | np.ndarray:
         p = _probabilities(p)
         if self.sd == 0.0:
@@ -209,17 +181,6 @@ class Lognormal:
     @property
     def nonnegative(self) -> bool:
         return True
-
-    def sf(self, x) -> float | np.ndarray:
-        if _is_array(x):
-            return _elementwise(self.sf, x)
-        x = float(x)
-        if math.isnan(x):
-            return math.nan
-        if not x > 0.0:
-            return 1.0
-        z = (math.log(x) - self.mu_log) / self.sd_log
-        return 0.5 * math.erfc(z / _SQRT2)
 
     def quantile(self, p) -> float | np.ndarray:
         p = _probabilities(p)
@@ -273,14 +234,6 @@ class ParetoTypeI:
     def nonnegative(self) -> bool:
         return True
 
-    def sf(self, x) -> float | np.ndarray:
-        if _is_array(x):
-            return _elementwise(self.sf, x)
-        x = float(x)
-        if math.isnan(x):
-            return math.nan
-        return (x / self.x_m) ** (-self.beta) if x > self.x_m else 1.0
-
     def quantile(self, p) -> float | np.ndarray:
         p = _probabilities(p)
         return self.x_m * (1.0 - p) ** (-1.0 / self.beta)
@@ -313,12 +266,6 @@ class Degenerate:
     @property
     def nonnegative(self) -> bool:
         return self.value >= 0.0
-
-    def sf(self, x) -> float | np.ndarray:
-        if _is_array(x):
-            return _elementwise(self.sf, x)
-        x = float(x)
-        return math.nan if math.isnan(x) else float(x < self.value)
 
     def quantile(self, p) -> float | np.ndarray:
         p = _probabilities(p)

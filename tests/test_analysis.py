@@ -11,12 +11,7 @@ from scipy.optimize import brentq
 
 import cocval
 from cocval import analysis, distributions
-from cocval.analysis import (
-    check_mutual_benefit,
-    negative_loading_threshold,
-    sweep,
-    w_grid,
-)
+from cocval.analysis import sweep, w_grid
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
 from cocval.market import MarketSpec, NoSolutionError
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
@@ -35,8 +30,12 @@ LOGNORMAL_MARKET = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
 MC = {"mc_n": 20_000, "seed": 1}
 
 
+def closed_value(w: float, mu: float = MU, sigma: float = SIGMA):
+    return value_gaussian_var(GAMMA, NU, w * mu + 1 - w, w * sigma, ALPHA, ETA)
+
+
 def closed_r0(w: float, mu: float = MU, sigma: float = SIGMA) -> float:
-    return value_gaussian_var(GAMMA, NU, w * mu + 1 - w, w * sigma, ALPHA, ETA).r0
+    return closed_value(w, mu, sigma).r0
 
 
 def closed_threshold(gamma, nu, mu, sigma, rm=VAR_005):
@@ -111,38 +110,33 @@ class TestBenefitThreshold:
         assert sweep(FIG_MARKET, VAR_005, w_grid(0.1), **MC).w_hat_numeric is not None
 
 
-class TestNegativeLoadingThreshold:
-    def test_no_buffer_above_mean(self):
-        assert negative_loading_threshold(1.0, 1.0, 1.05, ETA) == 0.0
-
-    def test_arithmetic_example(self):
-        got = negative_loading_threshold(2.0, 1.0, 1.05, ETA)
-        assert got == pytest.approx(1.2 * 0.5, rel=1e-12)
-
-    def test_vanishing_excess_return(self):
-        # threshold blows up as the asset edge vanishes, then the gate
-        # rejects a flat or inverted edge outright
-        assert negative_loading_threshold(2.0, 1.0, 1.0 + 1e-12, ETA) > 1e10
-        with pytest.raises(ValueError):
-            negative_loading_threshold(2.0, 1.0, 1.0, ETA)
-
-
 class TestMutualBenefit:
+    """The paper's sufficient conditions for a mutually beneficial mix at
+    weight w, against the risk-less weight 0: r0(w) mu_w >= r0(0) raises
+    the shareholder value c0, and r0(w) <= r0(0) on top of it lowers the
+    premium v0."""
+
     def test_riskless_weight_boundary(self):
-        r0 = closed_r0(0.0)
-        cond = check_mutual_benefit(r0, 1.0, r0)
-        assert cond.capital_condition and cond.premium_condition
+        # at w = 0 the mixed return is the bond's, 1, and both conditions
+        # hold with equality
+        base = closed_value(0.0)
+        assert base.r0 * (0.0 * MU + 1 - 0.0) == base.r0
 
     def test_small_weight_both_hold(self):
         w = 0.05
-        cond = check_mutual_benefit(closed_r0(w), w * MU + 1 - w, closed_r0(0.0))
-        assert cond.capital_condition and cond.premium_condition
+        base, mixed = closed_value(0.0), closed_value(w)
+        assert mixed.r0 * (w * MU + 1 - w) >= base.r0
+        assert base.r0 >= mixed.r0
+        assert mixed.c0 >= base.c0
+        assert mixed.v0 <= base.v0
 
     def test_full_weight_high_volatility_premium_fails(self):
         w, sigma = 1.0, 0.3
-        r0_w = closed_r0(w, sigma=sigma)
-        cond = check_mutual_benefit(r0_w, MU, closed_r0(0.0, sigma=sigma))
-        assert cond.capital_condition and not cond.premium_condition
+        base, mixed = closed_value(0.0, sigma=sigma), closed_value(w, sigma=sigma)
+        assert mixed.r0 * MU >= base.r0
+        assert mixed.c0 >= base.c0
+        # only the premium condition fails: the requirement rises
+        assert mixed.r0 > base.r0
 
 
 class TestGrid:
@@ -244,8 +238,10 @@ class TestClosedFormSweep:
     def test_sufficient_conditions_imply_premium_ordering(self, result):
         base = result.rows[0]
         for w, row in zip(result.grid, result.rows):
-            cond = check_mutual_benefit(row.r0, float(w) * MU + 1 - float(w), base.r0)
-            if cond.premium_condition:
+            capital = row.r0 * (float(w) * MU + 1 - float(w)) >= base.r0
+            if capital:
+                assert row.c0 >= base.c0 - 1e-12
+            if capital and base.r0 >= row.r0:
                 assert row.v0 <= base.v0 + 1e-12
 
     def test_premium_monotone_in_claim_mean(self):

@@ -226,6 +226,26 @@ class TestUnwritableOutput:
         assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["value", "--claim", '{"kind":"lognormal","mean":1,"sd":0.3}'],
+    ["figure", "fig1b"],
+    ["pareto-example"],
+], ids=["value", "figure", "pareto-example"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
+    # stdout is a pipe whose read end is closed before the command starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cocval.__file__).resolve().parent.parent)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cocval.cli", *command],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == ""
+
+
 class TestSweepAndFigures:
     def test_fig1b_summary(self, capsys, tmp_path):
         out_path = tmp_path / "fig1b.csv"
