@@ -17,6 +17,7 @@ from cocval.distributions import (
     pareto_from_mean_beta,
     pareto_from_moments,
     standard_normal_cdf,
+    standard_normal_pdf,
     standard_normal_quantile,
 )
 
@@ -134,6 +135,22 @@ class TestAgainstScipy:
         assert np.max(np.abs(scalar - array) / np.abs(array)) <= self.TOL
         assert standard_normal_quantile(0.5) == special.ndtri(0.5) == 0.0
 
+    def test_pdf_matches_scipy(self):
+        from scipy import stats
+
+        x = np.linspace(-30.0, 30.0, 601)
+        scalar = np.array([standard_normal_pdf(float(v)) for v in x])
+        assert np.max(np.abs(scalar / stats.norm.pdf(x) - 1.0)) <= self.TOL
+
+    def test_cdf_and_pdf_return_floats(self):
+        # scalar functions: an int or a numpy scalar in, a float out,
+        # tails included
+        for x in (0, 1.5, np.float64(1.5), -40.0, 40.0):
+            assert type(standard_normal_cdf(x)) is float
+            assert type(standard_normal_pdf(x)) is float
+        assert 0.0 < standard_normal_cdf(-37.5) < 1e-300
+        assert standard_normal_cdf(40.0) == 1.0
+
     def test_array_quantile_is_ndtri_bit_for_bit(self):
         # the Monte Carlo transforms keep scipy's values exactly
         from scipy import special
@@ -141,6 +158,56 @@ class TestAgainstScipy:
         u = (np.arange(1, 4097) - 0.5) / 4096.0
         assert np.array_equal(standard_normal_quantile(u), special.ndtri(u))
         assert np.array_equal(Normal(1.0, 0.3).sample(u), 1.0 + 0.3 * special.ndtri(u))
+
+
+class TestCdfExamples:
+    """The CDF facts the closed forms rest on, read off the scalar normal
+    CDF, the quantile and the stop-loss transform."""
+
+    def test_normal_symmetry_point(self):
+        assert standard_normal_cdf(0.0) == 0.5
+        assert Normal(0.0, 1.0).quantile(0.5) == 0.0
+        # E[G^+] = phi(0) for standard normal G
+        assert Normal(0.0, 1.0).stop_loss(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi),
+                                                               rel=1e-15)
+
+    def test_pareto_support_edge(self):
+        # no mass below x_m: the stop-loss there is mean - t, and the tail
+        # branch meets it at the edge with slope -1, minus the survival 1
+        d = ParetoTypeI(0.5, 2.0)
+        assert d.stop_loss(0.5) == d.mean - 0.5 == 0.5
+        h = 1e-7
+        assert (d.stop_loss(0.5 + h) - d.stop_loss(0.5)) / h == pytest.approx(-1.0, rel=1e-6)
+        assert d.quantile(1e-12) == pytest.approx(0.5, rel=1e-12)
+        assert scipy_law(d).cdf(0.5) == 0.0
+
+    def test_lognormal_median(self):
+        d = Lognormal(0.0, 1.0)
+        assert d.quantile(0.5) == 1.0
+        assert scipy_law(d).cdf(1.0) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("dist", [Normal(0.0, 1.0), Normal(1.0, 0.0), Lognormal(0.0, 1.0),
+                                      ParetoTypeI(1.0, 2.0), Degenerate(1.0)],
+                             ids=["normal", "normal-sd0", "lognormal", "pareto", "degenerate"])
+    def test_stop_loss_of_nan_is_nan(self, dist):
+        # a nan retention propagates; no branch turns it into a number
+        got = dist.stop_loss(math.nan)
+        assert type(got) is float and math.isnan(got)
+
+    def test_cdf_monotone_and_bounded(self):
+        x = np.linspace(-40.0, 40.0, 801)
+        cdf = np.array([standard_normal_cdf(float(v)) for v in x])
+        assert np.all(np.diff(cdf) >= 0)
+        assert np.all((cdf >= 0) & (cdf <= 1))
+        # the stop-loss is the integral of the survival 1 - F beyond t, so
+        # a CDF in [0, 1] makes it nonincreasing and convex, and Jensen
+        # keeps it above (mean - t)^+
+        ts = np.linspace(-5, 25, 400)
+        for dist in (Normal(1.0, 0.3), Lognormal(0.0, 0.5), ParetoTypeI(0.5, 2.0), Degenerate(1.0)):
+            sl = np.array([dist.stop_loss(float(t)) for t in ts])
+            assert np.all(np.diff(sl) <= 1e-12)
+            assert np.all(np.diff(sl, 2) >= -1e-12)
+            assert np.all(sl >= np.maximum(dist.mean - ts, 0.0) - 1e-12)
 
 
 class TestQuantileExamples:
@@ -309,6 +376,23 @@ class TestStopLoss:
             assert dist.stop_loss(t) == pytest.approx(ref, rel=1e-6, abs=1e-9)
         assert Degenerate(2.0).stop_loss(0.7) == pytest.approx(1.3, rel=1e-15)
         assert Degenerate(2.0).stop_loss(2.5) == 0.0
+
+    def test_zero_sd_normal_is_the_point_mass(self):
+        for t in (-1.0, 0.5, 1.0, 1.5):
+            assert Normal(1.0, 0.0).stop_loss(t) == Degenerate(1.0).stop_loss(t)
+
+    def test_limits_far_below_and_above_the_support(self):
+        # far below the support the retention is always exceeded: mean - t
+        for dist, t in ((Normal(1.0, 0.3), 1.0 - 40 * 0.3), (Lognormal(0.0, 0.5), 0.0),
+                        (ParetoTypeI(0.5, 2.5), 0.5), (Degenerate(2.0), -3.0)):
+            assert dist.stop_loss(t) == pytest.approx(dist.mean - t, rel=1e-15)
+        # far above it the expected excess vanishes; the Pareto tail only
+        # as t^(1 - beta)
+        assert Normal(1.0, 0.3).stop_loss(1.0 + 40 * 0.3) < 1e-300
+        # log 1000 is 13.8 log-scale deviations out: tiny, and still positive
+        assert 0.0 < Lognormal(0.0, 0.5).stop_loss(1e3) < 1e-40
+        pareto = ParetoTypeI(0.5, 2.5)
+        assert pareto.stop_loss(1e6) == pytest.approx(0.5 * 2e6 ** -1.5 / 1.5, rel=1e-12)
 
 
 class TestConfig:
