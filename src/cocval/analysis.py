@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TextIO
 
+from .distributions import Normal
 from .market import MarketSpec, NoSolutionError, check_grid, check_memory
 from .risk_measures import RiskMeasure
-from .valuation import ValuationResult, _gaussian_valuations, mc_valuations, normal_model
+from .valuation import ValuationResult, valuations
 
 __all__ = [
     "SweepResult",
@@ -124,6 +125,9 @@ class SweepResult:
 
 
 def _closed_threshold(market: MarketSpec, rm: RiskMeasure) -> float | None:
+    # the benefit threshold has a closed form in the normal model alone
+    if not (isinstance(market.claim, Normal) and isinstance(market.asset, Normal)):
+        return None
     try:
         return _benefit_threshold(market.claim.mean, market.claim.sd,
                                   market.asset.mean, market.asset.sd,
@@ -164,15 +168,13 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
           seed: int) -> SweepResult:
     """Value the run-off across an asset-mix grid.
 
-    ``market.w`` is ignored; the grid supplies every weight.  The
-    normal model uses its closed forms over the whole grid in one call,
-    which works out the Gaussian constants of the measure once per grid
-    (the path ``value_gaussian_var``/``_es`` take as a one-weight grid);
-    everything else uses ``valuation.mc_valuations`` on one scenario set
-    of ``mc_n`` draws from ``seed``.  Weights where no capital level is
-    acceptable become gap rows, among them every normal-model weight
-    whose mean return mu_w does not exceed its risk charge (mu_w <= 0
-    included), and the summary weights come from the feasible prefix.
+    ``market.w`` is ignored; the grid supplies every weight, and
+    ``valuation.valuations`` picks the method, Monte Carlo on one
+    scenario set of ``mc_n`` draws from ``seed`` wherever no closed form
+    applies.  Weights where no capital level is acceptable become gap
+    rows, among them every normal-model weight whose mean return mu_w
+    does not exceed its risk charge (mu_w <= 0 included), and the
+    summary weights come from the feasible prefix.
 
     Returns:
         SweepResult with per-weight valuations, the capital-minimizing
@@ -185,15 +187,8 @@ def sweep(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     ws = check_grid(grid)
     if ws[0] != 0.0:
         raise ValueError("grid must include w = 0 as its first point")
-    params = normal_model(market, ws)
-    if params is not None:
-        results = _gaussian_valuations(*params, rm, market.eta)
-        w_hat_closed = _closed_threshold(market, rm)
-    else:
-        results = mc_valuations(market, rm, ws, mc_n=mc_n, seed=seed)
-        w_hat_closed = None
-    rows = [None if isinstance(row, NoSolutionError) else row for row in results]
-
+    rows = [None if isinstance(row, NoSolutionError) else row
+            for row in valuations(market, rm, ws, mc_n=mc_n, seed=seed)]
     w_star, w_hat_numeric = _derive_weights(ws, rows)
-    return SweepResult(grid=ws, rows=tuple(rows), w_star=w_star,
-                       w_hat_numeric=w_hat_numeric, w_hat_closed=w_hat_closed)
+    return SweepResult(grid=ws, rows=tuple(rows), w_star=w_star, w_hat_numeric=w_hat_numeric,
+                       w_hat_closed=_closed_threshold(market, rm))

@@ -62,17 +62,6 @@ _ES_MARGIN = 2.0 ** -40
 
 
 @dataclass(frozen=True)
-class _Polygon:
-    """The scenarios that decide the empirical ES root at every weight of
-    a grid or of a part of it: ``x`` and ``s`` are the kept claims and
-    asset returns in scenario order; ``s`` is None where Z = 1.
-    """
-
-    x: np.ndarray = field(repr=False)
-    s: np.ndarray | None = field(repr=False)
-
-
-@dataclass(frozen=True)
 class _Candidates:
     """The scenarios that decide the empirical VaR root at every weight
     between a grid's ends, and the sample moments of the whole scenario
@@ -177,36 +166,52 @@ def _candidate_set(rm: RiskMeasure, x: np.ndarray, s: np.ndarray | None, w_lo: f
 def _keep_mask(x: np.ndarray, s: np.ndarray | None, ends: tuple[float, float],
                j: int) -> np.ndarray:
     # t is the (j+1)-th largest minimum of the end ratios over the
-    # scenarios with S > 0.  The end ratios are computed twice, block by
-    # block, so that the minima are the only n-long float array.
-    n, ends = x.size, tuple(dict.fromkeys(ends))
+    # scenarios with S > 0; all are kept when t is too near underflow or
+    # overflow for the slack to hold.
+    def bar(t: float) -> float | None:
+        in_range = t == 0.0 or _PRUNE_RANGE[0] < abs(t) < _PRUNE_RANGE[1]
+        return t - _SLACK * abs(t) if in_range else None
+
+    ends = tuple(dict.fromkeys(ends))
+    keep = _prune(x, s, _end_ratio, ends, ends, j, bar)
+    return np.ones(x.size, dtype=bool) if keep is None else keep
+
+
+def _prune(x: np.ndarray, s: np.ndarray | None, measure, lows: tuple | list,
+           highs: tuple | list, j: int, bar) -> np.ndarray | None:
+    """The mask of the VaR candidates or an ES kept set: every scenario
+    with S <= 0, and those whose largest ``measure(x, s, point)`` over
+    ``highs`` reaches ``bar(t)``, with t the (j+1)-th largest of the
+    smallest over ``lows`` (-inf where S <= 0).  The measure is computed
+    twice, block by block, so that the smallest values are the only
+    n-long float array.  None for fewer than j + 1 scenarios or a None bar.
+    """
+    n = x.size
     if j >= n:
-        return np.ones(n, dtype=bool)
+        return None
     lo = np.empty(n)
 
-    def minima(i: int, k: int) -> None:
-        out, xb, sb = lo[i:k], x[i:k], _part(s, i, k)
-        np.copyto(out, _end_ratio(xb, sb, ends[0]))
-        if len(ends) == 2:
-            np.minimum(out, _end_ratio(xb, sb, ends[1]), out=out)
+    def smallest(i: int, e: int) -> None:
+        out, xb, sb = lo[i:e], x[i:e], _part(s, i, e)
+        np.copyto(out, measure(xb, sb, lows[0]))
+        for point in lows[1:]:
+            np.minimum(out, measure(xb, sb, point), out=out)
         if sb is not None:
             out[sb <= 0.0] = -np.inf
 
-    _blockwise(minima, n)
+    _blockwise(smallest, n)
     lo.partition(n - 1 - j)
-    t = float(lo[n - 1 - j])
+    level = bar(float(lo[n - 1 - j]))
     del lo
-    if not (t == 0.0 or _PRUNE_RANGE[0] < abs(t) < _PRUNE_RANGE[1]):
-        return np.ones(n, dtype=bool)
-    bar = t - _SLACK * abs(t)
+    if level is None:
+        return None
     keep = np.empty(n, dtype=bool)
 
-    def reach(i: int, k: int) -> None:
-        # the maximum of the end ratios reaches the threshold
-        out, xb, sb = keep[i:k], x[i:k], _part(s, i, k)
-        np.greater_equal(_end_ratio(xb, sb, ends[0]), bar, out=out)
-        for w in ends[1:]:
-            out |= _end_ratio(xb, sb, w) >= bar
+    def reach(i: int, e: int) -> None:
+        out, xb, sb = keep[i:e], x[i:e], _part(s, i, e)
+        np.greater_equal(measure(xb, sb, highs[0]), level, out=out)
+        for point in highs[1:]:
+            out |= measure(xb, sb, point) >= level
         if sb is not None:  # scenarios with S <= 0 are always kept
             out |= sb <= 0.0
 
@@ -332,7 +337,7 @@ def _corners(bounds: dict[float, tuple[tuple[float, float], float]],
 
 def _polygon(x: np.ndarray, s: np.ndarray | None, k: int,
              bottom: list[tuple[float, float]], top: list[tuple[float, float]],
-             ) -> _Polygon | None:
+             ) -> tuple[np.ndarray, np.ndarray | None] | None:
     """Prune to the scenarios of the ES roots at every weight of a grid,
     given the bottom and top corners (w, r) of their polygon
     (``_corners``); ``s`` may be None where the grid is w = 0 alone.
@@ -364,54 +369,31 @@ def _polygon(x: np.ndarray, s: np.ndarray | None, k: int,
     a solve with q > 0 is not accepted either.  Every dropped scenario
     counts as below q.  The argument holds for a part of the scenarios
     that already holds all of these at every iterate, such as the kept
-    set of a larger polygon: then t is taken over that part.  None when
-    the slack is not finite.
+    set of a larger polygon: then t is taken over that part.  Returns
+    the kept x and s in scenario order, or None when the slack is not
+    finite.
     """
-    n = x.size
-    lo = np.empty(n)
-
-    def minima(i: int, e: int) -> tuple[float, float]:
-        # the smallest top-corner losses into lo, -inf where S <= 0, and
-        # the block's largest |X| and |S|
-        out, xb, sb = lo[i:e], x[i:e], _part(s, i, e)
-        _corner_losses(xb, sb, *top[0], out=out)
-        for corner in top[1:]:
-            np.minimum(out, _corner_losses(xb, sb, *corner), out=out)
-        if sb is None:
-            return max(xb.max(), -xb.min()), 1.0
-        out[sb <= 0.0] = -np.inf
-        return max(xb.max(), -xb.min()), max(sb.max(), -sb.min())
-
-    x_abs, s_abs = np.max(_blockwise(minima, n), axis=0).tolist()
-    lo.partition(n - 1 - k)
-    t = float(lo[n - 1 - k])
-    del lo
+    x_abs = max(float(x.max()), -float(x.min()))
+    s_abs = 1.0 if s is None else max(float(s.max()), -float(s.min()))
     scale = x_abs + max(r for _, r in bottom + top) * (s_abs + 1.0)
-    bar = t - 4.0 * _ES_MARGIN * scale
-    if not math.isfinite(bar):
-        return None
-    keep = np.empty(n, dtype=bool)
 
-    def reach(i: int, e: int) -> None:
-        # the largest bottom-corner loss reaches the bar, or S <= 0
-        out, xb, sb = keep[i:e], x[i:e], _part(s, i, e)
-        np.greater_equal(_corner_losses(xb, sb, *bottom[0]), bar, out=out)
-        for corner in bottom[1:]:
-            out |= _corner_losses(xb, sb, *corner) >= bar
-        if sb is not None:
-            out |= sb <= 0.0
+    def bar(t: float) -> float | None:
+        level = t - 4.0 * _ES_MARGIN * scale
+        return level if math.isfinite(level) else None
 
-    _blockwise(reach, n)
-    return _Polygon(x=x[keep], s=None if s is None else s[keep])
+    keep = _prune(x, s, _corner_losses, top, bottom, k, bar)
+    return None if keep is None else (x[keep], None if s is None else s[keep])
 
 
-def _corner_losses(x: np.ndarray, s: np.ndarray | None, w: float, r: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    # X - r Z, computed as a Newton step computes it (Z = 1 when s is None)
+def _corner_losses(x: np.ndarray, s: np.ndarray | None,
+                   corner: tuple[float, float]) -> np.ndarray:
+    # X - r Z at the corner (w, r), computed as a Newton step computes it
+    # (Z = 1 when s is None)
+    w, r = corner
     if s is None:
-        return np.subtract(x, r, out=out)
+        return np.subtract(x, r)
     z = _mixed_return(s, w)
-    return np.subtract(x, np.multiply(z, r, out=z), out=z if out is None else out)
+    return np.subtract(x, np.multiply(z, r, out=z), out=z)
 
 
 def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | None,
@@ -497,11 +479,11 @@ def _es_grid(c: _Candidates, ws: list[float], x: np.ndarray,
         # asset returns it was solved on: on the kept set from start when
         # that solve is accepted, else on all scenarios from the VaR root.
         if kept is not None and start <= r_max:
-            found = _es_report(c, w, kept.x, kept.s, start, r_max)
+            found = _es_report(c, w, *kept, start, r_max)
             # with no step from above the VaR root, the start may lie
             # beyond the root
             if found is not None and not found[0].r0 == start > r_var:
-                return (*found, kept.s)
+                return (*found, kept[1])
         if not work:
             work.extend((np.empty(x.size), np.empty(x.size)))
         return (*_es_report(c, w, x, s, r_var, work=tuple(work)), s)
@@ -555,7 +537,7 @@ def _es_grid(c: _Candidates, ws: list[float], x: np.ndarray,
         # the end roots: the scenarios of that triangle, out of the kept set
         inner = _corners(ends)
         if inner:
-            kept = _polygon(kept.x, kept.s, c.k, *inner) or kept
+            kept = _polygon(*kept, c.k, *inner) or kept
 
     def interior(w):
         r_var = _var_root(c, w)

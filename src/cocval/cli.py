@@ -146,6 +146,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer") from exc
     if cfg.seed < 0:
         raise UsageError(f"--seed must be a nonnegative integer, got {cfg.seed}")
+    if cfg.mc_n < 1:
+        raise UsageError(f"--mc-n must be a positive integer, got {cfg.mc_n}")
     if getattr(args, "dump_config", None):
         with _writing(args.dump_config), open(args.dump_config, "w", encoding="utf-8") as handle:
             handle.write(cfg.to_json() + "\n")

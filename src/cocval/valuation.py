@@ -45,7 +45,7 @@ __all__ = [
     "pareto_riskless_valuation",
     "mc_valuation",
     "mc_valuations",
-    "normal_model",
+    "valuations",
     "value_market",
 ]
 
@@ -341,6 +341,7 @@ def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     ``mc_n`` draws from ``seed``: the exact empirical roots of
     ``solve_r0_numeric``, each split by ``mc_valuation``.  A weight where
     no capital level is acceptable gets its ``NoSolutionError``.
+    ``valuations`` sends here every grid without a closed form.
 
     The sampler and the solver, and numpy with them, are imported here,
     on the first Monte Carlo run.
@@ -367,52 +368,48 @@ def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
             else rep for w, rep in zip(ws, reports)]
 
 
-def normal_model(market: MarketSpec, w=None) -> tuple | None:
-    """Parameters (gamma, nu, mu_w, sigma_w) of the normal model.
+def valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
+               seed: int) -> list[ValuationResult | NoSolutionError]:
+    """Valuations at every weight of a strictly increasing grid in
+    [0, 1] (``market.w`` is ignored), each weight without an acceptable
+    capital level as its ``NoSolutionError``: the one place that picks
+    a method.  First match wins: the normal model's closed forms at
+    every weight; for a one-weight VaR grid, the buffer in the bond
+    (``w = 0`` or a unit point-mass asset) with a Pareto or other
+    nonnegative claim, or a lognormal claim fully in a lognormal asset;
+    else ``mc_valuations``.  So a grid of several weights outside the
+    normal model is Monte Carlo at each one, and its rows compare on
+    common random numbers.
 
-    Claim mean and sd, then the mean and sd of the mixed return at the
-    weight ``w`` (``market.w`` when None; a tuple of weights, such as a
-    checked grid, gives tuples of mu_w and sigma_w); None unless both
-    the claim and the asset are normal.
+    Raises:
+        ValueError: the grid is not strictly increasing inside [0, 1];
+            or from a closed form, the sampling or the solve.
     """
-    claim, asset = market.claim, market.asset
-    if not (isinstance(claim, Normal) and isinstance(asset, Normal)):
-        return None
-    if w is None:
-        w = market.w
-    if isinstance(w, tuple):
-        return (claim.mean, claim.sd, tuple(v * asset.mean + (1.0 - v) for v in w),
-                tuple(v * asset.sd for v in w))
-    return claim.mean, claim.sd, w * asset.mean + (1.0 - w), w * asset.sd
+    ws = check_grid(grid)
+    claim, asset, eta = market.claim, market.asset, market.eta
+    if isinstance(claim, Normal) and isinstance(asset, Normal):
+        return _gaussian_valuations(claim.mean, claim.sd,
+                                    [w * asset.mean + (1.0 - w) for w in ws],
+                                    [w * asset.sd for w in ws], rm, eta)
+    if rm.kind == "var" and len(ws) == 1:
+        [w] = ws
+        riskless = w == 0.0 or (isinstance(asset, Degenerate) and asset.value == 1.0)
+        if riskless and isinstance(claim, ParetoTypeI):
+            return [pareto_riskless_valuation(claim.beta, claim.mean, rm.alpha, eta)]
+        if riskless and claim.nonnegative:
+            return [value_riskless_var(claim, rm.alpha, eta)]
+        if w == 1.0 and isinstance(claim, Lognormal) and isinstance(asset, Lognormal):
+            return [value_lognormal_var(claim.mu_log, claim.sd_log,
+                                        asset.mu_log, asset.sd_log, rm.alpha, eta)]
+    return mc_valuations(market, rm, ws, mc_n=mc_n, seed=seed)
 
 
 def value_market(market: MarketSpec, rm: RiskMeasure, *, mc_n: int,
                  seed: int) -> ValuationResult:
-    """Value one market by closed form where one exists, else Monte Carlo.
-
-    Routes, first match wins: the normal model under either criterion;
-    VaR with the buffer in the bond (``w = 0`` or a unit point-mass
-    asset) for a Pareto claim or any other nonnegative claim; VaR for a
-    lognormal claim fully invested in a lognormal asset.  Everything
-    else is a one-weight ``mc_valuations`` on ``mc_n`` draws from
-    ``seed``.
+    """Value one market at ``market.w`` as the one-weight grid of
+    ``valuations``: by closed form where one exists, else Monte Carlo.
 
     Raises:
         NoSolutionError: no capital level is acceptable.
     """
-    params = normal_model(market)
-    if params is not None:
-        value = value_gaussian_var if rm.kind == "var" else value_gaussian_es
-        return value(*params, rm.alpha, market.eta)
-    claim, asset, w = market.claim, market.asset, market.w
-    riskless = w == 0.0 or (isinstance(asset, Degenerate) and asset.value == 1.0)
-    if rm.kind == "var" and riskless:
-        if isinstance(claim, ParetoTypeI):
-            return pareto_riskless_valuation(claim.beta, claim.mean, rm.alpha, market.eta)
-        if claim.nonnegative:
-            return value_riskless_var(claim, rm.alpha, market.eta)
-    if (rm.kind == "var" and w == 1.0
-            and isinstance(claim, Lognormal) and isinstance(asset, Lognormal)):
-        return value_lognormal_var(claim.mu_log, claim.sd_log,
-                                   asset.mu_log, asset.sd_log, rm.alpha, market.eta)
-    return _single(mc_valuations(market, rm, [w], mc_n=mc_n, seed=seed))
+    return _single(valuations(market, rm, [market.w], mc_n=mc_n, seed=seed))

@@ -727,7 +727,7 @@ class TestEsTriangle:
                 assert_same_report(got, want, w)
         # the grid's kept set, then at most the interior weights' out of it
         assert len(built) <= 1 + (len(grid) > 2)
-        sizes = [x.size] + [b.x.size for b in built]
+        sizes = [x.size] + [kept_x.size for kept_x, _ in built]
         assert sizes == sorted(sizes, reverse=True)
         return built[-1] if built else None
 
@@ -740,8 +740,8 @@ class TestEsTriangle:
     def test_default_grid_sweep(self):
         # fig8b's market on all 1001 weights of the default grid
         x, s = fig8b_sample(20_000)
-        polygon = self.check_grid(x, s, w_grid(), RiskMeasure("es", 0.01))
-        assert polygon.x.size < x.size // 4
+        kept_x, _ = self.check_grid(x, s, w_grid(), RiskMeasure("es", 0.01))
+        assert kept_x.size < x.size // 4
 
     def test_one_kept_set_for_every_grid(self):
         # fig8b's market: a grid of any length, the ends included, solves
@@ -752,9 +752,9 @@ class TestEsTriangle:
         for grid in ([0.0], [0.4], [1.0], [0.0, 1.0], [0.0, 0.5, 1.0]):
             reports, built, sizes = polygons_of(rm, x, s, grid)
             assert len(built) == 1 + (len(grid) > 2), grid
-            assert built[0].x.size < x.size // 4 and built[-1].x.size <= built[0].x.size, grid
-            assert sizes == [built[0].x.size] * min(len(grid), 2) + [built[-1].x.size] * (
-                len(grid) - 2), grid
+            first, last = built[0][0].size, built[-1][0].size
+            assert first < x.size // 4 and last <= first, grid
+            assert sizes == [first] * min(len(grid), 2) + [last] * (len(grid) - 2), grid
             assert all(isinstance(rep, SolveReport) for rep in reports), grid
 
     def test_no_solve_on_all_scenarios(self):
@@ -775,8 +775,8 @@ class TestEsTriangle:
         x = np.concatenate([np.full(100, 3.0), np.full(150, 1.0), np.full(50, 0.9),
                             0.5 + 0.005 * rng.standard_normal(3700)])
         s = np.concatenate([np.ones(250), np.full(50, 0.2), rng.lognormal(0.05, 0.1, 3700)])
-        polygon = self.check_grid(x, s, w_grid(0.01), RiskMeasure("es", 0.05))
-        assert polygon.x.size < x.size // 4
+        kept_x, _ = self.check_grid(x, s, w_grid(0.01), RiskMeasure("es", 0.05))
+        assert kept_x.size < x.size // 4
 
     def test_root_above_the_upper_level_reruns_on_all_scenarios(self, monkeypatch):
         # each end's upper level shrunk below its root by more than the

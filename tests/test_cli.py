@@ -434,6 +434,18 @@ class TestConfig:
                 assert (code, out) == (EXIT_USAGE, ""), (argv, seed)
                 assert "--seed" in err and "Traceback" not in err, err
 
+    def test_zero_config_mc_n_names_the_flag(self, capsys, tmp_path):
+        # refused where Monte Carlo would run and where a closed form needs no sample
+        cfg = tmp_path / "mc_n.json"
+        cfg.write_text(json.dumps({"mc_n": 0}))
+        normal = ["--claim", '{"kind":"normal","mean":1,"sd":0.3}',
+                  "--asset", '{"kind":"normal","mean":1.05,"sd":0.2}', "--w", "0.3"]
+        for argv in (["value", *LOGNORMAL_MARKET], ["value", *normal],
+                     ["figure", "fig1b", "--grid-step", "0.5"], ["pareto-example"]):
+            code, out, err = run(capsys, [*argv, "--config", str(cfg)])
+            assert (code, out) == (EXIT_USAGE, ""), argv
+            assert "--mc-n must be a positive integer, got 0" in err, err
+
     def test_config_seed_beats_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COC_SEED", "321")
         cfg = tmp_path / "run.json"

@@ -5,7 +5,8 @@ message and never a traceback.
 Each parameter of every family, in every parameter form, and w, alpha
 and eta are drawn from plausible values and from 0, negative, huge and
 nan ones, and seeds from negative ones too, which must exit 2 with a
-message that names ``--seed``.  The runs go through ``cli.main`` in this
+message that names ``--seed``; so must a sample size below 1 with one
+that names ``--mc-n``.  The runs go through ``cli.main`` in this
 process, on at most 1e4 scenarios and grid steps of at least 0.01.
 """
 
@@ -31,6 +32,9 @@ PLAUSIBLE = {
 }
 
 MC_N = (1000, 10_000)
+# a sample size from MC_N, or one below 1 that must exit 2
+MC_N_FLAG = st.one_of(st.sampled_from(MC_N), st.integers(-2 ** 32, 0)).map(
+    lambda n: ["--mc-n", str(n)])
 GRID_STEPS = (1.0, 0.5, 0.25, 0.1, 0.01, 0.3, 2.0, math.nan)
 
 
@@ -57,7 +61,7 @@ def flag(name: str, values):
 def measure_flags():
     return st.tuples(flag("alpha", number("alpha")), flag("eta", number("eta")),
                      st.sampled_from([[], ["--risk-measure", "var"], ["--risk-measure", "es"]]),
-                     st.sampled_from(MC_N).map(lambda n: ["--mc-n", str(n)]),
+                     MC_N_FLAG,
                      st.integers(-2 ** 32, 2 ** 32).map(lambda s: ["--seed", str(s)]),
                      ).map(lambda parts: sum(parts, []))
 
@@ -77,7 +81,8 @@ COMMANDS = {
     "figure": st.tuples(st.sampled_from(sorted(FIGURE_PRESETS)).map(lambda f: ["figure", f]),
                         GRID, measure_flags()),
     "pareto-example": st.tuples(st.just(["pareto-example"]), flag("mean", number("mean")),
-                                flag("alpha", number("alpha")), flag("eta", number("eta"))),
+                                flag("alpha", number("alpha")), flag("eta", number("eta")),
+                                st.one_of(st.just([]), MC_N_FLAG)),
 }
 
 
@@ -124,6 +129,8 @@ def test_every_input_runs_or_exits_with_a_message(command, csv_path):
         assert "Traceback" not in err, (argv, err)
         if "--seed" in argv and int(argv[argv.index("--seed") + 1]) < 0:
             assert code == EXIT_USAGE and "--seed" in err, (argv, code, err)
+        elif "--mc-n" in argv and int(argv[argv.index("--mc-n") + 1]) < 1:
+            assert code == EXIT_USAGE and "--mc-n" in err, (argv, code, err)
         if code != EXIT_OK:
             assert err.strip() and out == "", (argv, out, err)
             return

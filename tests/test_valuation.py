@@ -473,6 +473,52 @@ class TestValueMarket:
             "Lognormal": 20_000, "ParetoTypeI": 20_000}
 
 
+class TestDispatcher:
+    """``valuations`` routes one weight as ``value_market`` does and never
+    mixes a closed-form row into a Monte Carlo grid."""
+
+    MARKET = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
+                        asset=lognormal_from_moments(1.05, 0.2), w=0.0, eta=ETA)
+    GRID = [0.0, 0.3, 0.6]
+
+    def test_one_weight_closed_form_stays_out_of_a_grid(self):
+        rm = RiskMeasure("var", ALPHA)
+        single = value_market(self.MARKET, rm, mc_n=20_000, seed=3)
+        assert single.valuation_method == "closed_form"
+        res = sweep(self.MARKET, rm, self.GRID, mc_n=20_000, seed=3)
+        assert [row.valuation_method for row in res.rows] == ["mc"] * 3
+        # a one-weight grid gets its closed form in a sweep too
+        assert sweep(self.MARKET, rm, [0.0], mc_n=20_000, seed=3).rows == (single,)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("asset", [lognormal_from_moments(1.05, 0.2), Normal(1.05, 0.2)],
+                             ids=["lognormal", "normal"])
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_single_weight_equals_its_sweep_row(self, asset, kind, seed):
+        market = replace(self.MARKET, asset=asset, w=0.3)
+        rm = RiskMeasure(kind, 0.01)
+        single = value_market(market, rm, mc_n=20_000, seed=seed)
+        row = sweep(market, rm, self.GRID, mc_n=20_000, seed=seed).rows[1]
+        assert single.valuation_method == row.valuation_method == "mc"
+        if kind == "var":  # every field
+            assert single == row
+            return
+        # An ES solve on the wider grid may take another number of
+        # selections, and its root may differ within the solver's 4 ulp
+        # (one ulp on the lognormal asset at seed 3); every field is equal
+        # when the roots are, and else moves no more than the outputs' 1e-12.
+        single = replace(single, iterations=row.iterations)
+        assert math.isclose(single.r0, row.r0, rel_tol=4 * 2.0 ** -52)
+        if single.r0 == row.r0:
+            assert single == row
+        for name, want in vars(row).items():
+            got = getattr(single, name)
+            if isinstance(want, float):
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * row.r0), name
+            else:
+                assert got == want, name
+
+
 class TestMcValuations:
     CLAIM = pareto_from_mean_beta(1.0, 2.0)
     ASSET = lognormal_from_moments(1.05, 0.2)
