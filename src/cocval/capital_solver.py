@@ -155,9 +155,9 @@ def _candidate_set(rm: RiskMeasure, x: np.ndarray, s: np.ndarray | None, w_lo: f
         # does a scenario with S <= 0 have a negative claim?
         zero_risk = rm.empirical(-x) if np.any(x[s <= 0.0] < 0.0) else None
         s_mean = float(s.mean())
+    x_var, s_var, xs_cov = _centred_moments(x, x_mean, s, s_mean)
     keep = _keep_mask(x, s, (w_lo, w_hi), k + m)
     kept_s = np.ones(np.count_nonzero(keep)) if s is None else s[keep]
-    x_var, s_var, xs_cov = _centred_moments(x, x_mean, s, s_mean)
     return _Candidates(n=n, alpha=rm.alpha, k=k, m=m, x=x[keep], s=kept_s, x_mean=x_mean,
                        s_mean=s_mean, x_var=x_var, s_var=s_var, xs_cov=xs_cov,
                        zero_risk=zero_risk)
@@ -183,26 +183,25 @@ def _prune(x: np.ndarray, s: np.ndarray | None, measure, lows: tuple | list,
     with S <= 0, and those whose largest ``measure(x, s, point)`` over
     ``highs`` reaches ``bar(t)``, with t the (j+1)-th largest of the
     smallest over ``lows`` (-inf where S <= 0).  The measure is computed
-    twice, block by block, so that the smallest values are the only
-    n-long float array.  None for fewer than j + 1 scenarios or a None bar.
+    twice, block by block, and t is selected as the blocks stream by
+    (``_largest``), so the mask is the only n-long array.  None for
+    fewer than j + 1 scenarios or a None bar.
     """
     n = x.size
     if j >= n:
         return None
-    lo = np.empty(n)
 
-    def smallest(i: int, e: int) -> None:
-        out, xb, sb = lo[i:e], x[i:e], _part(s, i, e)
-        np.copyto(out, measure(xb, sb, lows[0]))
+    def smallest(i: int, e: int) -> np.ndarray:
+        xb, sb = x[i:e], _part(s, i, e)
+        out = measure(xb, sb, lows[0])
         for point in lows[1:]:
             np.minimum(out, measure(xb, sb, point), out=out)
         if sb is not None:
             out[sb <= 0.0] = -np.inf
+        return out
 
-    _blockwise(smallest, n)
-    lo.partition(n - 1 - j)
-    level = bar(float(lo[n - 1 - j]))
-    del lo
+    pool = _largest(smallest, n, j)
+    level = bar(float(pool[pool.size - 1 - j]))
     if level is None:
         return None
     keep = np.empty(n, dtype=bool)
@@ -217,6 +216,39 @@ def _prune(x: np.ndarray, s: np.ndarray | None, measure, lows: tuple | list,
 
     _blockwise(reach, n)
     return keep
+
+
+def _largest(block, n: int, j: int) -> np.ndarray:
+    """A pool of the n values that ``block(i, e)`` makes, a fresh array
+    for each block [i, e) of ``BLOCK`` that covers range(n) in order,
+    partitioned so that its element at size - 1 - j is the (j+1)-th
+    largest of all n values as ``np.partition`` ranks them (NaN largest)
+    and the j after it are the j largest; j < n.
+
+    Each time the pool grows past 4 (j + 1) values it is partitioned
+    down to its j + 1 largest, and the smallest of these becomes the
+    bound: a lower bound on the true (j+1)-th largest, which only rises.
+    A later value at or below the bound is left out, since it is not
+    above the true one and the j + 1 pooled values at or above the bound
+    still decide it.  So the pool keeps every value above the true
+    (j+1)-th largest and at least j + 1 at or above it.
+    """
+    need = j + 1
+    pieces, size, bound = [], 0, None
+    for i in range(0, n, BLOCK):
+        values = block(i, min(i + BLOCK, n))
+        if bound is not None:
+            values = values[~(values <= bound)]
+        pieces.append(values)
+        size += values.size
+        if size > 4 * need:
+            pool = np.concatenate(pieces)
+            pool.partition(size - need)
+            bound = pool[size - need]
+            pieces, size = [pool[size - need:].copy()], need
+    pool = np.concatenate(pieces)
+    pool.partition(size - need)
+    return pool
 
 
 def _end_ratio(x: np.ndarray, s: np.ndarray | None, w: float) -> np.ndarray:
@@ -242,13 +274,19 @@ def _centred_moments(x: np.ndarray, x_mean: float, s: np.ndarray | None,
                      s_mean: float) -> tuple[float, float, float]:
     # Var X, Var S and Cov(X, S), ddof 1: pairwise sums of centred
     # products within blocks, added up in block order.  S = 1 when s is
-    # None, with no variance and no covariance.
+    # None, with no variance and no covariance.  Each block's centred
+    # values and their products reuse the same block-long buffers.
+    size = min(_MOMENT_BLOCK, x.size)
+    xc = np.empty(size)
+    sc, prod = (None, None) if s is None else (np.empty(size), np.empty(size))
+
     def block(i: int, k: int) -> tuple[float, float, float]:
-        xc = x[i:k] - x_mean
+        xb = np.subtract(x[i:k], x_mean, out=xc[:k - i])
         if s is None:
-            return np.square(xc).sum(), 0.0, 0.0
-        sc = s[i:k] - s_mean
-        return np.square(xc).sum(), np.square(sc).sum(), (xc * sc).sum()
+            return np.square(xb, out=xb).sum(), 0.0, 0.0
+        sb = np.subtract(s[i:k], s_mean, out=sc[:k - i])
+        xs = np.multiply(xb, sb, out=prod[:k - i]).sum()
+        return np.square(xb, out=xb).sum(), np.square(sb, out=sb).sum(), xs
 
     sums = np.zeros(3)
     for part in _blockwise(block, x.size, _MOMENT_BLOCK):
@@ -448,12 +486,15 @@ def solve_r0_numeric(rm: RiskMeasure, claims: np.ndarray, assets: np.ndarray | N
     sample moments of L and the sums over its positive values, all the
     split needs.
 
-    Every pass runs in the calling thread.  The end-ratio and corner-loss
-    bounds run in blocks, which keep their temporaries small, and the
-    moment sums add the pairwise sums of blocks of 2^16 in order.  An ES
-    grid needs two n-long arrays, the losses and their selection, only
-    when a weight reruns on all scenarios; the first rerun makes them
-    and the later ones reuse them.
+    Every pass over all n scenarios runs in the calling thread, in
+    blocks that keep its temporaries small.  The end-ratio and
+    corner-loss bounds and LTM(S) select their order statistics as the
+    blocks stream by (``_largest``), and the moment sums add the
+    pairwise sums of blocks of 2^16 in order.  So the only n-long array
+    a solve makes is the bool mask of a prune, one at a time, until a
+    weight reruns on all scenarios: an ES rerun needs two n-long float
+    arrays, the losses and their selection, which the first rerun makes
+    and the later ones reuse.
 
     Raises:
         ValueError: the grid is not strictly increasing inside [0, 1];
@@ -497,8 +538,20 @@ def _es_grid(c: _Candidates, ws: list[float], x: np.ndarray,
     def start_at(w, r_var):
         return max(r_var, (1.0 - _ES_MARGIN) * max(_line_root(line, w) for line in lines))
 
-    # LTM(S), the mean of the alpha n lowest asset returns
-    low_s = -tail_average(np.negative(s), c.k, tail)[0] if ws[-1] > 0.0 else 1.0
+    def at_end(w, r_var, upper):
+        # the end root from the kept set, and its tangent and root when it
+        # lies in the polygon; its losses go with this frame
+        r_max = upper * (1.0 + _ES_MARGIN)
+        found = solve(w, r_var, start_at(w, r_var), r_max, kept)
+        inside = found[0].r0 <= r_max and len(ws) > 2
+        return found[0], (tangent(w, found), found[0].r0) if inside else None
+
+    # LTM(S), the mean of the alpha n lowest asset returns, from a pool of
+    # the k + 1 lowest
+    low_s = 1.0
+    if ws[-1] > 0.0:
+        low_s = -tail_average(_largest(lambda i, e: np.negative(s[i:e]), s.size, c.k),
+                              c.k, tail)[0]
     reports: dict[float, SolveReport | NoSolutionError] = {}
     bounds = {}
     for w in dict.fromkeys((ws[0], ws[-1])):
@@ -520,15 +573,13 @@ def _es_grid(c: _Candidates, ws: list[float], x: np.ndarray,
         if w in reports:  # solved on all scenarios: the tangent and root
             ends[w] = (line, upper)
             continue
-        r_max = upper * (1.0 + _ES_MARGIN)
         try:
-            found = solve(w, r_var, start_at(w, r_var), r_max, kept)
+            reports[w], end = at_end(w, r_var, upper)
         except NoSolutionError as exc:
             reports[w] = exc.with_traceback(None)
             continue
-        reports[w] = found[0]
-        if found[0].r0 <= r_max and len(ws) > 2:
-            ends[w] = (tangent(w, found), found[0].r0)
+        if end is not None:
+            ends[w] = end
     chord = None
     if len(ends) == 2 and kept is not None:
         chord = [(w, r) for w, (_, r) in ends.items()]

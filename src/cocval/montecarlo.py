@@ -9,18 +9,21 @@ would.
 Substream derivation: the seed feeds a ``SeedSequence`` whose two
 spawned children key independent Philox counter-based generators, one
 for the asset return, one for the claim.  Draw i of a stream is
-(k_i + 0.5) 2^-53 for the i-th 53-bit integer k_i of its generator, and
-its sample is the inverse transform of that uniform.  Philox4x64 makes
-four 64-bit words per counter step and each integer takes one word, so
-``Philox.advance(i // 4)`` reaches draw i of a fresh generator when i is
-a multiple of 4 (Salmon et al., "Parallel random numbers: as easy as 1,
-2, 3", SC'11).  ``sample_scenarios`` therefore splits each stream into
-contiguous chunks, one per usable CPU and each at least ``MIN_CHUNK``
-draws long, that run on a thread pool (numpy and scipy release the GIL
-in their loops), and each chunk transforms blocks of ``BLOCK`` uniforms
-straight into its slice of the samples: no full-length uniform array
-exists.  Every stream is a function of (n, seed) alone, bit for bit,
-whatever the split or the platform.
+(k_i + 0.5) 2^-53, where k_i is the top 53 bits of the i-th 64-bit word
+of its generator, and its sample is the inverse transform of that
+uniform.  ``Generator.random`` gives k_i 2^-53 exactly, and adding 2^-54
+rounds once, as (k_i + 0.5) 2^-53 does; ``integers(0, 2^53)`` takes the
+same k_i from each word.  Philox4x64 makes four 64-bit words per counter
+step and each draw takes one word, so ``Philox.advance(i // 4)`` reaches
+draw i of a fresh generator when i is a multiple of 4 (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).
+``sample_scenarios`` therefore splits each stream into contiguous
+chunks, one per usable CPU and each at least ``MIN_CHUNK`` draws long,
+that run on a thread pool (numpy and scipy release the GIL in their
+loops), and each chunk transforms blocks of ``BLOCK`` uniforms straight
+into its slice of the samples: no full-length uniform array exists.
+Every stream is a function of (n, seed) alone, bit for bit, whatever the
+split or the platform.
 """
 
 from __future__ import annotations
@@ -38,21 +41,19 @@ __all__ = [
     "sample_scenarios",
 ]
 
-_INV_2_53 = 2.0 ** -53
-
 # Peak resident bytes per scenario of a Monte Carlo valuation or sweep:
 # the slope of peak RSS between 1e6 and 2e6 scenarios (seed 1, numpy 2.4,
-# Linux x86-64) was 24 on fig3b and fig15b at grid steps 0.1 and 0.001
-# and on the lognormal VaR and Pareto-1.1 valuations, and 26 on fig8b at
-# both steps and on the lognormal ES valuation (34-35 while the ES end
-# weights solved on all scenarios).  The claims and asset
-# returns are the only n-long arrays the sampler leaves; a VaR solve adds
-# the end-ratio minima, and an ES grid one n-long array at a time for the
-# lowest asset returns and then the polygon's corner minima.  Every ES
-# weight solves on the polygon's kept scenarios, and a solved weight keeps
-# sums of its losses, no array.  Only a weight that reruns on all
-# scenarios makes the two n-long arrays of the losses and their selection,
-# which later reruns reuse; the constant keeps room for them.
+# Linux x86-64, 2 cores) was 16.4-17.3 on fig3b and fig15b at grid steps
+# 0.1 and 0.001 and on the lognormal VaR and Pareto-1.1 valuations, and
+# 18.7-19.2 on fig8b at both steps and on the lognormal ES valuation.
+# The claims and asset returns, 16 bytes, are the only n-long float
+# arrays the sampler leaves.  A solve adds the bool mask of a prune, one
+# at a time, and arrays on its kept scenarios, which grow with alpha n:
+# the ES kept set holds 2.4-9.5% of the scenarios on the ES presets.  A
+# solved weight keeps sums of its losses, no array.  Only a weight that
+# reruns on all scenarios makes the two n-long arrays of the losses and
+# their selection, which later reruns reuse; the constant keeps room for
+# them.
 PEAK_BYTES_PER_SCENARIO = 40
 
 # Length of the blocks a chunk works through: its temporaries stay small
@@ -98,10 +99,11 @@ def _fill(out: np.ndarray, dist: Distribution, key: np.random.SeedSequence,
     u = np.empty(min(BLOCK, stop - start))
     for i in range(start, stop, BLOCK):
         j = min(i + BLOCK, stop)
-        # (k + 0.5) / 2^53 lies strictly inside (0, 1), so inverse
-        # transforms stay finite for every draw.
-        v = np.add(gen.integers(0, 1 << 53, size=j - i, dtype=np.int64), 0.5, out=u[:j - i])
-        v *= _INV_2_53
+        # k 2^-53 from the word's top 53 bits, then (k + 0.5) 2^-53 in one
+        # rounding: strictly inside (0, 1), so inverse transforms stay
+        # finite for every draw.
+        v = gen.random(out=u[:j - i])
+        v += 2.0 ** -54
         out[i:j] = dist.sample(v)
 
 

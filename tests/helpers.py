@@ -3,7 +3,8 @@
 errors of empirical-rooted capital levels in the normal model, via the
 delta method; the Monte Carlo decomposition at a given capital level;
 and full-sample reference versions of the VaR root, the standard errors
-and the decomposition that rebuild every array from the scenario set."""
+and the decomposition that rebuild every array from the scenario set,
+and the solver's prune with its selection on n-long arrays."""
 
 import math
 from dataclasses import dataclass
@@ -125,6 +126,26 @@ def reference_var_root(x, z, k):
     if ratio[i] == np.inf:
         raise NoSolutionError(f"more than {k} scenarios with Z <= 0 always lose")
     return float(ratio[i]), ratio
+
+
+def reference_prune(x, s, measure, lows, highs, j, bar):
+    """``capital_solver._prune`` built the full-length way: the smallest
+    measure over ``lows`` on all n scenarios at once (-inf where S <= 0),
+    t its (j+1)-th largest by one partition, and the mask of the
+    scenarios whose largest over ``highs`` reaches ``bar(t)``, with every
+    S <= 0; None for j >= n or a None bar."""
+    n = x.size
+    if j >= n:
+        return None
+    lo = np.minimum.reduce([measure(x, s, point) for point in lows])
+    if s is not None:
+        lo[s <= 0.0] = -np.inf
+    lo.partition(n - 1 - j)
+    level = bar(float(lo[n - 1 - j]))
+    if level is None:
+        return None
+    keep = np.logical_or.reduce([measure(x, s, point) >= level for point in highs])
+    return keep if s is None else keep | (s <= 0.0)
 
 
 def reference_ratio_std_error(rm, z, x):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from cocval.market import (
 from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_empirical,
                                   var_multiplier)
 
-from helpers import (gaussian_r0_se_var, generate_scenarios, reference_ratio_std_error,
-                     reference_root_std_error, reference_var_root, samples, scaled, solve_at)
+from helpers import (gaussian_r0_se_var, generate_scenarios, reference_prune,
+                     reference_ratio_std_error, reference_root_std_error, reference_var_root,
+                     samples, scaled, solve_at)
 
 FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA = 1.0, 0.3, 1.05, 0.2
 ALPHA = 0.005
@@ -912,3 +914,127 @@ class TestBlockwisePasses:
             if montecarlo._pool is not None:
                 montecarlo._pool.shutdown()
         assert [c.x_var, c.s_var, c.xs_cov] == (sums / (x.size - 1)).tolist()
+
+
+@st.composite
+def selection_cases(draw):
+    """Values with ties (small integers), -inf and NaN entries, or all
+    equal; a rank j up to n - 1; and a block length that may exceed n or
+    not divide it."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["ties", "spread", "equal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "equal":
+        values = np.full(n, draw(st.sampled_from([-np.inf, -1.5, 0.0, 2.0])))
+    else:
+        values = rng.integers(-5, 6, n).astype(float) if kind == "ties" else rng.normal(0.0, 1.0, n)
+        for special in (-np.inf, np.nan):
+            if draw(st.booleans()):
+                values[rng.random(n) < draw(st.sampled_from([0.05, 0.5, 1.0]))] = special
+    j = draw(st.one_of(st.just(n - 1), st.just(0), st.integers(0, n - 1)))
+    block = draw(st.sampled_from([1, 2, 3, 7, 16, 64, 1 << 14]))
+    return values, j, block
+
+
+class TestStreamedSelection:
+    """The (j+1)-th largest value selected as the blocks stream by, with a
+    pool of about 4 (j + 1) values, against ``np.partition`` on all n,
+    and the prune masks it decides against the full-length prune."""
+
+    @given(case=selection_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_partition(self, case):
+        values, j, block = case
+        n = values.size
+        blocks = []
+
+        def make(i, e):
+            blocks.append((i, e))
+            return values[i:e].copy()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capital_solver, "BLOCK", block)
+            pool = capital_solver._largest(make, n, j)
+        assert blocks == [(i, min(i + block, n)) for i in range(0, n, block)]
+        got, want = pool[pool.size - 1 - j], np.partition(values, n - 1 - j)[n - 1 - j]
+        assert got == want or (np.isnan(got) and np.isnan(want))
+        # the j after it are the j largest, every value above it is pooled,
+        # and the pool ends with at most 4 (j + 1) values
+        top = np.sort(values)[n - j:] if j else values[:0]
+        assert np.array_equal(np.sort(pool[pool.size - j:]), top, equal_nan=True)
+        if not np.isnan(got):
+            assert np.count_nonzero(pool > got) == np.count_nonzero(values > got)
+        assert pool.size <= min(n, 4 * (j + 1))
+
+    def test_pool_stays_small(self):
+        # 2^20 ascending values in blocks of 2^14: every block passes the
+        # bound, so the pool fills and is partitioned down again and again
+        values = np.sort(np.random.default_rng(3).normal(size=1 << 20))
+        j = 6000
+        pool = capital_solver._largest(lambda i, e: values[i:e].copy(), values.size, j)
+        assert pool[pool.size - 1 - j] == values[values.size - 1 - j]
+        assert pool.size <= 4 * (j + 1)
+
+    @staticmethod
+    def check_masks(rm, x, s, grid, block=None):
+        # every prune of a grid solve against the full-length prune
+        real, calls = capital_solver._prune, []
+
+        def both(*args):
+            got, want = real(*args), reference_prune(*args)
+            calls.append(args[2])
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(capital_solver, "_prune", both)
+            if block is not None:
+                patch.setattr(capital_solver, "BLOCK", block)
+            reports = solve_r0_numeric(rm, x, s, grid)
+        return reports, calls
+
+    @given(case=st.one_of(grid_markets(), grid_markets("es")),
+           block=st.sampled_from([7, 64, 500, 1 << 14]))
+    @settings(max_examples=100, deadline=None)
+    def test_masks_equal_the_full_length_prune(self, case, block):
+        x, s, grid, rm = case
+        _, calls = self.check_masks(rm, x, s, grid, block)
+        assert calls[0] is capital_solver._end_ratio
+
+    @pytest.mark.parametrize("kind", ["var", "es"])
+    def test_masks_on_a_default_block(self, kind):
+        x, s = fig8b_sample(100_000)
+        rm = RiskMeasure(kind, 0.01)
+        reports, calls = self.check_masks(rm, x, s, w_grid(0.1))
+        assert all(isinstance(rep, SolveReport) for rep in reports)
+        measures = [capital_solver._end_ratio] + [capital_solver._corner_losses] * 2
+        assert calls == (measures if kind == "es" else measures[:1])
+
+
+class TestSolveMemory:
+    """A solve keeps no n-long float array unless a weight reruns on all
+    scenarios.  At 2^20 scenarios the peak of its traced allocations
+    above entry stays below 2 bytes per scenario on a two-end VaR
+    grid, where the bool keep mask and one block's moment buffers are
+    the largest arrays, and below 4 on an 11-weight ES grid at alpha
+    0.01, which also holds the polygon's kept set, about 5% of the
+    scenarios here, with Newton's losses and their selection on it.  One
+    n-long float array would add 8."""
+
+    @pytest.mark.parametrize("kind, alpha, grid, bound", [("var", 0.005, [0.0, 1.0], 2),
+                                                          ("es", 0.01, w_grid(0.1), 4)],
+                             ids=["var-ends", "es-11"])
+    def test_peak_bytes_per_scenario(self, kind, alpha, grid, bound):
+        n = 1 << 20
+        x, s = montecarlo.sample_scenarios(lognormal_from_moments(1.0, 0.3),
+                                           lognormal_from_moments(1.05, 0.2), n, seed=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports = solve_r0_numeric(RiskMeasure(kind, alpha), x, s, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert all(isinstance(rep, SolveReport) for rep in reports)
+        assert peak < bound * n

@@ -19,7 +19,7 @@ from cocval.montecarlo import sample_scenarios
 from cocval.risk_measures import RiskMeasure, var_empirical, var_multiplier
 from cocval.valuation import gaussian_positive_part_factor, mc_valuation
 
-from helpers import generate_scenarios, mc_at, summary_of
+from helpers import generate_scenarios, mc_at, open_uniform, summary_of
 
 
 CLAIM = lognormal_from_moments(1.0, 0.3)
@@ -141,7 +141,7 @@ class TestSampleScenarios:
         assert same_bits(out, family.sample(generate_scenarios(n, seed).u_claim))
 
     def test_jump_ahead_facts(self):
-        # the chunking rests on two facts of numpy's Philox generator
+        # the chunking rests on these facts of numpy's Philox generator
         key = np.random.SeedSequence(3)
         raw = np.random.Philox(key).random_raw(200)
         # integers(0, 2^53) takes one 64-bit word per value, its top 53 bits
@@ -149,11 +149,32 @@ class TestSampleScenarios:
         ints = gen.integers(0, 1 << 53, size=81, dtype=np.int64)
         assert np.array_equal(ints, (raw[:81] >> np.uint64(11)).astype(np.int64))
         assert gen.bit_generator.random_raw() == raw[81]
+        # random() scales the same 53 bits of one word per value by 2^-53
+        gen = np.random.Generator(np.random.Philox(key))
+        assert np.array_equal(gen.random(81), (raw[:81] >> np.uint64(11)) * 2.0 ** -53)
+        assert gen.bit_generator.random_raw() == raw[81]
         # advance(d) skips 4 d words
         for d in (1, 5, 10, 33):
             bits = np.random.Philox(key)
             bits.advance(d)
             assert np.array_equal(bits.random_raw(40), raw[4 * d:4 * d + 40])
+
+    def test_uniforms_equal_the_integer_form(self):
+        # a chunk from a nonzero start draws k 2^-53 + 2^-54, which is
+        # (k + 0.5) 2^-53 for the same 53-bit integers k, bit for bit
+        class Uniform:
+            @staticmethod
+            def sample(u):
+                return u
+
+        _, key = np.random.SeedSequence(12).spawn(2)
+        start = 4 * 25_001
+        stop = start + 3 * montecarlo.BLOCK + 5
+        out = np.full(stop, np.nan)
+        montecarlo._fill(out, Uniform, key, start, stop)
+        want = open_uniform(np.random.Generator(np.random.Philox(key)), stop)
+        assert same_bits(out[start:], want[start:])
+        assert np.all(np.isnan(out[:start]))
 
     def test_concurrent_calls_share_one_pool(self, monkeypatch, own_pool):
         # six callers race to make the pool and split into more chunks than
