@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .market import NoSolutionError, SolveReport, check_grid
-from .montecarlo import BLOCK
 from .risk_measures import RiskMeasure, shortfall, tail_average, tail_count
 
 __all__ = [
@@ -59,6 +58,9 @@ _PRUNE_RANGE = (2.0 ** -900, 2.0 ** 900)
 # root above its upper bound; the kept set's slack behind it is at
 # ``_polygon``.
 _ES_MARGIN = 2.0 ** -40
+# Length of the blocks of a streamed pass over the scenarios: its
+# temporaries stay small.
+BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

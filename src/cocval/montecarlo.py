@@ -9,19 +9,21 @@ would.
 Substream derivation: the seed feeds a ``SeedSequence`` whose two
 spawned children key independent Philox counter-based generators, one
 for the asset return, one for the claim.  Draw i of a stream is
-(k_i + 0.5) 2^-53, where k_i is the top 53 bits of the i-th 64-bit word
-of its generator, and its sample is the inverse transform of that
-uniform.  ``Generator.random`` gives k_i 2^-53 exactly, and adding 2^-54
-rounds once, as (k_i + 0.5) 2^-53 does; ``integers(0, 2^53)`` takes the
-same k_i from each word.  Philox4x64 makes four 64-bit words per counter
+(k_i + 0.5) 2^-53, rounded once and capped at 1 - 2^-53, where k_i is
+the top 53 bits of the i-th 64-bit word of its generator, and its sample
+is the inverse transform of that uniform.  ``Generator.random`` gives
+k_i 2^-53 exactly, and adding 2^-54 rounds once, as (k_i + 0.5) 2^-53
+does; ``integers(0, 2^53)`` takes the same k_i from each word.  The cap
+moves only the top word, k = 2^53 - 1, whose midpoint rounds to even at
+1.0.  Philox4x64 makes four 64-bit words per counter
 step and each draw takes one word, so ``Philox.advance(i // 4)`` reaches
 draw i of a fresh generator when i is a multiple of 4 (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 ``sample_scenarios`` therefore splits each stream into contiguous
 chunks, one per usable CPU and each at least ``MIN_CHUNK`` draws long,
-that run on a thread pool (numpy and scipy release the GIL in their
-loops), and each chunk transforms blocks of ``BLOCK`` uniforms straight
-into its slice of the samples: no full-length uniform array exists.
+that run on a thread pool (numpy releases the GIL in its loops), and
+each chunk draws blocks of ``BLOCK`` uniforms into its slice of the
+samples and transforms them there: no full-length uniform array exists.
 Every stream is a function of (n, seed) alone, bit for bit, whatever the
 split or the platform.
 """
@@ -56,9 +58,14 @@ __all__ = [
 # them.
 PEAK_BYTES_PER_SCENARIO = 40
 
-# Length of the blocks a chunk works through: its temporaries stay small
-# and are reused from block to block.
-BLOCK = 1 << 14
+# Length of the blocks a chunk works through, which bounds its
+# temporaries: at most three block-long arrays, in the normal quantile.
+# That quantile makes about 40 numpy calls per block, each releasing the
+# GIL only inside its loop; at 2^14 the pool's threads barely overlap, at
+# 2^16 they do.
+BLOCK = 1 << 16
+# The largest uniform, the top word's: (2^53 - 0.5) 2^-53 rounds to 1.0.
+_TOP = 1.0 - 2.0 ** -53
 # The shortest chunk: a hand-off to the pool costs tens of microseconds,
 # so shorter runs stay in one thread.
 MIN_CHUNK = 1 << 16
@@ -92,19 +99,23 @@ def _executor():
 def _fill(out: np.ndarray, dist: Distribution, key: np.random.SeedSequence,
           start: int, stop: int) -> None:
     # Draws start..stop-1 of the stream keyed by ``key``, transformed by
-    # ``dist`` into out[start:stop]; start is a multiple of 4.
+    # ``dist`` into out[start:stop]; start is a multiple of 4.  Each
+    # block's uniforms are drawn into the block's own slice of out, and
+    # its samples overwrite them there.
     bits = np.random.Philox(key)
     bits.advance(start // 4)
     gen = np.random.Generator(bits)
-    u = np.empty(min(BLOCK, stop - start))
     for i in range(start, stop, BLOCK):
         j = min(i + BLOCK, stop)
-        # k 2^-53 from the word's top 53 bits, then (k + 0.5) 2^-53 in one
-        # rounding: strictly inside (0, 1), so inverse transforms stay
-        # finite for every draw.
-        v = gen.random(out=u[:j - i])
-        v += 2.0 ** -54
-        out[i:j] = dist.sample(v)
+        out[i:j] = dist.sample(_open_unit(gen.random(out=out[i:j])))
+
+
+def _open_unit(v: np.ndarray) -> np.ndarray:
+    # k 2^-53 from a word's top 53 bits, made (k + 0.5) 2^-53 in one
+    # rounding and capped at _TOP, in place: strictly inside (0, 1), so
+    # inverse transforms stay finite for every draw.
+    v += 2.0 ** -54
+    return np.minimum(v, _TOP, out=v)
 
 
 def sample_scenarios(claim: Distribution, asset: Distribution | None, n: int,

@@ -34,8 +34,10 @@ class ScenarioSet:
 
 
 def open_uniform(gen, n):
-    """(k + 0.5) 2^-53 for the next n 53-bit integers k of ``gen``."""
-    return (gen.integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) * 2.0 ** -53
+    """(k + 0.5) 2^-53 for the next n 53-bit integers k of ``gen``, capped
+    at 1 - 2^-53, where the top k's midpoint rounds to 1.0."""
+    u = (gen.integers(0, 1 << 53, size=n, dtype=np.int64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53)
 
 
 def generate_scenarios(n, seed):

@@ -98,9 +98,9 @@ def _erfc_reference(x: np.ndarray) -> np.ndarray:
 
 
 class TestAgainstScipy:
-    """The normal CDF is ``math.erfc``; the quantile is the standard
-    library's for a scalar and scipy's ``ndtri`` for an array.  Each
-    must give scipy's numbers to round-off."""
+    """The normal CDF is ``math.erfc``; the quantile is Wichura's AS241,
+    the standard library's for a scalar and the package's numpy form for
+    an array.  Each must give scipy's numbers to round-off."""
 
     TOL = 2e-15
     TINY = np.finfo(float).tiny  # erfc values below it are subnormal or 0
@@ -151,13 +151,60 @@ class TestAgainstScipy:
         assert 0.0 < standard_normal_cdf(-37.5) < 1e-300
         assert standard_normal_cdf(40.0) == 1.0
 
-    def test_array_quantile_is_ndtri_bit_for_bit(self):
-        # the Monte Carlo transforms keep scipy's values exactly
+    @staticmethod
+    def levels():
+        # 1e-300 to 1 - 2^-53 through the three regions of AS241, with the
+        # sampler's extreme uniforms 2^-54 and 1 - 2^-53 and a uniform grid
+        lower = np.geomspace(1e-300, 0.5, 20_001)
+        upper = 1.0 - np.geomspace(2.0 ** -53, 0.5, 20_001)
+        grid = (np.arange(1, 4097) - 0.5) / 4096.0
+        return np.concatenate([lower, upper, grid, [2.0 ** -54, 1.0 - 2.0 ** -53]])
+
+    def test_array_quantile_matches_ndtri(self):
         from scipy import special
 
-        u = (np.arange(1, 4097) - 0.5) / 4096.0
-        assert np.array_equal(standard_normal_quantile(u), special.ndtri(u))
-        assert np.array_equal(Normal(1.0, 0.3).sample(u), 1.0 + 0.3 * special.ndtri(u))
+        p = self.levels()
+        # over a thousand levels in each region: central, near and far tail
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+        central = np.abs(p - 0.5) <= 0.425
+        assert min(central.sum(), (~central & (r <= 5.0)).sum(), (r > 5.0).sum()) > 1000
+        array = standard_normal_quantile(p)
+        ref = special.ndtri(p)
+        assert np.all(np.abs(array - ref) <= self.TOL * np.abs(ref))
+
+    def test_array_quantile_matches_the_scalar(self):
+        # the same rationals, so only numpy's log and math.log may differ
+        p = self.levels()
+        array = standard_normal_quantile(p)
+        scalar = np.array([standard_normal_quantile(float(v)) for v in p])
+        assert np.all(np.abs(array - scalar) <= 1e-15 * np.abs(scalar))
+
+    def test_transforms_are_the_quantile_bit_for_bit(self):
+        # the normal and lognormal transforms work in place on the
+        # quantile's fresh output, which leaves the uniforms alone and
+        # rounds as the plain expressions do
+        u = self.levels()
+        kept = u.copy()
+        z = standard_normal_quantile(u)
+        assert np.array_equal(Normal(1.0, 0.3).sample(u), 1.0 + 0.3 * z)
+        assert np.array_equal(Lognormal(0.1, 0.4).sample(u), np.exp(0.1 + 0.4 * z))
+        assert np.array_equal(u, kept)
+
+    def test_array_levels_are_checked_once(self, monkeypatch):
+        from cocval import distributions
+
+        calls, check = [], distributions._probabilities
+
+        def counted(p):
+            calls.append(p)
+            return check(p)
+
+        monkeypatch.setattr(distributions, "_probabilities", counted)
+        u = np.array([0.25, 0.5, 0.75])
+        for dist in (Normal(1.0, 0.3), Lognormal(0.1, 0.4)):
+            calls.clear()
+            dist.quantile(u)
+            assert len(calls) == 1
 
 
 class TestCdfExamples:

@@ -176,6 +176,22 @@ class TestSampleScenarios:
         assert same_bits(out[start:], want[start:])
         assert np.all(np.isnan(out[:start]))
 
+    def test_word_to_uniform_at_the_ends_and_the_middle(self):
+        # k = 0, 2^52 and the top word 2^53 - 1, whose midpoint rounds to
+        # 1.0 and is capped below it; the serial reference agrees
+        ks = np.array([0, 1 << 52, (1 << 53) - 1], dtype=np.int64)
+        want = [2.0 ** -54, 0.5, 1.0 - 2.0 ** -53]
+        assert montecarlo._open_unit(ks * 2.0 ** -53).tolist() == want
+
+        class Words:
+            @staticmethod
+            def integers(low, high, size, dtype):
+                assert (low, high, size, dtype) == (0, 1 << 53, 3, np.int64)
+                return ks
+
+        assert open_uniform(Words, 3).tolist() == want
+        assert np.isfinite(CLAIM.sample(np.array(want))).all()
+
     def test_concurrent_calls_share_one_pool(self, monkeypatch, own_pool):
         # six callers race to make the pool and split into more chunks than
         # cores, with frequent thread switches; each gets its own streams
@@ -225,10 +241,16 @@ class TestSampleScenarios:
             child.join()
         assert not hung and child.exitcode == 0
 
-    def test_no_full_length_uniforms(self):
+    def test_no_full_length_uniforms(self, monkeypatch, own_pool):
         # the uniforms exist only in blocks: the peak is the two streams
-        # and each chunk's block temporaries, not two more streams
+        # and each chunk's block temporaries, not two more streams; two
+        # chunks run at once, whatever the machine, each with at most three
+        # block-long float arrays besides the streams
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         n = 10 ** 6
+        # a first run makes the pool and imports numpy.random, which are
+        # set-up, not sampling
+        sample_scenarios(CLAIM, ASSET, n, seed=1)
         tracemalloc.start()
         try:
             x, s = sample_scenarios(CLAIM, ASSET, n, seed=1)
