@@ -10,13 +10,15 @@ closed form in the normal model and is located numerically otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TextIO
-
+from ._record import Record
 from .distributions import Normal
 from .market import MarketSpec, NoSolutionError, check_grid, check_memory
 from .risk_measures import RiskMeasure
 from .valuation import ValuationResult, valuations
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import TextIO
 
 __all__ = [
     "SweepResult",
@@ -86,8 +88,7 @@ def w_grid(step: float = DEFAULT_GRID_STEP) -> tuple[float, ...]:
     return (*(i * width for i in range(count)), 1.0)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Per-weight valuations plus the derived decision weights.
 
     ``grid`` holds the weights as a tuple of floats, and ``rows`` aligns
@@ -96,11 +97,10 @@ class SweepResult:
     prefix of the grid.
     """
 
-    grid: tuple[float, ...]
-    rows: tuple[ValuationResult | None, ...]
-    w_star: float | None
-    w_hat_numeric: float | None
-    w_hat_closed: float | None
+    def __init__(self, grid: tuple[float, ...], rows: tuple[ValuationResult | None, ...],
+                 w_star: float | None, w_hat_numeric: float | None,
+                 w_hat_closed: float | None) -> None:
+        self._store(grid, rows, w_star, w_hat_numeric, w_hat_closed)
 
     def write_csv(self, target: str | TextIO) -> None:
         """Sweep rows plus a trailing summary block.

@@ -12,10 +12,10 @@ it numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .market import NoSolutionError, SolveReport, check_grid
 from .risk_measures import RiskMeasure, shortfall, tail_average, tail_count
 
@@ -25,20 +25,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LossSummary:
+class LossSummary(Record):
     """What the Monte Carlo split needs of the losses L = X - r0 Z and
     their positive parts P = L^+: the sample size, the sample mean and
     variance (ddof 1) of L, the mean of P, the sum of squared deviations
     of P and the sum of P (L - mean L).  Only the positive losses, at
     most a tail's worth, enter the sums over P, and no array is kept."""
 
-    n: int
-    mean: float
-    var: float
-    p_mean: float
-    p_ss: float
-    pl_sum: float
+    def __init__(self, n: int, mean: float, var: float, p_mean: float, p_ss: float,
+                 pl_sum: float) -> None:
+        self._store(n, mean, var, p_mean, p_ss, pl_sum)
 
     @classmethod
     def of(cls, n: int, mean: float, var: float, positive: np.ndarray) -> LossSummary:
@@ -63,8 +59,7 @@ _ES_MARGIN = 2.0 ** -40
 BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class _Candidates:
+class _Candidates(Record, hidden=("x", "s")):
     """The scenarios that decide the empirical VaR root at every weight
     between a grid's ends, and the sample moments of the whole scenario
     set.
@@ -75,21 +70,14 @@ class _Candidates:
     window), every positive loss at the root and every scenario with
     S <= 0, the only ones that can have Z <= 0.  ``zero_risk`` is the
     empirical measure of -X, kept only when such a scenario has a
-    negative claim.
+    negative claim.  The arrays take no part in equality, hash or repr.
     """
 
-    n: int
-    alpha: float
-    k: int
-    m: int
-    x: np.ndarray = field(repr=False)
-    s: np.ndarray = field(repr=False)
-    x_mean: float
-    s_mean: float
-    x_var: float
-    s_var: float
-    xs_cov: float
-    zero_risk: float | None = None
+    def __init__(self, n: int, alpha: float, k: int, m: int, x: np.ndarray, s: np.ndarray,
+                 x_mean: float, s_mean: float, x_var: float, s_var: float, xs_cov: float,
+                 zero_risk: float | None = None) -> None:
+        self._store(n, alpha, k, m, x, s, x_mean, s_mean, x_var, s_var, xs_cov,
+                    zero_risk)
 
     def loss_moments(self, r: float, w: float) -> tuple[float, float]:
         """Sample mean and variance (ddof 1) of L = X - r Z at weight w."""

@@ -12,23 +12,24 @@ numbers work across model families and parameter values.
 
 The quantile is the one function that takes an array: the Monte Carlo
 transforms call it on every block of uniforms.  A scalar level (a
-number, or a numpy scalar or 0-d array) runs on ``math`` and
-``statistics`` and returns a float; a list, tuple or array of one or
-more dimensions returns a numpy array, and numpy is imported on that
-first use.  The normal quantile is Wichura's AS241 on both paths: the
-standard library's ``NormalDist.inv_cdf`` for a scalar, and the same
-rationals written in numpy for an array.  Everything else, the normal
-CDF and density included, is scalar, so a closed-form run does not load
-numpy.  No path imports scipy.
+number, or a numpy scalar or 0-d array) runs on ``math`` and returns
+a float; a list, tuple or array of one or more dimensions returns a
+numpy array, and numpy is imported on that first use.  The normal
+quantile is Wichura's AS241 on both paths, with the coefficients of
+CPython's ``statistics``: in Python floats for a scalar, in the
+operation order of the standard library's ``NormalDist.inv_cdf`` and so
+equal to it bit for bit, and in numpy for an array.  Everything else,
+the normal CDF and density included, is scalar, so a closed-form run
+does not load numpy.  No path imports scipy or ``statistics``.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ._record import Record
+
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -49,7 +50,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_STANDARD_NORMAL = statistics.NormalDist()
 
 
 def _full(shape, value: float) -> np.ndarray:
@@ -122,13 +122,16 @@ _FAR_TAIL = ((2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
               5.99832_20655_58879_37690e-1, 1.0))
 
 
-def _horner(coeffs: tuple[float, ...], r: np.ndarray, out: np.ndarray | None = None
-            ) -> np.ndarray:
-    # ((c0 r + c1) r + ...) + c7 in the standard library's order, in out
-    # or a fresh array; never in r, which every step reads
-    import numpy as np
+def _horner(coeffs: tuple[float, ...], r, out: np.ndarray | None = None):
+    # ((c0 r + c1) r + ...) + c7 in the standard library's order: a float
+    # for a float r; for an array, in out or a fresh array, never in r,
+    # which every step reads
+    if out is None:
+        acc = coeffs[0] * r
+    else:
+        import numpy as np
 
-    acc = np.multiply(coeffs[0], r, out=out)
+        acc = np.multiply(coeffs[0], r, out=out)
     for c in coeffs[1:-1]:
         acc += c
         acc *= r
@@ -136,8 +139,9 @@ def _horner(coeffs: tuple[float, ...], r: np.ndarray, out: np.ndarray | None = N
     return acc
 
 
-def _rational(coeffs, r: np.ndarray) -> np.ndarray:
-    # numerator over denominator, one of the tail pairs above
+def _rational(coeffs, r):
+    # numerator over denominator, one of the tail pairs above, on a float
+    # or an array
     x = _horner(coeffs[0], r)
     x /= _horner(coeffs[1], r)
     return x
@@ -174,28 +178,40 @@ def _as241(p: np.ndarray) -> np.ndarray:
     return x
 
 
+def _as241_float(p: float) -> float:
+    # The standard normal quantile of p strictly inside (0, 1), as the
+    # standard library's ``_normal_dist_inv_cdf`` computes it at mu = 0,
+    # sigma = 1: the same operations in the same order, so the same float.
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        return _horner(_CENTRAL[0], r) * q / _horner(_CENTRAL[1], r)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    x = _rational(_NEAR_TAIL, r - 1.6) if r <= 5.0 else _rational(_FAR_TAIL, r - 5.0)
+    return -x if q < 0.0 else x
+
+
 def standard_normal_quantile(p) -> float | np.ndarray:
     """Inverse standard normal CDF, by Wichura's AS241.
 
-    A scalar p takes the standard library's ``NormalDist.inv_cdf`` and
-    returns a float; an array takes the same rationals, with the same
-    coefficients, evaluated in numpy, and returns a fresh array that the
-    caller may overwrite.  The two differ only where numpy's ``log``
-    rounds differently from ``math.log`` in the tails, by at most 1e-15
-    relative; both are within 2e-15 relative of scipy's ``ndtri`` for p
-    from 1e-300 to 1 - 2^-53.
+    A scalar p is worked in Python floats and returns a float, equal bit
+    for bit to the standard library's ``NormalDist().inv_cdf(p)``; an
+    array takes the same rationals evaluated in numpy and returns a fresh
+    array that the caller may overwrite.  The two differ only where
+    numpy's ``log`` rounds differently from ``math.log`` in the tails, by
+    at most 1e-15 relative; both are within 2e-15 relative of scipy's
+    ``ndtri`` for p from 1e-300 to 1 - 2^-53.
 
     Raises:
         ValueError: any p outside the open interval (0, 1), nan included.
     """
     p = _probabilities(p)
     if isinstance(p, float):
-        return _STANDARD_NORMAL.inv_cdf(p)
+        return _as241_float(p)
     return _as241(p)
 
 
-@dataclass(frozen=True)
-class Normal:
+class Normal(Record):
     """Normal claim or return model.
 
     ``sd == 0`` is tolerated as a point-mass marker so that mixed
@@ -203,12 +219,10 @@ class Normal:
     case to their degenerate branches.
     """
 
-    mean: float
-    sd: float
-
-    def __post_init__(self) -> None:
-        if self.sd < 0:
+    def __init__(self, mean: float, sd: float) -> None:
+        if sd < 0:
             raise ValueError("sd must be nonnegative")
+        self._store(mean, sd)
 
     @property
     def variance(self) -> float:
@@ -241,8 +255,7 @@ class Normal:
         return (self.mean - t) * standard_normal_cdf(-z) + self.sd * standard_normal_pdf(z)
 
 
-@dataclass(frozen=True)
-class Lognormal:
+class Lognormal(Record):
     """Lognormal model parameterised on the log scale.
 
     ``exp(G)`` with ``G ~ N(mu_log, sd_log^2)``; the strictly positive
@@ -250,12 +263,10 @@ class Lognormal:
     for a point mass).
     """
 
-    mu_log: float
-    sd_log: float
-
-    def __post_init__(self) -> None:
-        if self.sd_log <= 0:
+    def __init__(self, mu_log: float, sd_log: float) -> None:
+        if sd_log <= 0:
             raise ValueError("sd_log must be positive; use Degenerate for a point mass")
+        self._store(mu_log, sd_log)
 
     @property
     def mean(self) -> float:
@@ -292,22 +303,19 @@ class Lognormal:
         return self.mean * standard_normal_cdf(self.sd_log - z) - t * standard_normal_cdf(-z)
 
 
-@dataclass(frozen=True)
-class ParetoTypeI:
+class ParetoTypeI(Record):
     """Pareto type I with survival (x / x_m)^(-beta) beyond x_m.
 
     ``beta > 1`` guarantees a finite mean; the variance exists only for
     ``beta > 2`` and is reported as ``inf`` otherwise.
     """
 
-    x_m: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.x_m <= 0:
+    def __init__(self, x_m: float, beta: float) -> None:
+        if x_m <= 0:
             raise ValueError("x_m must be positive")
-        if self.beta <= 1:
+        if beta <= 1:
             raise ValueError("beta must exceed 1 for a finite mean")
+        self._store(x_m, beta)
 
     @property
     def mean(self) -> float:
@@ -338,11 +346,11 @@ class ParetoTypeI:
         return self.x_m * (t / self.x_m) ** (1.0 - self.beta) / (self.beta - 1.0)
 
 
-@dataclass(frozen=True)
-class Degenerate:
+class Degenerate(Record):
     """Point mass, e.g. the gross return of the risk-less bond."""
 
-    value: float
+    def __init__(self, value: float) -> None:
+        self._store(value)
 
     @property
     def mean(self) -> float:

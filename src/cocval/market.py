@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from ._record import Record
 from .distributions import Distribution
 from .risk_measures import var_multiplier
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .capital_solver import LossSummary
 
@@ -38,8 +38,7 @@ class NoSolutionError(Exception):
     """No positive capital level makes the net worth acceptable."""
 
 
-@dataclass(frozen=True)
-class MarketSpec:
+class MarketSpec(Record):
     """Run-off market: claim X, risky gross return S, mix weight w,
     cost-of-capital rate eta.
 
@@ -47,16 +46,13 @@ class MarketSpec:
     and the rest in the risk-less bond.
     """
 
-    claim: Distribution
-    asset: Distribution
-    w: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.w <= 1.0:
+    def __init__(self, claim: Distribution, asset: Distribution, w: float,
+                 eta: float) -> None:
+        if not 0.0 <= w <= 1.0:
             raise ValueError("w must lie in [0, 1]")
-        if not 0.0 < self.eta < math.inf:
+        if not 0.0 < eta < math.inf:
             raise ValueError("eta must be positive and finite")
+        self._store(claim, asset, w, eta)
 
     @property
     def z_mean(self) -> float:
@@ -67,9 +63,9 @@ class MarketSpec:
         return self.w ** 2 * self.asset.variance
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Outcome of a capital solve.
+class SolveReport(Record, hidden=("losses",)):
+    """Outcome of a capital solve by ``method``, "closed_form" or
+    "empirical_root".
 
     ``residual`` is the risk measure re-evaluated at the returned
     level: in capital units for the Gaussian forms and the empirical
@@ -80,15 +76,13 @@ class SolveReport:
     (``capital_solver._polygon``); closed forms report zero.  A weight
     rerun on all scenarios reports the rerun's count.
     ``losses`` summarizes the losses X - r0 Z of an empirical root for
-    ``valuation.mc_valuation``; closed forms leave it None.
+    ``valuation.mc_valuation``; closed forms leave it None.  It takes no
+    part in equality, hash or repr.
     """
 
-    r0: float
-    method: str  # "closed_form" | "empirical_root"
-    residual: float
-    iterations: int
-    std_error: float | None = None
-    losses: LossSummary | None = field(default=None, repr=False, compare=False)
+    def __init__(self, r0: float, method: str, residual: float, iterations: int,
+                 std_error: float | None = None, losses: LossSummary | None = None) -> None:
+        self._store(r0, method, residual, iterations, std_error, losses)
 
 
 def gaussian_hedged_risk(r: float, gamma: float, nu: float, mu: float,

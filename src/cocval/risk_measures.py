@@ -17,11 +17,11 @@ library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ._record import Record
 from .distributions import standard_normal_pdf, standard_normal_quantile
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -126,22 +126,19 @@ def es_multiplier(alpha: float) -> float:
     return standard_normal_pdf(var_multiplier(alpha)) / alpha
 
 
-@dataclass(frozen=True)
-class RiskMeasure:
+class RiskMeasure(Record):
     """Solvency criterion: VaR or ES at a tail level alpha in (0, 1/2).
 
     The upper bound 1/2 keeps the Gaussian multiplier positive, which
     every closed form in the package relies on.
     """
 
-    kind: str
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("var", "es"):
+    def __init__(self, kind: str, alpha: float) -> None:
+        if kind not in ("var", "es"):
             raise ValueError("kind must be 'var' or 'es'")
-        if not 0.0 < self.alpha < 0.5:
+        if not 0.0 < alpha < 0.5:
             raise ValueError("alpha must lie strictly inside (0, 1/2)")
+        self._store(kind, alpha)
 
     @property
     def multiplier(self) -> float:

@@ -13,8 +13,8 @@ premium upper bound and the premium itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
+from ._record import Record
 from .distributions import (
     Degenerate,
     Distribution,
@@ -49,8 +49,8 @@ __all__ = [
     "value_market",
 ]
 
-@dataclass(frozen=True)
-class ValuationResult:
+
+class ValuationResult(Record):
     """Capital decomposition at a solved requirement.
 
     The premium identity v0 = r0 - c0 holds exactly by construction.
@@ -60,23 +60,19 @@ class ValuationResult:
     fields.  Every float field is finite.
     """
 
-    r0: float
-    c0: float
-    v0: float
-    llo: float
-    v0_upper: float
-    v0_lower: float | None
-    r0_method: str
-    valuation_method: str
-    residual: float
-    iterations: int = 0
-    r0_se: float | None = None
-    c0_se: float | None = None
-    v0_se: float | None = None
-    llo_se: float | None = None
-
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+    def __init__(self, r0: float, c0: float, v0: float, llo: float, v0_upper: float,
+                 v0_lower: float | None, r0_method: str, valuation_method: str,
+                 residual: float, iterations: int = 0, r0_se: float | None = None,
+                 c0_se: float | None = None, v0_se: float | None = None,
+                 llo_se: float | None = None) -> None:
+        # Stored through the instance dict, which the check below needs
+        # anyway: for the rows a sweep makes in bulk, faster than ``_store``
+        # and no larger.
+        fields = vars(self)
+        fields.update(zip(self._fields, (r0, c0, v0, llo, v0_upper, v0_lower, r0_method,
+                                         valuation_method, residual, iterations, r0_se,
+                                         c0_se, v0_se, llo_se)))
+        for name, value in fields.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} is not finite ({value}); the inputs overflow")
 
@@ -364,7 +360,7 @@ def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     claims, assets = sample_scenarios(market.claim, market.asset if ws[-1] > 0.0 else None,
                                       mc_n, seed)
     reports = solve_r0_numeric(rm, claims, assets, ws)
-    return [mc_valuation(rep, replace(market, w=float(w)), rm) if isinstance(rep, SolveReport)
+    return [mc_valuation(rep, market.replace(w=float(w)), rm) if isinstance(rep, SolveReport)
             else rep for w, rep in zip(ws, reports)]
 
 

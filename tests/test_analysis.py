@@ -3,7 +3,6 @@
 import io
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,13 +286,13 @@ class TestNormalModelPath:
     @pytest.mark.parametrize("asset", [Normal(MU, SIGMA), VOLATILE_ASSET, SINKING_ASSET],
                              ids=["figure", "volatile", "sinking"])
     def test_sweep_rows_are_value_market_bit_for_bit(self, asset, rm):
-        market = replace(FIG_MARKET, asset=asset)
+        market = FIG_MARKET.replace(asset=asset)
         grid = w_grid()
         res = sweep(market, rm, grid, **MC)
         gaps = []
         for w, row in zip(grid, res.rows):
             try:
-                single = value_market(replace(market, w=float(w)), rm, **MC)
+                single = value_market(market.replace(w=float(w)), rm, **MC)
             except NoSolutionError:
                 assert row is None, w
                 gaps.append(float(w))
@@ -361,7 +360,7 @@ class TestMcSweep:
         scen = generate_scenarios(200_000, seed=5)
         closed = sweep(FIG_MARKET, VAR_005, [0.0, 0.25, 0.5], **MC)
         for w, cf_row in zip(closed.grid, closed.rows):
-            market = replace(FIG_MARKET, w=float(w))
+            market = FIG_MARKET.replace(w=float(w))
             rep = solve_at(market, VAR_005, scen)
             mc_row = mc_valuation(rep, market, VAR_005)
             assert mc_row.r0_se is not None

@@ -1,5 +1,6 @@
 """Command-line interface: routing, config handling, exit codes, output."""
 
+import gc
 import json
 import os
 import subprocess
@@ -246,6 +247,23 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
     assert done.stderr == ""
 
 
+@pytest.mark.parametrize("argv", [["pareto-example"], ["figure", "fig1b", "--grid-step", "0.5"]],
+                         ids=["pareto-example", "figure"])
+def test_repeated_calls_leave_no_reference_cycles(capsys, tmp_path, argv):
+    # what a call leaves in reference cycles stays in memory until the
+    # cyclic collector runs; a process that calls main in a loop builds the
+    # parser, whose parts refer to each other, once
+    argv = [*argv, "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == EXIT_OK
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestSweepAndFigures:
     def test_fig1b_summary(self, capsys, tmp_path):
         out_path = tmp_path / "fig1b.csv"
@@ -419,6 +437,60 @@ class TestConfig:
             code, _, err = run(capsys, ["value", "--config", str(cfg)])
             assert code == EXIT_USAGE
             assert key in err
+
+    @pytest.mark.parametrize("out", [True, 5], ids=["true", "integer"])
+    def test_value_out_must_be_a_path(self, tmp_path, out):
+        # open() takes a boolean or an integer as a file descriptor: true
+        # would write the CSV to stdout and close it, 5 would open fd 5
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"claim": json.loads(GAUSSIAN_CLAIM), "out": out}))
+        src = str(Path(cocval.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-m", "cocval.cli", "value", "--config", str(cfg)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+        assert done.stderr == (f"error: config key 'out' must be a path string or null, "
+                               f"got {out!r}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "fig1b", "--grid-step", "0.5"],
+        ["sweep", "--claim", GAUSSIAN_CLAIM, "--asset", GAUSSIAN_ASSET, "--grid-step", "0.5"],
+    ], ids=["figure", "sweep"])
+    def test_sweep_out_must_be_a_path(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.json"
+        for out in (7, True, ["a.csv"]):
+            cfg.write_text(json.dumps({"out": out}))
+            code, stdout, err = run(capsys, [*command, "--config", str(cfg)])
+            assert (code, stdout) == (EXIT_USAGE, ""), out
+            assert "config key 'out' must be a path string" in err, err
+
+    @pytest.mark.parametrize("flags", [[], ["--risk-measure", "es"], ["--alpha", "0.01"]],
+                             ids=["file", "measure-flag", "alpha-flag"])
+    def test_risk_measure_must_be_an_object(self, capsys, tmp_path, flags):
+        cfg = tmp_path / "run.json"
+        for measure in (1, "var", None):
+            cfg.write_text(json.dumps({"claim": json.loads(GAUSSIAN_CLAIM),
+                                       "risk_measure": measure}))
+            code, out, err = run(capsys, ["value", "--config", str(cfg), *flags])
+            assert (code, out) == (EXIT_USAGE, ""), measure
+            assert "config key 'risk_measure' must be an object" in err, err
+
+    def test_config_numbers_are_not_booleans(self, capsys, tmp_path):
+        # Python takes true for 1 and false for 0; a config file may not
+        cfg = tmp_path / "run.json"
+        for key in ("eta", "w", "grid_step", "mc_n", "seed"):
+            cfg.write_text(json.dumps({"claim": json.loads(GAUSSIAN_CLAIM), key: True}))
+            code, out, err = run(capsys, ["value", "--config", str(cfg)])
+            assert (code, out) == (EXIT_USAGE, ""), key
+            assert f"config key {key!r} must be" in err, err
+
+    def test_distributions_must_be_objects_or_null(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        for key in ("claim", "asset"):
+            cfg.write_text(json.dumps({"claim": json.loads(GAUSSIAN_CLAIM), key: "normal"}))
+            code, out, err = run(capsys, ["value", "--config", str(cfg)])
+            assert (code, out) == (EXIT_USAGE, ""), key
+            assert f"config key {key!r} must be an object or null" in err, err
 
     def test_negative_seed_names_the_flag(self, capsys, tmp_path):
         # Monte Carlo and closed-form commands alike, from the flag or a file

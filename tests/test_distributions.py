@@ -1,6 +1,5 @@
 """Distribution layer: closed forms, moment matching, inverse transforms."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -99,8 +98,9 @@ def _erfc_reference(x: np.ndarray) -> np.ndarray:
 
 class TestAgainstScipy:
     """The normal CDF is ``math.erfc``; the quantile is Wichura's AS241,
-    the standard library's for a scalar and the package's numpy form for
-    an array.  Each must give scipy's numbers to round-off."""
+    in Python floats for a scalar, as the standard library computes it,
+    and in numpy for an array.  Each must give scipy's numbers to
+    round-off."""
 
     TOL = 2e-15
     TINY = np.finfo(float).tiny  # erfc values below it are subnormal or 0
@@ -171,6 +171,16 @@ class TestAgainstScipy:
         array = standard_normal_quantile(p)
         ref = special.ndtri(p)
         assert np.all(np.abs(array - ref) <= self.TOL * np.abs(ref))
+
+    def test_scalar_quantile_is_the_standard_library_bit_for_bit(self):
+        # the same rationals in Python floats, in the order of CPython's
+        # ``_normal_dist_inv_cdf``
+        import statistics
+
+        inv_cdf = statistics.NormalDist().inv_cdf
+        p = self.levels().tolist()
+        got = [standard_normal_quantile(v).hex() for v in p]
+        assert got == [inv_cdf(v).hex() for v in p]
 
     def test_array_quantile_matches_the_scalar(self):
         # the same rationals, so only numpy's log and math.log may differ
@@ -456,7 +466,7 @@ class TestConfig:
         dists = {"normal": Normal(1.0, 0.3), "lognormal": Lognormal(0.1, 0.4),
                  "pareto": ParetoTypeI(0.5, 2.0), "degenerate": Degenerate(1.0)}
         for kind, dist in dists.items():
-            assert distribution_from_config({"kind": kind, **dataclasses.asdict(dist)}) == dist
+            assert distribution_from_config({"kind": kind, **vars(dist)}) == dist
 
     def test_rejects_bad_specs(self):
         for bad in [{"kind": "cauchy"}, {"kind": "normal", "mean": 1},

@@ -1,9 +1,7 @@
 """Valuation layer: closed forms, Monte Carlo, bounds."""
 
-import dataclasses
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,14 +306,14 @@ class TestAgainstRebuildReference:
 
     @staticmethod
     def assert_close(got, want, rel):
-        for f in dataclasses.fields(got):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            if f.name == "residual":  # zero to round-off on both sides
+        for name, a in vars(got).items():
+            b = getattr(want, name)
+            if name == "residual":  # zero to round-off on both sides
                 assert abs(a - b) <= rel * got.r0
             elif isinstance(a, float):
-                assert a == pytest.approx(b, rel=rel, abs=0.0), f.name
+                assert a == pytest.approx(b, rel=rel, abs=0.0), name
             else:
-                assert a == b, f.name
+                assert a == b, name
 
     @pytest.mark.parametrize("w", [0.3, 1.0])
     @pytest.mark.parametrize("claim", CLAIMS, ids=["lognormal", "pareto2", "pareto1.1"])
@@ -495,7 +493,7 @@ class TestDispatcher:
                              ids=["lognormal", "normal"])
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_single_weight_equals_its_sweep_row(self, asset, kind, seed):
-        market = replace(self.MARKET, asset=asset, w=0.3)
+        market = self.MARKET.replace(asset=asset, w=0.3)
         rm = RiskMeasure(kind, 0.01)
         single = value_market(market, rm, mc_n=20_000, seed=seed)
         row = sweep(market, rm, self.GRID, mc_n=20_000, seed=seed).rows[1]
@@ -507,7 +505,7 @@ class TestDispatcher:
         # selections, and its root may differ within the solver's 4 ulp
         # (one ulp on the lognormal asset at seed 3); every field is equal
         # when the roots are, and else moves no more than the outputs' 1e-12.
-        single = replace(single, iterations=row.iterations)
+        single = single.replace(iterations=row.iterations)
         assert math.isclose(single.r0, row.r0, rel_tol=4 * 2.0 ** -52)
         if single.r0 == row.r0:
             assert single == row
@@ -530,7 +528,7 @@ class TestMcValuations:
         rows = mc_valuations(market, rm, [0.0, 0.25, 0.5], mc_n=20_000, seed=3)
         assert rows[0].valuation_method == "mc"
         for w, row in zip((0.25, 0.5), rows[1:]):
-            assert row == value_market(replace(market, w=w), rm, mc_n=20_000, seed=3)
+            assert row == value_market(market.replace(w=w), rm, mc_n=20_000, seed=3)
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_weights_without_solution_are_returned(self, kind):
@@ -545,7 +543,7 @@ class TestMcValuations:
         # no traceback, whose frames would keep the failed solves' arrays alive
         assert all(row.__traceback__ is None for row in rows if isinstance(row, Exception))
         with pytest.raises(NoSolutionError):  # a single valuation raises it
-            value_market(replace(market, w=failed[-1]), rm, mc_n=50_000, seed=13)
+            value_market(market.replace(w=failed[-1]), rm, mc_n=50_000, seed=13)
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_live_peak_does_not_grow_with_the_grid(self, monkeypatch, kind):
@@ -570,7 +568,7 @@ class TestMcValuations:
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     @pytest.mark.parametrize("run", [
-        lambda market, rm: value_market(replace(market, w=0.5), rm, mc_n=20_000, seed=3),
+        lambda market, rm: value_market(market.replace(w=0.5), rm, mc_n=20_000, seed=3),
         lambda market, rm: sweep(market, rm, [0.0, 0.5, 1.0], mc_n=20_000, seed=3),
     ], ids=["value_market", "sweep"])
     def test_scenario_set_dies_before_the_solve(self, monkeypatch, run, kind):
