@@ -43,9 +43,12 @@ DEFAULT_GRID_STEP = 1e-3
 SWEEP_ROW_BYTES = 1024
 
 
-def _cell(value) -> str:
-    # locale-independent '.' decimals, 15 significant digits
-    return "" if value is None else format(float(value), ".15g")
+def _csv_line(values) -> str:
+    """The cells of one line of every CSV cocval writes, comma-joined:
+    numbers with locale-independent '.' decimals and 15 significant
+    digits, None empty, anything else its ``str``."""
+    return ",".join(["" if v is None else format(float(v), ".15g")
+                     if isinstance(v, (int, float)) else str(v) for v in values])
 
 
 def _benefit_threshold(gamma: float, nu: float, mu: float, sigma: float,
@@ -112,16 +115,12 @@ class SweepResult(Record):
             with open(target, "w", encoding="utf-8") as handle:
                 self.write_csv(handle)
             return
-        target.write(",".join(CSV_COLUMNS) + "\n")
+        target.write(_csv_line(CSV_COLUMNS) + "\n")
         for w, row in zip(self.grid, self.rows):
-            if row is None:
-                cells = [_cell(w)] + [""] * (len(CSV_COLUMNS) - 1)
-            else:
-                rec = row.to_record(w=w)
-                cells = [_cell(rec[c]) for c in CSV_COLUMNS]
-            target.write(",".join(cells) + "\n")
+            rec = {"w": w} if row is None else row.to_record(w=w)
+            target.write(_csv_line([rec.get(c) for c in CSV_COLUMNS]) + "\n")
         for key in ("w_star", "w_hat_numeric", "w_hat_closed"):
-            target.write(f"# {key},{_cell(getattr(self, key))}\n")
+            target.write(_csv_line([f"# {key}", getattr(self, key)]) + "\n")
 
 
 def _closed_threshold(market: MarketSpec, rm: RiskMeasure) -> float | None:

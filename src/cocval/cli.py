@@ -1,9 +1,11 @@
 """Command-line front end: single valuations, mix sweeps, figure-style
 dataset presets and the worked Pareto table.
 
-Configuration lives in a JSON file selected with --config; flags
-override file values.  Exit codes: 0 success, 2 usage or configuration
-error, 3 no acceptable capital level.
+A run's configuration is layered, each layer over the last: the JSON
+file of --config, a figure's preset, the flags, and $COC_SEED for a
+seed neither a flag nor the file gives.  --dump-config writes what
+runs.  Exit codes: 0 success, 2 usage or configuration error, 3 no
+acceptable capital level.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import sys
 
 from ._record import Record
-from .analysis import DEFAULT_GRID_STEP, _cell, sweep, w_grid
+from .analysis import DEFAULT_GRID_STEP, _csv_line, sweep, w_grid
 from .distributions import distribution_from_config
 from .market import MarketSpec, NoSolutionError
 from .risk_measures import RiskMeasure
@@ -141,28 +143,27 @@ def _parse_inline_distribution(text: str, flag: str) -> dict:
     return spec
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_data = _load_config(getattr(args, "config", None))
+def _resolve(args: argparse.Namespace, preset: dict | None = None) -> RunConfig:
+    file_data = _load_config(args.config)
     cfg = RunConfig.from_dict(file_data)
-    if getattr(args, "claim", None) is not None:
+    if preset is not None:
+        # a copy of the measure: presets never change, aliases share theirs
+        cfg.claim, cfg.asset = preset["claim"], preset["asset"]
+        cfg.risk_measure = dict(preset["risk_measure"])
+    if args.claim is not None:
         cfg.claim = _parse_inline_distribution(args.claim, "--claim")
-    if getattr(args, "asset", None) is not None:
+    if args.asset is not None:
         cfg.asset = _parse_inline_distribution(args.asset, "--asset")
-    if getattr(args, "risk_measure", None) is not None:
-        cfg.risk_measure = {"kind": args.risk_measure,
-                            "alpha": cfg.risk_measure.get("alpha", DEFAULT_ALPHA)}
-    if getattr(args, "alpha", None) is not None:
-        cfg.risk_measure = {"kind": cfg.risk_measure.get("kind", "var"),
-                            "alpha": args.alpha}
-    for flag in ("eta", "w", "grid_step", "out"):
-        value = getattr(args, flag, None)
+    if args.risk_measure is not None or args.alpha is not None:
+        cfg.risk_measure = {
+            "kind": args.risk_measure or cfg.risk_measure.get("kind", "var"),
+            "alpha": args.alpha if args.alpha is not None
+            else cfg.risk_measure.get("alpha", DEFAULT_ALPHA)}
+    for flag in ("eta", "w", "grid_step", "out", "mc_n", "seed"):
+        value = getattr(args, flag)
         if value is not None:
             setattr(cfg, flag, value)
-    if getattr(args, "mc_n", None) is not None:
-        cfg.mc_n = args.mc_n
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    elif "seed" not in file_data and os.environ.get(SEED_ENV_VAR):
+    if args.seed is None and "seed" not in file_data and os.environ.get(SEED_ENV_VAR):
         try:
             cfg.seed = int(os.environ[SEED_ENV_VAR])
         except ValueError as exc:
@@ -171,7 +172,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"--seed must be a nonnegative integer, got {cfg.seed}")
     if cfg.mc_n < 1:
         raise UsageError(f"--mc-n must be a positive integer, got {cfg.mc_n}")
-    if getattr(args, "dump_config", None):
+    if args.dump_config:
         with _writing(args.dump_config), open(args.dump_config, "w", encoding="utf-8") as handle:
             handle.write(cfg.to_json() + "\n")
     return cfg
@@ -196,13 +197,10 @@ def _build_risk_measure(cfg: RunConfig) -> RiskMeasure:
         raise UsageError(str(exc)) from exc
 
 
-def _write_value_csv(path: str, record: dict) -> None:
-    keys = list(record)
+def _write_csv(path: str, header, rows) -> None:
     with _writing(path), open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(keys) + "\n")
-        handle.write(",".join(
-            _cell(record[k]) if isinstance(record[k], (int, float)) or record[k] is None
-            else str(record[k]) for k in keys) + "\n")
+        for line in (header, *rows):
+            handle.write(_csv_line(line) + "\n")
 
 
 def cmd_value(args: argparse.Namespace) -> int:
@@ -216,9 +214,11 @@ def cmd_value(args: argparse.Namespace) -> int:
         return EXIT_NO_SOLUTION
     record = result.to_record(w=market.w, risk_measure=rm.kind, alpha=rm.alpha,
                               eta=market.eta, mc_n=cfg.mc_n, seed=cfg.seed)
-    print(json.dumps(record, indent=2))
+    # indent=2 by hand: json's indenting encoder leaves reference cycles
+    print("{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
+                             for k, v in record.items()) + "\n}")
     if cfg.out:
-        _write_value_csv(cfg.out, record)
+        _write_csv(cfg.out, record, [record.values()])
     return EXIT_OK
 
 
@@ -230,9 +230,8 @@ def _run_sweep(cfg: RunConfig, default_out: str) -> int:
     with _writing(out):
         result.write_csv(out)
     print(f"wrote {out}")
-    print(f"w_star = {_cell(result.w_star)}")
-    print(f"w_hat_numeric = {_cell(result.w_hat_numeric)}")
-    print(f"w_hat_closed = {_cell(result.w_hat_closed)}")
+    for key in ("w_star", "w_hat_numeric", "w_hat_closed"):
+        print(f"{key} = {_csv_line([getattr(result, key)])}")
     return EXIT_OK
 
 
@@ -320,15 +319,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if preset is None:
         raise UsageError(f"unknown figure id {args.figure_id!r}; "
                          f"known: {', '.join(sorted(FIGURE_PRESETS))}")
-    cfg = _resolve(args)
-    cfg.claim = preset["claim"]
-    cfg.asset = preset["asset"]
-    # preset fixes the measure; explicit flags override field by field
-    cfg.risk_measure = {
-        "kind": args.risk_measure or preset["risk_measure"]["kind"],
-        "alpha": args.alpha if args.alpha is not None else preset["risk_measure"]["alpha"],
-    }
-    return _run_sweep(cfg, f"{args.figure_id}.csv")
+    return _run_sweep(_resolve(args, preset), f"{args.figure_id}.csv")
 
 
 def cmd_pareto_example(args: argparse.Namespace) -> int:
@@ -341,19 +332,18 @@ def cmd_pareto_example(args: argparse.Namespace) -> int:
     for beta in (2.0, 1.1):
         res = pareto_riskless_valuation(beta, mean, rm.alpha, cfg.eta)
         rows.append((beta, res.r0, res.llo, res.v0_upper, res.v0))
-    header = f"{'beta':>6} {'r0':>12} {'llo':>12} {'v0_upper':>12} {'v0':>12}"
-    print(header)
+    print(f"{'beta':>6} {'r0':>12} {'llo':>12} {'v0_upper':>12} {'v0':>12}")
     for beta, r0, llo, upper, v0 in rows:
         print(f"{beta:>6.2f} {r0:>12.6f} {llo:>12.6f} {upper:>12.6f} {v0:>12.6f}")
     if cfg.out:
-        with _writing(cfg.out), open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write("beta,r0,llo,v0_upper,v0\n")
-            for beta, r0, llo, upper, v0 in rows:
-                handle.write(",".join(_cell(v) for v in (beta, r0, llo, upper, v0)) + "\n")
+        _write_csv(cfg.out, ("beta", "r0", "llo", "v0_upper", "v0"), rows)
     return EXIT_OK
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_command(commands, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand that runs ``func`` and takes the flags every command shares."""
+    sub = commands.add_parser(name, help=help)
+    sub.set_defaults(func=func)
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--alpha", type=float, help="tail level of the risk measure")
     sub.add_argument("--eta", type=float, help="cost-of-capital rate")
@@ -364,6 +354,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output file path")
     sub.add_argument("--dump-config", dest="dump_config",
                      help="write the resolved config JSON to this path")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,34 +362,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cocval",
         description="Cost-of-capital valuation of an insurance run-off "
                     "with a risky buffer investment.")
+    # the config flags that only some commands take read None on the others
+    parser.set_defaults(claim=None, asset=None, w=None, grid_step=None)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p_value = commands.add_parser("value", help="value one market configuration")
-    _add_common_flags(p_value)
-    p_value.add_argument("--claim", help="claim distribution as inline JSON")
-    p_value.add_argument("--asset", help="asset distribution as inline JSON")
+    p_value = _add_command(commands, "value", cmd_value, "value one market configuration")
+    p_sweep = _add_command(commands, "sweep", cmd_sweep, "sweep the risky-asset weight")
+    for sub in (p_value, p_sweep):
+        sub.add_argument("--claim", help="claim distribution as inline JSON")
+        sub.add_argument("--asset", help="asset distribution as inline JSON")
     p_value.add_argument("--w", type=float, help="risky-asset weight in [0, 1]")
-    p_value.set_defaults(func=cmd_value)
-
-    p_sweep = commands.add_parser("sweep", help="sweep the risky-asset weight")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--claim", help="claim distribution as inline JSON")
-    p_sweep.add_argument("--asset", help="asset distribution as inline JSON")
-    p_sweep.add_argument("--grid-step", type=float, dest="grid_step")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_figure = commands.add_parser("figure", help="reproduce a preset sweep dataset")
+    p_figure = _add_command(commands, "figure", cmd_figure, "reproduce a preset sweep dataset")
     p_figure.add_argument("figure_id", help="preset id, e.g. fig1b")
-    _add_common_flags(p_figure)
-    p_figure.add_argument("--grid-step", type=float, dest="grid_step")
-    p_figure.set_defaults(func=cmd_figure)
-
-    p_pareto = commands.add_parser("pareto-example",
-                                   help="worked heavy-tail table for two tail indices")
-    _add_common_flags(p_pareto)
+    for sub in (p_sweep, p_figure):
+        sub.add_argument("--grid-step", type=float, dest="grid_step")
+    p_pareto = _add_command(commands, "pareto-example", cmd_pareto_example,
+                            "worked heavy-tail table for two tail indices")
     p_pareto.add_argument("--mean", type=float, default=1.0,
                           help="expected claim; every entry scales with it")
-    p_pareto.set_defaults(func=cmd_pareto_example)
     return parser
 
 

@@ -339,6 +339,12 @@ def mc_valuations(market: MarketSpec, rm: RiskMeasure, grid, *, mc_n: int,
     no capital level is acceptable gets its ``NoSolutionError``.
     ``valuations`` sends here every grid without a closed form.
 
+    Under VaR a weight's row is the same bit for bit on any grid that
+    holds the weight, a one-weight grid included.  Under ES r0 can
+    differ by up to 4 ulp between grids, and the split and
+    ``iterations`` with it: the kept scenario set and the Newton start
+    depend on the grid.
+
     The sampler and the solver, and numpy with them, are imported here,
     on the first Monte Carlo run.
 

@@ -1,5 +1,6 @@
 """Command-line interface: routing, config handling, exit codes, output."""
 
+import copy
 import gc
 import json
 import os
@@ -247,8 +248,10 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
     assert done.stderr == ""
 
 
-@pytest.mark.parametrize("argv", [["pareto-example"], ["figure", "fig1b", "--grid-step", "0.5"]],
-                         ids=["pareto-example", "figure"])
+@pytest.mark.parametrize("argv", [["pareto-example"], ["figure", "fig1b", "--grid-step", "0.5"],
+                                  ["value", "--claim", GAUSSIAN_CLAIM, "--asset", GAUSSIAN_ASSET,
+                                   "--w", "0.3"]],
+                         ids=["pareto-example", "figure", "value"])
 def test_repeated_calls_leave_no_reference_cycles(capsys, tmp_path, argv):
     # what a call leaves in reference cycles stays in memory until the
     # cyclic collector runs; a process that calls main in a loop builds the
@@ -310,6 +313,16 @@ class TestSweepAndFigures:
                      "--alpha", "0.005", "--out", str(a)] + common)
         run(capsys, ["figure", "fig3b", "--out", str(b)] + common)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_measure_flags_leave_the_presets_unchanged(self, capsys, tmp_path):
+        # fig5b aliases fig3b's preset; a run must change neither
+        before = copy.deepcopy(FIGURE_PRESETS)
+        code, _, _ = run(capsys, ["figure", "fig5b", "--risk-measure", "es", "--alpha", "0.02",
+                                  "--grid-step", "0.5", "--mc-n", "5000",
+                                  "--out", str(tmp_path / "fig5b.csv")])
+        assert code == EXIT_OK
+        assert FIGURE_PRESETS == before
+        assert FIGURE_PRESETS["fig5b"] is FIGURE_PRESETS["fig3b"]
 
     def test_every_preset_runs(self, capsys, tmp_path):
         # tiny smoke sweep through each preset id
@@ -414,6 +427,45 @@ class TestConfig:
         assert json.loads(first) == json.loads(second)
         reparsed = RunConfig.from_dict(json.loads(dump.read_text()))
         assert reparsed.w == 0.25 and reparsed.seed == 5
+
+    FIG8B = ["figure", "fig8b", "--grid-step", "0.5", "--mc-n", "20000"]
+    # a config file with another market and measure than fig8b's, and eta 0.08
+    OTHER_RUN = {"claim": {"kind": "normal", "mean": 2.0, "sd": 0.5}, "asset": None,
+                 "risk_measure": {"kind": "var", "alpha": 0.1}, "eta": 0.08}
+
+    def test_figure_dump_config_reruns_the_figure(self, capsys, tmp_path):
+        dump, a, b = tmp_path / "fig8b.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        code, _, _ = run(capsys, [*self.FIG8B, "--dump-config", str(dump), "--out", str(a)])
+        assert code == EXIT_OK
+        code, _, _ = run(capsys, ["sweep", "--config", str(dump), "--out", str(b)])
+        assert code == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags, measure", [
+        ([], {"kind": "es", "alpha": 0.01}),
+        (["--alpha", "0.02"], {"kind": "es", "alpha": 0.02}),
+        (["--risk-measure", "var"], {"kind": "var", "alpha": 0.01})],
+        ids=["preset", "alpha-flag", "measure-flag"])
+    def test_figure_dump_config_holds_the_preset(self, capsys, tmp_path, flags, measure):
+        # file < preset < flags: the file's market and measure give way to
+        # the preset's, its eta stays, and each measure flag sets its field
+        cfg, dump = tmp_path / "run.json", tmp_path / "dump.json"
+        cfg.write_text(json.dumps(self.OTHER_RUN))
+        code, _, _ = run(capsys, [*self.FIG8B, "--config", str(cfg), *flags,
+                                  "--dump-config", str(dump), "--out", str(tmp_path / "a.csv")])
+        assert code == EXIT_OK
+        dumped = json.loads(dump.read_text())
+        preset = FIGURE_PRESETS["fig8b"]
+        assert (dumped["claim"], dumped["asset"]) == (preset["claim"], preset["asset"])
+        assert (dumped["risk_measure"], dumped["eta"]) == (measure, 0.08)
+        assert (dumped["grid_step"], dumped["mc_n"]) == (0.5, 20000)
+
+    def test_preset_replaces_the_config_file(self, capsys, tmp_path):
+        cfg, a, b = tmp_path / "run.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(json.dumps(self.OTHER_RUN))
+        assert run(capsys, [*self.FIG8B, "--config", str(cfg), "--out", str(a)])[0] == EXIT_OK
+        assert run(capsys, [*self.FIG8B, "--eta", "0.08", "--out", str(b)])[0] == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_config_keys_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
