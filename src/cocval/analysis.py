@@ -10,6 +10,8 @@ closed form in the normal model and is located numerically otherwise.
 
 from __future__ import annotations
 
+import operator
+
 from ._record import Record
 from .distributions import Normal
 from .market import MarketSpec, NoSolutionError, check_grid, check_memory
@@ -47,8 +49,9 @@ def _csv_line(values) -> str:
     """The cells of one line of every CSV cocval writes, comma-joined:
     numbers with locale-independent '.' decimals and 15 significant
     digits, None empty, anything else its ``str``."""
-    return ",".join(["" if v is None else format(float(v), ".15g")
-                     if isinstance(v, (int, float)) else str(v) for v in values])
+    return ",".join(["%.15g" % v if type(v) is float else "" if v is None
+                     else format(float(v), ".15g") if isinstance(v, (int, float))
+                     else str(v) for v in values])
 
 
 def _benefit_threshold(gamma: float, nu: float, mu: float, sigma: float,
@@ -115,10 +118,11 @@ class SweepResult(Record):
             with open(target, "w", encoding="utf-8") as handle:
                 self.write_csv(handle)
             return
+        cells = operator.attrgetter(*CSV_COLUMNS[1:])  # a row's fields after w
+        gap = (None,) * (len(CSV_COLUMNS) - 1)
         target.write(_csv_line(CSV_COLUMNS) + "\n")
         for w, row in zip(self.grid, self.rows):
-            rec = {"w": w} if row is None else row.to_record(w=w)
-            target.write(_csv_line([rec.get(c) for c in CSV_COLUMNS]) + "\n")
+            target.write(_csv_line((w, *(gap if row is None else cells(row)))) + "\n")
         for key in ("w_star", "w_hat_numeric", "w_hat_closed"):
             target.write(_csv_line([f"# {key}", getattr(self, key)]) + "\n")
 

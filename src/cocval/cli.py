@@ -61,9 +61,6 @@ class RunConfig(Record):
             risk_measure = {"kind": "var", "alpha": DEFAULT_ALPHA}
         self._store(claim, asset, risk_measure, eta, w, grid_step, mc_n, seed, out)
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2)
-
     @classmethod
     def from_dict(cls, data: dict) -> RunConfig:
         """The config of a --config file's object, each value checked
@@ -107,6 +104,21 @@ def _coerce(key: str, value, kind: type):
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
     return converted
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, built from a ``json.dumps`` call per
+    key and leaf: those use the C encoder, while the indenting one is pure
+    Python and leaves reference cycles behind on every call."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        items, ends = [f"{json.dumps(key)}: {_json_text(value, inner)}"
+                       for key, value in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        items, ends = [_json_text(value, inner) for value in obj], "[]"
+    else:
+        return json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def _load_config(path: str | None) -> dict:
@@ -174,7 +186,7 @@ def _resolve(args: argparse.Namespace, preset: dict | None = None) -> RunConfig:
         raise UsageError(f"--mc-n must be a positive integer, got {cfg.mc_n}")
     if args.dump_config:
         with _writing(args.dump_config), open(args.dump_config, "w", encoding="utf-8") as handle:
-            handle.write(cfg.to_json() + "\n")
+            handle.write(_json_text(vars(cfg)) + "\n")
     return cfg
 
 
@@ -214,9 +226,7 @@ def cmd_value(args: argparse.Namespace) -> int:
         return EXIT_NO_SOLUTION
     record = result.to_record(w=market.w, risk_measure=rm.kind, alpha=rm.alpha,
                               eta=market.eta, mc_n=cfg.mc_n, seed=cfg.seed)
-    # indent=2 by hand: json's indenting encoder leaves reference cycles
-    print("{\n" + ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}"
-                             for k, v in record.items()) + "\n}")
+    print(_json_text(record))
     if cfg.out:
         _write_csv(cfg.out, record, [record.values()])
     return EXIT_OK

@@ -68,13 +68,12 @@ class SolveReport(Record, hidden=("losses",)):
     "empirical_root".
 
     ``residual`` is the risk measure re-evaluated at the returned
-    level: in capital units for the Gaussian forms and the empirical
-    root (zero to round-off), in log units for the lognormal closed
-    form.  ``iterations`` counts the selections the empirical root made
-    on its weight: the VaR one, then under ES the Newton steps, which
-    start from the bounds of the grid's polygon
-    (``capital_solver._polygon``); closed forms report zero.  A weight
-    rerun on all scenarios reports the rerun's count.
+    level: in capital units for the empirical root (zero to round-off),
+    in log units for the lognormal closed form.  ``iterations`` counts
+    the selections the empirical root made on its weight: the VaR one,
+    then under ES the Newton steps, which start from the bounds of the
+    grid's polygon (``capital_solver._polygon``); closed forms report
+    zero.  A weight rerun on all scenarios reports the rerun's count.
     ``losses`` summarizes the losses X - r0 Z of an empirical root for
     ``valuation.mc_valuation``; closed forms leave it None.  It takes no
     part in equality, hash or repr.
@@ -96,10 +95,11 @@ def gaussian_hedged_risk(r: float, gamma: float, nu: float, mu: float,
 
 
 def _solve_r0_gaussian(gamma: float, nu: float, mu: float, sigma: float,
-                       multiplier: float) -> SolveReport:
+                       multiplier: float) -> tuple[float, float]:
     """Capital requirement of the normal model under the measure whose
-    Gaussian constant is ``multiplier``: the root in r of
-    ``gaussian_hedged_risk``.
+    Gaussian constant is ``multiplier``: the root r0 in r of
+    ``gaussian_hedged_risk``, returned with the residual, that risk at
+    r0 (zero to round-off).
 
     Raises:
         NoSolutionError: mu <= sigma * multiplier, which includes a sure
@@ -124,8 +124,7 @@ def _solve_r0_gaussian(gamma: float, nu: float, mu: float, sigma: float,
     else:
         disc = gamma ** 2 * sigma ** 2 + nu ** 2 * (mu ** 2 - sigma ** 2 * multiplier ** 2)
         r0 = (mu * gamma + multiplier * math.sqrt(disc)) / (mu ** 2 - sigma ** 2 * multiplier ** 2)
-    residual = gaussian_hedged_risk(r0, gamma, nu, mu, sigma, multiplier)
-    return SolveReport(r0=r0, method="closed_form", residual=residual, iterations=0)
+    return r0, gaussian_hedged_risk(r0, gamma, nu, mu, sigma, multiplier)
 
 
 def solve_r0_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,

@@ -57,7 +57,8 @@ class ValuationResult(Record):
     Bounds come from first and second moments only; ``v0_lower`` is
     None when a variance is infinite or the criterion is not VaR.
     Standard errors are set on sampled fields and None on closed-form
-    fields.  Every float field is finite.
+    fields.  Every float field is finite, checked once per row: a
+    ValueError names the first field that is not.
     """
 
     def __init__(self, r0: float, c0: float, v0: float, llo: float, v0_upper: float,
@@ -65,29 +66,32 @@ class ValuationResult(Record):
                  residual: float, iterations: int = 0, r0_se: float | None = None,
                  c0_se: float | None = None, v0_se: float | None = None,
                  llo_se: float | None = None) -> None:
-        # Stored through the instance dict, which the check below needs
-        # anyway: for the rows a sweep makes in bulk, faster than ``_store``
-        # and no larger.
+        # Stored through the instance dict: for the rows a sweep makes in
+        # bulk, faster than ``_store`` and no larger.
         fields = vars(self)
         fields.update(zip(self._fields, (r0, c0, v0, llo, v0_upper, v0_lower, r0_method,
                                          valuation_method, residual, iterations, r0_se,
                                          c0_se, v0_se, llo_se)))
-        for name, value in fields.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} is not finite ({value}); the inputs overflow")
+        # A nan or infinite field makes the sum not finite.  Only then, or for
+        # a sum that cannot be formed or a label that is no str, the field
+        # loop runs: it names the field, or accepts finite terms that overflow.
+        try:
+            checked = math.isfinite(
+                r0 + c0 + v0 + llo + v0_upper + (v0_lower or 0.0) + residual + iterations
+                + (r0_se or 0.0) + (c0_se or 0.0) + (v0_se or 0.0) + (llo_se or 0.0)
+            ) and type(r0_method) is type(valuation_method) is str
+        except (TypeError, OverflowError):
+            checked = False
+        if not checked:
+            for name, value in fields.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{name} is not finite ({value}); the inputs overflow")
 
     def to_record(self, **extra) -> dict:
         """Flat record with per-field provenance, ready for CSV or JSON."""
-        rec = dict(extra)
-        rec.update(
-            r0=self.r0, c0=self.c0, v0=self.v0, llo=self.llo,
-            v0_upper=self.v0_upper, v0_lower=self.v0_lower,
-            r0_se=self.r0_se, c0_se=self.c0_se, v0_se=self.v0_se,
-            llo_se=self.llo_se, r0_method=self.r0_method,
-            valuation_method=self.valuation_method,
-            residual=self.residual, iterations=self.iterations,
-        )
-        return rec
+        return extra | {name: getattr(self, name) for name in (
+            "r0", "c0", "v0", "llo", "v0_upper", "v0_lower", "r0_se", "c0_se", "v0_se", "llo_se",
+            "r0_method", "valuation_method", "residual", "iterations")}
 
 
 def gaussian_positive_part_factor(multiplier: float) -> float:
@@ -139,22 +143,19 @@ def _gaussian_valuations(gamma: float, nu: float, mu_w, sigma_w, rm: RiskMeasure
     # Python floats: each weight runs the scalar arithmetic of a one-weight call
     for mu, sigma in zip(map(float, mu_w), map(float, sigma_w)):
         try:
-            rep = _solve_r0_gaussian(gamma, nu, mu, sigma, multiplier)
+            r0, residual = _solve_r0_gaussian(gamma, nu, mu, sigma, multiplier)
         except NoSolutionError as exc:
             # kept without its traceback, whose frames would hold ``results``
             results.append(exc.with_traceback(None))
             continue
-        margin = rep.r0 * mu - gamma  # expected net worth at the solved capital
+        margin = r0 * mu - gamma  # expected net worth at the solved capital
         c0 = margin * factor / (1.0 + eta)
         llo = (factor - 1.0) * margin / (1.0 + eta)
-        upper, lower = v0_bounds(rep.r0, z_mean=mu, z_var=sigma ** 2, x_mean=gamma,
+        upper, lower = v0_bounds(r0, z_mean=mu, z_var=sigma ** 2, x_mean=gamma,
                                  x_var=nu ** 2, eta=eta, alpha=alpha_for_lower)
         results.append(ValuationResult(
-            r0=rep.r0, c0=c0, v0=rep.r0 - c0, llo=llo,
-            v0_upper=upper, v0_lower=lower,
-            r0_method=rep.method, valuation_method="closed_form",
-            residual=rep.residual, iterations=rep.iterations,
-        ))
+            r0=r0, c0=c0, v0=r0 - c0, llo=llo, v0_upper=upper, v0_lower=lower,
+            r0_method="closed_form", valuation_method="closed_form", residual=residual))
     return results
 
 

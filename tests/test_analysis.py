@@ -2,17 +2,19 @@
 
 import io
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import cocval
 from cocval import analysis, distributions
 from cocval.analysis import sweep, w_grid
 from cocval.distributions import Degenerate, Normal, lognormal_from_moments
-from cocval.market import MarketSpec, NoSolutionError
+from cocval.market import MarketSpec, NoSolutionError, SolveReport
 from cocval.risk_measures import RiskMeasure, es_multiplier, var_multiplier
 from cocval.valuation import mc_valuation, value_gaussian_var, value_market
 
@@ -337,6 +339,29 @@ class TestNormalModelPath:
         assert counts[0] == counts[1] > 0
 
 
+    @pytest.mark.parametrize("rm", [VAR_005, ES_001], ids=["var", "es"])
+    def test_no_solve_report_per_weight(self, rm, monkeypatch):
+        # the cost guard of the normal model's rows: a weight builds its
+        # ValuationResult and no SolveReport, however many weights the grid has
+        real, made = SolveReport.__init__, []
+
+        def counting(self, *args, **kwargs):
+            made.append(args or kwargs)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolveReport, "__init__", counting)
+        counts = []
+        for step in (0.1, 0.001):
+            made.clear()
+            res = sweep(FIG_MARKET, rm, w_grid(step), **MC)
+            assert len(res.rows) == round(1 / step) + 1
+            assert all(row is not None for row in res.rows)
+            counts.append(len(made))
+        assert counts == [0, 0]
+        SolveReport(r0=1.0, method="closed_form", residual=0.0, iterations=0)
+        assert len(made) == 1  # the count sees a report that is built
+
+
 class TestMcSweep:
     def test_degenerate_asset_keeps_riskless_weight(self):
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
@@ -415,3 +440,30 @@ class TestCsv:
         body = [ln for ln in buf.getvalue().splitlines() if ln and not ln.startswith(("w,", "#"))]
         for line, row in zip(body, res.rows):
             assert float(line.split(",")[1]) == pytest.approx(row.r0, rel=1e-14)
+
+
+def _old_cell(v) -> str:
+    # the cell rule before its float fast path, the reference of ``_csv_line``
+    return "" if v is None else format(float(v), ".15g") if isinstance(v, (int, float)) else str(v)
+
+
+# ±0, ±inf, nan, subnormals and the extremes, bools, ints, numpy scalars
+# (np.float64 is a float subclass, the others are not) and labels
+SPECIAL_CELLS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225073858507201e-308,
+                 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e15, 1e16, 123456789.0,
+                 True, False, 0, -7, 2 ** 62, np.float64(0.1), np.float64(-0.0),
+                 np.float32(0.1), np.int64(3), np.bool_(True), None, "# w_star", "closed_form"]
+
+
+class TestCellRule:
+    @pytest.mark.parametrize("value", SPECIAL_CELLS, ids=repr)
+    def test_special_values(self, value):
+        assert analysis._csv_line([value, value]) == f"{_old_cell(value)},{_old_cell(value)}"
+
+    @given(st.lists(st.floats() | st.integers(-2 ** 63, 2 ** 63) | st.booleans() | st.none()
+                    | st.integers(0, 2 ** 64 - 1).map(
+                        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+                    max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_random_values(self, values):
+        assert analysis._csv_line(values) == ",".join(map(_old_cell, values))

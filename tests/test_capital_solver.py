@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cocval.market import (
 )
 from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_empirical,
                                   var_multiplier)
+from cocval.valuation import value_gaussian_var
 
 from helpers import (gaussian_r0_se_var, generate_scenarios, reference_prune,
                      reference_ratio_std_error, reference_root_std_error, reference_var_root,
@@ -52,9 +54,11 @@ def positives_kept():
         yield
 
 
-def gaussian_report(kind, gamma, nu, mu, sigma, alpha):
-    """The normal model's closed-form capital report under VaR or ES."""
-    return _solve_r0_gaussian(gamma, nu, mu, sigma, RiskMeasure(kind, alpha).multiplier)
+def gaussian_root(kind, gamma, nu, mu, sigma, alpha):
+    """The normal model's closed-form capital requirement under VaR or ES,
+    as ``.r0`` and its ``.residual``."""
+    r0, residual = _solve_r0_gaussian(gamma, nu, mu, sigma, RiskMeasure(kind, alpha).multiplier)
+    return SimpleNamespace(r0=r0, residual=residual)
 
 
 def rational_r0_var(gamma, nu, mu, sigma, alpha):
@@ -67,20 +71,20 @@ def rational_r0_var(gamma, nu, mu, sigma, alpha):
 
 class TestGaussianVar:
     def test_riskless_reduction(self):
-        rep = gaussian_report("var", 1.0, 0.3, 1.0, 0.0, ALPHA)
-        assert rep.method == "closed_form"
+        rep = gaussian_root("var", 1.0, 0.3, 1.0, 0.0, ALPHA)
+        assert value_gaussian_var(1.0, 0.3, 1.0, 0.0, ALPHA, 0.06).r0_method == "closed_form"
         assert rep.r0 == pytest.approx(1.0 + 0.3 * var_multiplier(ALPHA), rel=1e-14)
         assert rep.r0 == pytest.approx(1.77274879, abs=1e-7)
         assert abs(rep.residual) < 1e-12
 
     def test_degenerate_branch_matches_formula_limit(self):
         # sigma -> 0 in the closed form tends to (gamma + nu m) / mu
-        rep0 = gaussian_report("var", 1.0, 0.3, 1.05, 0.0, ALPHA)
-        rep_eps = gaussian_report("var", 1.0, 0.3, 1.05, 1e-9, ALPHA)
+        rep0 = gaussian_root("var", 1.0, 0.3, 1.05, 0.0, ALPHA)
+        rep_eps = gaussian_root("var", 1.0, 0.3, 1.05, 1e-9, ALPHA)
         assert rep0.r0 == pytest.approx(rep_eps.r0, rel=1e-9)
 
     def test_fig_parameters_value(self):
-        rep = gaussian_report("var", FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA)
+        rep = gaussian_root("var", FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA)
         assert rep.r0 == pytest.approx(2.2994, abs=1e-3)
         assert abs(rep.residual) < 1e-10 * rep.r0
 
@@ -92,14 +96,14 @@ class TestGaussianVar:
                             asset=Normal(FIG_MU, FIG_SIGMA), w=1.0, eta=0.06)
         rm = RiskMeasure("var", ALPHA)
         mc = solve_at(market, rm, scen)
-        closed = gaussian_report("var", FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA)
+        closed = gaussian_root("var", FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA)
         se = gaussian_r0_se_var(closed.r0, FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA, n)
         assert abs(mc.r0 - closed.r0) < 3 * se
 
     def test_no_solution_branch(self):
         # mu below its risk charge (0.2 * 2.5758 = 0.515)
         with pytest.raises(NoSolutionError):
-            gaussian_report("var", 1.0, 0.3, 0.5, 0.2, ALPHA)
+            gaussian_root("var", 1.0, 0.3, 0.5, 0.2, ALPHA)
 
     @pytest.mark.parametrize("mu, sigma", [(0.0, 0.0), (-0.5, 0.0), (0.0, 0.2), (-0.2, 0.16)])
     @pytest.mark.parametrize("kind", ["var", "es"],
@@ -108,22 +112,22 @@ class TestGaussianVar:
         # a sure or risky return with mean <= 0 is a market with no
         # acceptable capital level, not bad input
         with pytest.raises(NoSolutionError):
-            gaussian_report(kind, 1.0, 0.3, mu, sigma, ALPHA)
+            gaussian_root(kind, 1.0, 0.3, mu, sigma, ALPHA)
 
     @pytest.mark.parametrize("gamma, nu, sigma", [(0.0, 0.3, 0.2), (-1.0, 0.3, 0.2),
                                                   (1.0, 0.0, 0.2), (1.0, 0.3, -0.1)])
     def test_bad_parameters_are_value_errors(self, gamma, nu, sigma):
         with pytest.raises(ValueError):
-            gaussian_report("var", gamma, nu, 1.05, sigma, ALPHA)
+            gaussian_root("var", gamma, nu, 1.05, sigma, ALPHA)
 
     def test_equivalent_form_agreement(self):
         for mu, sigma in [(1.05, 0.2), (1.02, 0.1), (1.3, 0.35)]:
-            direct = gaussian_report("var", 1.0, 0.3, mu, sigma, ALPHA).r0
+            direct = gaussian_root("var", 1.0, 0.3, mu, sigma, ALPHA).r0
             stable = rational_r0_var(1.0, 0.3, mu, sigma, ALPHA)
             assert stable == pytest.approx(direct, rel=1e-10)
 
     def test_residual_is_hedged_risk(self):
-        rep = gaussian_report("var", FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA)
+        rep = gaussian_root("var", FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA)
         direct = gaussian_hedged_risk(rep.r0, FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA,
                                       var_multiplier(ALPHA))
         assert rep.residual == direct
@@ -139,18 +143,18 @@ class TestGaussianVar:
                                  var_multiplier(ALPHA)), rel=1e-14)
 
     def test_scaling_equivariance_exact_to_float(self):
-        base = gaussian_report("var", 1.0, 0.3, 1.05, 0.2, ALPHA).r0
+        base = gaussian_root("var", 1.0, 0.3, 1.05, 0.2, ALPHA).r0
         for a in (0.5, 2.0, 7.3):
-            scaled = gaussian_report("var", a * 1.0, a * 0.3, 1.05, 0.2, ALPHA).r0
+            scaled = gaussian_root("var", a * 1.0, a * 0.3, 1.05, 0.2, ALPHA).r0
             assert scaled == pytest.approx(a * base, rel=5e-14)
 
     def test_monotone_in_parameters(self):
-        base = gaussian_report("var", 1.0, 0.3, 1.05, 0.2, ALPHA).r0
+        base = gaussian_root("var", 1.0, 0.3, 1.05, 0.2, ALPHA).r0
         eps = 1e-6
-        assert gaussian_report("var", 1.0 + eps, 0.3, 1.05, 0.2, ALPHA).r0 > base
-        assert gaussian_report("var", 1.0, 0.3 + eps, 1.05, 0.2, ALPHA).r0 > base
-        assert gaussian_report("var", 1.0, 0.3, 1.05 + eps, 0.2, ALPHA).r0 < base
-        assert gaussian_report("var", 1.0, 0.3, 1.05, 0.2 + eps, ALPHA).r0 > base
+        assert gaussian_root("var", 1.0 + eps, 0.3, 1.05, 0.2, ALPHA).r0 > base
+        assert gaussian_root("var", 1.0, 0.3 + eps, 1.05, 0.2, ALPHA).r0 > base
+        assert gaussian_root("var", 1.0, 0.3, 1.05 + eps, 0.2, ALPHA).r0 < base
+        assert gaussian_root("var", 1.0, 0.3, 1.05, 0.2 + eps, ALPHA).r0 > base
 
 
 class TestGaussianVarRandomized:
@@ -162,9 +166,9 @@ class TestGaussianVarRandomized:
         m = var_multiplier(alpha)
         if mu <= sigma * m:
             with pytest.raises(NoSolutionError):
-                gaussian_report("var", gamma, nu, mu, sigma, alpha)
+                gaussian_root("var", gamma, nu, mu, sigma, alpha)
             return
-        rep = gaussian_report("var", gamma, nu, mu, sigma, alpha)
+        rep = gaussian_root("var", gamma, nu, mu, sigma, alpha)
         assert rep.r0 > 0
         # the returned level really zeroes the hedged risk
         assert abs(rep.residual) <= 1e-10 * max(1.0, rep.r0)
@@ -180,25 +184,25 @@ class TestGaussianVarRandomized:
     def test_es_requires_more_capital(self, gamma, nu, mu, sigma, alpha):
         if mu <= sigma * es_multiplier(alpha):
             return
-        var_rep = gaussian_report("var", gamma, nu, mu, sigma, alpha)
-        es_rep = gaussian_report("es", gamma, nu, mu, sigma, alpha)
+        var_rep = gaussian_root("var", gamma, nu, mu, sigma, alpha)
+        es_rep = gaussian_root("es", gamma, nu, mu, sigma, alpha)
         assert es_rep.r0 > var_rep.r0
 
 
 class TestGaussianEs:
     def test_riskless_reduction(self):
-        rep = gaussian_report("es", 1.0, 0.3, 1.0, 0.0, 0.01)
+        rep = gaussian_root("es", 1.0, 0.3, 1.0, 0.0, 0.01)
         assert rep.r0 == pytest.approx(1.0 + 0.3 * es_multiplier(0.01), rel=1e-14)
 
     def test_dominates_var_at_equal_alpha(self):
-        var_rep = gaussian_report("var", 1.0, 0.3, 1.05, 0.2, 0.01)
-        es_rep = gaussian_report("es", 1.0, 0.3, 1.05, 0.2, 0.01)
+        var_rep = gaussian_root("var", 1.0, 0.3, 1.05, 0.2, 0.01)
+        es_rep = gaussian_root("es", 1.0, 0.3, 1.05, 0.2, 0.01)
         assert es_rep.r0 > var_rep.r0
 
     def test_no_solution_branch(self):
         # risk charge 0.2 * es_multiplier(0.01) is about 0.533
         with pytest.raises(NoSolutionError):
-            gaussian_report("es", 1.0, 0.3, 0.5, 0.2, 0.01)
+            gaussian_root("es", 1.0, 0.3, 0.5, 0.2, 0.01)
 
     def test_against_mc_bisection(self):
         n = 10 ** 6
@@ -206,7 +210,7 @@ class TestGaussianEs:
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=1.0, eta=0.06)
         rm = RiskMeasure("es", 0.01)
         mc = solve_at(market, rm, scen)
-        closed = gaussian_report("es", 1.0, 0.3, 1.05, 0.2, 0.01)
+        closed = gaussian_root("es", 1.0, 0.3, 1.05, 0.2, 0.01)
         from helpers import gaussian_r0_se_es
         se = gaussian_r0_se_es(closed.r0, 1.0, 0.3, 1.05, 0.2, 0.01, n)
         assert abs(mc.r0 - closed.r0) < 3 * se
@@ -269,7 +273,7 @@ class TestNumericSolver:
         rm = RiskMeasure("var", ALPHA)
         mc = solve_at(market, rm, scen)
         mu_w, sigma_w = 0.5 * FIG_MU + 0.5, 0.5 * FIG_SIGMA
-        closed = gaussian_report("var", FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA)
+        closed = gaussian_root("var", FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA)
         se = gaussian_r0_se_var(closed.r0, FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA, n)
         assert abs(mc.r0 - closed.r0) < 3 * se
         assert mc.method == "empirical_root"

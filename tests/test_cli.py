@@ -10,6 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cocval
 from cocval.cli import (
@@ -18,6 +19,7 @@ from cocval.cli import (
     EXIT_USAGE,
     FIGURE_PRESETS,
     RunConfig,
+    _json_text,
     main,
 )
 
@@ -250,12 +252,15 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, command):
 
 @pytest.mark.parametrize("argv", [["pareto-example"], ["figure", "fig1b", "--grid-step", "0.5"],
                                   ["value", "--claim", GAUSSIAN_CLAIM, "--asset", GAUSSIAN_ASSET,
-                                   "--w", "0.3"]],
-                         ids=["pareto-example", "figure", "value"])
-def test_repeated_calls_leave_no_reference_cycles(capsys, tmp_path, argv):
+                                   "--w", "0.3"],
+                                  ["value", "--claim", GAUSSIAN_CLAIM, "--asset", GAUSSIAN_ASSET,
+                                   "--w", "0.3", "--dump-config", "run.json"]],
+                         ids=["pareto-example", "figure", "value", "dump-config"])
+def test_repeated_calls_leave_no_reference_cycles(capsys, tmp_path, monkeypatch, argv):
     # what a call leaves in reference cycles stays in memory until the
     # cyclic collector runs; a process that calls main in a loop builds the
     # parser, whose parts refer to each other, once
+    monkeypatch.chdir(tmp_path)
     argv = [*argv, "--out", str(tmp_path / "out.csv")]
     assert main(argv) == EXIT_OK
     gc.collect()
@@ -276,9 +281,11 @@ class TestSweepAndFigures:
         assert lines[0].startswith("w,r0,c0,v0")
         assert len(lines) == 1 + 1001 + 3
         summary = {ln.split(",")[0]: ln.split(",")[1] for ln in lines if ln.startswith("#")}
+        assert list(summary) == ["# w_star", "# w_hat_numeric", "# w_hat_closed"]
         assert float(summary["# w_star"]) == pytest.approx(0.083, abs=1e-3)
-        assert "found w_star" or True  # stdout carries the same summary
-        assert "w_star" in out
+        # stdout carries the same summary, cell for cell
+        assert out.splitlines() == [f"wrote {out_path}",
+                                    *(f"{key[2:]} = {cell}" for key, cell in summary.items())]
 
     def test_unknown_figure(self, capsys):
         code, _, err = run(capsys, ["figure", "fig99"])
@@ -597,3 +604,15 @@ class TestConfig:
             "--w", "0.5", "--mc-n", "10000", "--seed", "9"])
         assert code == EXIT_OK
         assert json.loads(out)["seed"] == 9
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@given(st.recursive(JSON_LEAVES, lambda inner: st.dictionaries(st.text(), inner)
+                    | st.lists(inner), max_leaves=40))
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_indented_json(obj):
+    # the printer of the value record and --dump-config, against the
+    # indenting encoder it stands in for: nested, empty and flat dicts
+    assert _json_text(obj) == json.dumps(obj, indent=2)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from cocval import capital_solver, montecarlo, valuation
@@ -17,7 +18,7 @@ from cocval.distributions import (
     lognormal_from_moments,
     pareto_from_mean_beta,
 )
-from cocval.market import MarketSpec, NoSolutionError, _solve_r0_gaussian
+from cocval.market import MarketSpec, NoSolutionError, SolveReport
 from cocval.risk_measures import RiskMeasure, es_multiplier, tail_count, var_multiplier
 from cocval.valuation import (
     ValuationResult,
@@ -38,6 +39,10 @@ from helpers import (generate_scenarios, mc_at, reference_row, reference_var_roo
 
 ETA = 0.06
 ALPHA = 0.005
+# a valid row, every field set
+ROW = dict(r0=1.5, c0=0.4, v0=1.1, llo=0.02, v0_upper=1.12, v0_lower=0.9,
+           r0_method="empirical_root", valuation_method="mc", residual=0.0, iterations=2,
+           r0_se=0.01, c0_se=0.002, v0_se=0.002, llo_se=0.001)
 
 
 class TestPositivePartFactor:
@@ -346,7 +351,7 @@ class TestAgainstRebuildReference:
 
     def test_closed_form_report_is_rejected(self):
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=0.5, eta=ETA)
-        rep = _solve_r0_gaussian(1.0, 0.3, 1.025, 0.1, RiskMeasure("var", ALPHA).multiplier)
+        rep = SolveReport(r0=2.0, method="closed_form", residual=0.0, iterations=0)
         with pytest.raises(ValueError, match="losses"):
             mc_valuation(rep, market, RiskMeasure("var", ALPHA))
 
@@ -419,6 +424,45 @@ class TestBounds:
                                   asset.mu_log, asset.sd_log, ALPHA, ETA)
         gap = (res.v0_upper - res.v0) / res.v0
         assert 0.0 < gap < 0.02
+
+
+def _first_non_finite(fields: dict) -> str | None:
+    # the per-field loop of the row check, its reference: the first float
+    # field that is not finite
+    for name, value in fields.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            return name
+    return None
+
+
+# nan, ±inf, None, finite floats whose sum overflows, a huge int, a float
+# subclass and a label
+FIELD_VALUES = (st.sampled_from([math.nan, math.inf, -math.inf, None, 1e308, -1e308,
+                                 1.7976931348623157e308, 0.0, -0.0, 5e-324, 1, 10 ** 400,
+                                 True, np.float64(math.nan), "mc"])
+                | st.floats())
+ROW_FIELDS = {name: FIELD_VALUES for name in ValuationResult._fields}
+
+
+class TestRowCheck:
+    @pytest.mark.filterwarnings("error")  # nor a new warning
+    @given(st.fixed_dictionaries(ROW_FIELDS))
+    @example({**ROW, "r0": 1e308, "c0": 1e308})  # the sum overflows, every term is finite
+    @example({**ROW, "v0_upper": 1e308, "residual": math.inf})
+    @example({**ROW, "iterations": 10 ** 400, "llo_se": math.nan})
+    @example({**ROW, "r0_method": math.nan})
+    @settings(max_examples=500, deadline=None)
+    def test_raises_as_the_field_loop(self, fields):
+        fields = {name: fields[name] for name in ValuationResult._fields}
+        name = _first_non_finite(fields)
+        if name is None:
+            row = ValuationResult(**fields)
+            assert all(vars(row)[key] is value for key, value in fields.items())
+            return
+        with pytest.raises(ValueError) as raised:
+            ValuationResult(**fields)
+        assert str(raised.value) == (f"{name} is not finite ({fields[name]}); "
+                                     "the inputs overflow")
 
 
 class TestNoSolutionPropagates:
