@@ -49,8 +49,7 @@ def _csv_line(values) -> str:
     """The cells of one line of every CSV cocval writes, comma-joined:
     numbers with locale-independent '.' decimals and 15 significant
     digits, None empty, anything else its ``str``."""
-    return ",".join(["%.15g" % v if type(v) is float else "" if v is None
-                     else format(float(v), ".15g") if isinstance(v, (int, float))
+    return ",".join(["%.15g" % v if isinstance(v, (int, float)) else "" if v is None
                      else str(v) for v in values])
 
 

@@ -54,11 +54,10 @@ class ValuationResult(Record):
     """Capital decomposition at a solved requirement.
 
     The premium identity v0 = r0 - c0 holds exactly by construction.
-    Bounds come from first and second moments only; ``v0_lower`` is
-    None when a variance is infinite or the criterion is not VaR.
-    Standard errors are set on sampled fields and None on closed-form
-    fields.  Every float field is finite, checked once per row: a
-    ValueError names the first field that is not.
+    Bounds come from first and second moments only; ``v0_lower`` is None when
+    a variance is infinite or the criterion is not VaR.  Standard errors are
+    set on sampled fields and None on closed-form fields.  Every float field
+    is finite, checked once per row: a ValueError names the first that is not.
     """
 
     def __init__(self, r0: float, c0: float, v0: float, llo: float, v0_upper: float,
@@ -66,32 +65,37 @@ class ValuationResult(Record):
                  residual: float, iterations: int = 0, r0_se: float | None = None,
                  c0_se: float | None = None, v0_se: float | None = None,
                  llo_se: float | None = None) -> None:
-        # Stored through the instance dict: for the rows a sweep makes in
-        # bulk, faster than ``_store`` and no larger.
+        # Stored through the instance dict, which the loop below reads: for the
+        # rows a sweep makes in bulk, faster than ``_store`` and no larger.
         fields = vars(self)
         fields.update(zip(self._fields, (r0, c0, v0, llo, v0_upper, v0_lower, r0_method,
                                          valuation_method, residual, iterations, r0_se,
                                          c0_se, v0_se, llo_se)))
-        # A nan or infinite field makes the sum not finite.  Only then, or for
-        # a sum that cannot be formed or a label that is no str, the field
-        # loop runs: it names the field, or accepts finite terms that overflow.
+        # A finite fsum (of C doubles: no numpy warning) proves every field finite.
+        # Else the loop names the field, or accepts finite terms whose sum overflows.
         try:
-            checked = math.isfinite(
-                r0 + c0 + v0 + llo + v0_upper + (v0_lower or 0.0) + residual + iterations
-                + (r0_se or 0.0) + (c0_se or 0.0) + (v0_se or 0.0) + (llo_se or 0.0)
-            ) and type(r0_method) is type(valuation_method) is str
-        except (TypeError, OverflowError):
-            checked = False
-        if not checked:
-            for name, value in fields.items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(f"{name} is not finite ({value}); the inputs overflow")
+            if type(r0_method) is type(valuation_method) is str and math.isfinite(math.fsum((
+                    r0, c0, v0, llo, v0_upper, v0_lower or 0.0, residual, iterations,
+                    r0_se or 0.0, c0_se or 0.0, v0_se or 0.0, llo_se or 0.0))):
+                return
+        except (TypeError, ValueError, OverflowError):
+            pass
+        for name, value in fields.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is not finite ({value}); the inputs overflow")
 
     def to_record(self, **extra) -> dict:
         """Flat record with per-field provenance, ready for CSV or JSON."""
-        return extra | {name: getattr(self, name) for name in (
-            "r0", "c0", "v0", "llo", "v0_upper", "v0_lower", "r0_se", "c0_se", "v0_se", "llo_se",
-            "r0_method", "valuation_method", "residual", "iterations")}
+        rec = dict(extra)
+        rec.update(
+            r0=self.r0, c0=self.c0, v0=self.v0, llo=self.llo,
+            v0_upper=self.v0_upper, v0_lower=self.v0_lower,
+            r0_se=self.r0_se, c0_se=self.c0_se, v0_se=self.v0_se,
+            llo_se=self.llo_se, r0_method=self.r0_method,
+            valuation_method=self.valuation_method,
+            residual=self.residual, iterations=self.iterations,
+        )
+        return rec
 
 
 def gaussian_positive_part_factor(multiplier: float) -> float:

@@ -443,7 +443,8 @@ class TestCsv:
 
 
 def _old_cell(v) -> str:
-    # the cell rule before its float fast path, the reference of ``_csv_line``
+    # the cell rule through ``format(float(v), ".15g")``, the reference of
+    # ``_csv_line``, which formats numbers with ``"%.15g" % v``
     return "" if v is None else format(float(v), ".15g") if isinstance(v, (int, float)) else str(v)
 
 

@@ -439,7 +439,7 @@ def _first_non_finite(fields: dict) -> str | None:
 # subclass and a label
 FIELD_VALUES = (st.sampled_from([math.nan, math.inf, -math.inf, None, 1e308, -1e308,
                                  1.7976931348623157e308, 0.0, -0.0, 5e-324, 1, 10 ** 400,
-                                 True, np.float64(math.nan), "mc"])
+                                 True, np.float64(math.nan), np.float64(1e308), "mc"])
                 | st.floats())
 ROW_FIELDS = {name: FIELD_VALUES for name in ValuationResult._fields}
 
@@ -451,6 +451,7 @@ class TestRowCheck:
     @example({**ROW, "v0_upper": 1e308, "residual": math.inf})
     @example({**ROW, "iterations": 10 ** 400, "llo_se": math.nan})
     @example({**ROW, "r0_method": math.nan})
+    @example({**ROW, "r0": np.float64(1e308), "c0": np.float64(1e308)})  # and no numpy warning
     @settings(max_examples=500, deadline=None)
     def test_raises_as_the_field_loop(self, fields):
         fields = {name: fields[name] for name in ValuationResult._fields}
