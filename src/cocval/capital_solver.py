@@ -5,7 +5,7 @@ of the terminal net worth r Z - X vanishes, where Z = w S + 1 - w is
 the mixed gross return and X the aggregate claim.  Here it is the exact
 root of the empirical criterion on a shared scenario set, at every
 weight of a grid; the closed forms of the normal and lognormal models
-are in ``market``.  Only Monte Carlo runs import this module, and with
+are in ``valuation``.  Only Monte Carlo runs import this module, and with
 it numpy.
 """
 
@@ -649,9 +649,8 @@ def _var_report(c: _Candidates, w: float) -> SolveReport:
     positive = losses[losses > 0.0]
     losses.partition(size - 1 - k)
     mean, var = c.loss_moments(r0, w)
-    return SolveReport(r0=r0, method="empirical_root", residual=float(losses[size - 1 - k]),
-                       iterations=1, std_error=se,
-                       losses=LossSummary.of(n, mean, var, positive))
+    return SolveReport(r0=r0, residual=float(losses[size - 1 - k]), iterations=1,
+                       std_error=se, losses=LossSummary.of(n, mean, var, positive))
 
 
 def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r: float,
@@ -700,8 +699,7 @@ def _es_report(c: _Candidates, w: float, x: np.ndarray, s: np.ndarray | None, r:
     positive = above[above > 0.0] if q <= 0.0 else losses[losses > 0.0]
     residual = shortfall(above, q, tail)
     mean, var = c.loss_moments(r0, w)
-    report = SolveReport(r0=r0, method="empirical_root", residual=residual,
-                         iterations=selections, std_error=se,
+    report = SolveReport(r0=r0, residual=residual, iterations=selections, std_error=se,
                          losses=LossSummary.of(n, mean, var, positive))
     return report, losses, q
 

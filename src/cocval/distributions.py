@@ -214,9 +214,9 @@ def standard_normal_quantile(p) -> float | np.ndarray:
 class Normal(Record):
     """Normal claim or return model.
 
-    ``sd == 0`` is tolerated as a point-mass marker so that mixed
-    returns with zero weight degrade gracefully; solvers route that
-    case to their degenerate branches.
+    ``sd == 0`` is a point mass at ``mean``, which a config may give;
+    ``nonnegative``, ``quantile`` (and with it ``sample``) and
+    ``stop_loss`` branch on it.
     """
 
     def __init__(self, mean: float, sd: float) -> None:
@@ -431,6 +431,15 @@ _FORMS = {
 }
 
 
+def _parameter(kind: str, key: str, value) -> float:
+    try:
+        if isinstance(value, bool):  # JSON true and false are no numbers
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{kind} parameter {key!r} must be a number, got {value!r}") from None
+
+
 def distribution_from_config(spec: dict) -> Distribution:
     """Build a distribution from its JSON-style description.
 
@@ -440,7 +449,8 @@ def distribution_from_config(spec: dict) -> Distribution:
 
     Raises:
         ValueError: an unknown kind, a parameter that is not a finite
-            number, or keys that match none of the family's parameter
+            number (a JSON boolean is none, a numeric string is one), or
+            keys that match none of the family's parameter
             sets; the message names the keys missing from, or extra to,
             the closest set and lists every set the family accepts.
     """
@@ -450,7 +460,7 @@ def distribution_from_config(spec: dict) -> Distribution:
     forms = _FORMS.get(kind) if isinstance(kind, str) else None
     if forms is None:
         raise ValueError(f"unknown distribution kind {kind!r}; known: {', '.join(_FORMS)}")
-    params = {k: float(v) for k, v in spec.items() if k != "kind"}
+    params = {k: _parameter(kind, k, v) for k, v in spec.items() if k != "kind"}
     if not all(math.isfinite(v) for v in params.values()):
         raise ValueError(f"distribution parameters must be finite: {params}")
     keys = set(params)

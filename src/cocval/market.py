@@ -1,13 +1,12 @@
-"""The market, the outcome of a capital solve and the closed-form
-requirements, on the standard library alone.
+"""What every route shares, on the standard library alone: the market
+a command describes, the report of an empirical root and the error a
+solve without an acceptable capital level ends with, the check of a
+grid of mix weights, and the physical-memory guard.
 
-Every route needs these pieces: the market a command describes, the
-report and the error a solve ends with, the check of a grid of mix
-weights, the physical-memory guard, and the closed-form capital
-requirements of the normal model (both measures) and of the lognormal
-model under VaR.  The empirical root on a Monte Carlo scenario set
-lives in ``capital_solver``, which imports numpy; nothing here does, so
-a closed-form command never loads it.
+The empirical root on a Monte Carlo scenario set lives in
+``capital_solver``, which imports numpy; nothing here does, so a
+closed-form command never loads it.  The closed-form requirements sit
+next to the valuations that use them, in ``valuation``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import os
 
 from ._record import Record
 from .distributions import Distribution
-from .risk_measures import var_multiplier
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -27,8 +25,6 @@ __all__ = [
     "MarketSpec",
     "SolveReport",
     "NoSolutionError",
-    "gaussian_hedged_risk",
-    "solve_r0_lognormal_var",
     "check_grid",
     "check_memory",
 ]
@@ -64,85 +60,21 @@ class MarketSpec(Record):
 
 
 class SolveReport(Record, hidden=("losses",)):
-    """Outcome of a capital solve by ``method``, "closed_form" or
-    "empirical_root".
+    """Outcome of the empirical root at one weight of a grid.
 
-    ``residual`` is the risk measure re-evaluated at the returned
-    level: in capital units for the empirical root (zero to round-off),
-    in log units for the lognormal closed form.  ``iterations`` counts
-    the selections the empirical root made on its weight: the VaR one,
-    then under ES the Newton steps, which start from the bounds of the
-    grid's polygon (``capital_solver._polygon``); closed forms report
-    zero.  A weight rerun on all scenarios reports the rerun's count.
-    ``losses`` summarizes the losses X - r0 Z of an empirical root for
-    ``valuation.mc_valuation``; closed forms leave it None.  It takes no
-    part in equality, hash or repr.
+    ``residual`` is the risk measure re-evaluated at the returned level,
+    in capital units (zero to round-off).  ``iterations`` counts the
+    selections the root made on its weight: the VaR one, then under ES
+    the Newton steps, which start from the bounds of the grid's polygon
+    (``capital_solver._polygon``).  A weight rerun on all scenarios
+    reports the rerun's count.  ``losses`` summarizes the losses
+    X - r0 Z for ``valuation.mc_valuation``; it takes no part in
+    equality, hash or repr.
     """
 
-    def __init__(self, r0: float, method: str, residual: float, iterations: int,
+    def __init__(self, r0: float, residual: float, iterations: int,
                  std_error: float | None = None, losses: LossSummary | None = None) -> None:
-        self._store(r0, method, residual, iterations, std_error, losses)
-
-
-def gaussian_hedged_risk(r: float, gamma: float, nu: float, mu: float,
-                         sigma: float, multiplier: float) -> float:
-    """Risk of r Z - X for normal X ~ (gamma, nu^2), Z ~ (mu, sigma^2).
-
-    ``multiplier`` is the Gaussian tail constant of the measure, so the
-    same expression serves VaR and ES.
-    """
-    return gamma - r * mu + multiplier * math.hypot(r * sigma, nu)
-
-
-def _solve_r0_gaussian(gamma: float, nu: float, mu: float, sigma: float,
-                       multiplier: float) -> tuple[float, float]:
-    """Capital requirement of the normal model under the measure whose
-    Gaussian constant is ``multiplier``: the root r0 in r of
-    ``gaussian_hedged_risk``, returned with the residual, that risk at
-    r0 (zero to round-off).
-
-    Raises:
-        NoSolutionError: mu <= sigma * multiplier, which includes a sure
-            return mu <= 0.
-        ValueError: gamma or nu not positive, or sigma negative.
-    """
-    if gamma <= 0 or nu <= 0:
-        raise ValueError("gamma and nu must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if mu <= sigma * multiplier:
-        # at sigma = 0 a sure return mu <= 0, which no capital level
-        # makes acceptable
-        raise NoSolutionError(
-            "mean return does not exceed its risk charge "
-            f"(mu = {mu:g} <= {sigma * multiplier:g})"
-        )
-    if sigma == 0.0:
-        # Degenerate return Z = mu: the requirement is the claim risk
-        # deflated by the sure return.
-        r0 = (gamma + nu * multiplier) / mu
-    else:
-        disc = gamma ** 2 * sigma ** 2 + nu ** 2 * (mu ** 2 - sigma ** 2 * multiplier ** 2)
-        r0 = (mu * gamma + multiplier * math.sqrt(disc)) / (mu ** 2 - sigma ** 2 * multiplier ** 2)
-    return r0, gaussian_hedged_risk(r0, gamma, nu, mu, sigma, multiplier)
-
-
-def solve_r0_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,
-                           alpha: float) -> SolveReport:
-    """Capital requirement under VaR for lognormal claim and lognormal return.
-
-    Valid only when the gross return itself is lognormal (pure risky or
-    pure bond positions); a mixed return w S + 1 - w is not lognormal
-    and must go through the numeric solver.
-    """
-    if s_x <= 0:
-        raise ValueError("s_x must be positive")
-    if s_z < 0:
-        raise ValueError("s_z must be nonnegative")
-    log_r0 = m_x - m_z + var_multiplier(alpha) * math.hypot(s_z, s_x)
-    r0 = math.exp(log_r0)
-    return SolveReport(r0=r0, method="closed_form",
-                       residual=log_r0 - math.log(r0), iterations=0)
+        self._store(r0, residual, iterations, std_error, losses)
 
 
 def check_grid(grid) -> tuple[float, ...]:

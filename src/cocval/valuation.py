@@ -8,6 +8,10 @@ is the remainder v0 = r - c0.  The limited-liability option value
 E[(r Z - X)^-] / (1 + eta) measures what shareholders gain from not
 covering deficits; it always equals the gap between the moment-based
 premium upper bound and the premium itself.
+
+Every closed form lives here, its capital requirement next to the split
+that uses it.  None builds a ``SolveReport``: that is the report of
+``capital_solver``'s empirical root, which ``mc_valuation`` splits.
 """
 
 from __future__ import annotations
@@ -21,18 +25,12 @@ from .distributions import (
     Lognormal,
     Normal,
     ParetoTypeI,
+    pareto_from_mean_beta,
     standard_normal_cdf,
     standard_normal_pdf,
 )
-from .market import (
-    MarketSpec,
-    NoSolutionError,
-    SolveReport,
-    _solve_r0_gaussian,
-    check_grid,
-    solve_r0_lognormal_var,
-)
-from .risk_measures import RiskMeasure
+from .market import MarketSpec, NoSolutionError, SolveReport, check_grid
+from .risk_measures import RiskMeasure, var_multiplier
 
 __all__ = [
     "ValuationResult",
@@ -127,6 +125,49 @@ def v0_bounds(r0: float, *, z_mean: float, z_var: float, x_mean: float,
     return upper, lower
 
 
+def _gaussian_hedged_risk(r: float, gamma: float, nu: float, mu: float,
+                          sigma: float, multiplier: float) -> float:
+    """Risk of r Z - X for normal X ~ (gamma, nu^2), Z ~ (mu, sigma^2).
+
+    ``multiplier`` is the Gaussian tail constant of the measure, so the
+    same expression serves VaR and ES.
+    """
+    return gamma - r * mu + multiplier * math.hypot(r * sigma, nu)
+
+
+def _solve_r0_gaussian(gamma: float, nu: float, mu: float, sigma: float,
+                       multiplier: float) -> tuple[float, float]:
+    """Capital requirement of the normal model under the measure whose
+    Gaussian constant is ``multiplier``: the root r0 in r of
+    ``_gaussian_hedged_risk``, returned with the residual, that risk at
+    r0 (zero to round-off).
+
+    Raises:
+        NoSolutionError: mu <= sigma * multiplier, which includes a sure
+            return mu <= 0.
+        ValueError: gamma or nu not positive, or sigma negative.
+    """
+    if gamma <= 0 or nu <= 0:
+        raise ValueError("gamma and nu must be positive")
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if mu <= sigma * multiplier:
+        # at sigma = 0 a sure return mu <= 0, which no capital level
+        # makes acceptable
+        raise NoSolutionError(
+            "mean return does not exceed its risk charge "
+            f"(mu = {mu:g} <= {sigma * multiplier:g})"
+        )
+    if sigma == 0.0:
+        # Degenerate return Z = mu: the requirement is the claim risk
+        # deflated by the sure return.
+        r0 = (gamma + nu * multiplier) / mu
+    else:
+        disc = gamma ** 2 * sigma ** 2 + nu ** 2 * (mu ** 2 - sigma ** 2 * multiplier ** 2)
+        r0 = (mu * gamma + multiplier * math.sqrt(disc)) / (mu ** 2 - sigma ** 2 * multiplier ** 2)
+    return r0, _gaussian_hedged_risk(r0, gamma, nu, mu, sigma, multiplier)
+
+
 def _gaussian_valuations(gamma: float, nu: float, mu_w, sigma_w, rm: RiskMeasure,
                          eta: float) -> list[ValuationResult | NoSolutionError]:
     """Closed-form valuations of the normal model, claim X ~ N(gamma, nu^2),
@@ -202,12 +243,11 @@ def value_gaussian_es(gamma: float, nu: float, mu: float, sigma: float,
                                         RiskMeasure("es", alpha), eta))
 
 
-def _capped_valuation(rep: SolveReport, gross_return: Distribution,
+def _capped_valuation(r0: float, residual: float, gross_return: Distribution,
                       claim: Distribution, capped: float, alpha: float | None,
                       eta: float) -> ValuationResult:
     # Premium from the capped expectation E[min(r0 Z, X)]; shareholder
     # value and the limited-liability option follow from exact identities.
-    r0 = rep.r0
     z_mean = gross_return.mean
     c0 = r0 - (capped + eta * r0 + r0 * (1.0 - z_mean)) / (1.0 + eta)
     v0 = r0 - c0  # the premium identity, exact in floating point
@@ -217,8 +257,8 @@ def _capped_valuation(rep: SolveReport, gross_return: Distribution,
     return ValuationResult(
         r0=r0, c0=c0, v0=v0, llo=upper - v0,
         v0_upper=upper, v0_lower=lower,
-        r0_method=rep.method, valuation_method="closed_form",
-        residual=rep.residual, iterations=rep.iterations,
+        r0_method="closed_form", valuation_method="closed_form",
+        residual=residual, iterations=0,
     )
 
 
@@ -232,16 +272,26 @@ def value_lognormal_var(m_x: float, s_x: float, m_z: float, s_z: float,
     E[min(A, X)] = E[X] Phi(-d1) + E[A] Phi(d1 - s), where
     s^2 = s_x^2 + s_z^2 and d1 = (ln(E[X] / E[A]) + s^2 / 2) / s.
     s_x > 0 keeps s positive for every s_z >= 0.
+    The requirement is ln r0 = m_x - m_z + m s, m the VaR multiplier;
+    its residual, ln r0 - ln(exp(ln r0)), is in log units.
+
+    Raises:
+        ValueError: s_x not positive, s_z negative, or alpha outside (0, 1).
     """
-    rep = solve_r0_lognormal_var(m_x, s_x, m_z, s_z, alpha)
+    if s_x <= 0:
+        raise ValueError("s_x must be positive")
+    if s_z < 0:
+        raise ValueError("s_z must be nonnegative")
+    log_r0 = m_x - m_z + var_multiplier(alpha) * math.hypot(s_z, s_x)
+    r0 = math.exp(log_r0)
     gross = Lognormal(m_z, s_z) if s_z > 0 else Degenerate(math.exp(m_z))
     claim = Lognormal(m_x, s_x)
-    capital_mean = rep.r0 * gross.mean
+    capital_mean = r0 * gross.mean
     s = math.hypot(s_x, s_z)
     d1 = (math.log(claim.mean / capital_mean) + 0.5 * s * s) / s
     capped = (claim.mean * standard_normal_cdf(-d1)
               + capital_mean * standard_normal_cdf(d1 - s))
-    return _capped_valuation(rep, gross, claim, capped, alpha, eta)
+    return _capped_valuation(r0, log_r0 - math.log(r0), gross, claim, capped, alpha, eta)
 
 
 def value_riskless_var(claim: Distribution, alpha: float, eta: float) -> ValuationResult:
@@ -255,8 +305,7 @@ def value_riskless_var(claim: Distribution, alpha: float, eta: float) -> Valuati
     if not claim.nonnegative:
         raise ValueError("risk-less closed form needs a nonnegative claim")
     r0 = float(claim.quantile(1.0 - alpha))
-    rep = SolveReport(r0=r0, method="closed_form", residual=0.0, iterations=0)
-    return _capped_valuation(rep, Degenerate(1.0), claim,
+    return _capped_valuation(r0, 0.0, Degenerate(1.0), claim,
                              claim.mean - claim.stop_loss(r0), alpha, eta)
 
 
@@ -275,18 +324,16 @@ def pareto_riskless_valuation(beta: float, mean: float, alpha: float,
         raise ValueError("alpha must lie strictly inside (0, 1)")
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be positive and finite")
+    claim = pareto_from_mean_beta(mean, beta)
     tail_pow = alpha ** (-1.0 / beta)
     r0 = (beta - 1.0) / beta * tail_pow * mean
     llo = (alpha * tail_pow / beta) * mean / (1.0 + eta)
     upper = (mean / (1.0 + eta)) * (1.0 + (tail_pow / beta) * eta * (beta - 1.0))
     c0 = r0 - (upper - llo)
     v0 = r0 - c0  # the premium identity, exact in floating point
-    lower = None
-    if beta > 2.0:
-        x_m = mean * (beta - 1.0) / beta
-        x_var = x_m ** 2 * beta / ((beta - 1.0) ** 2 * (beta - 2.0))
-        _, lower = v0_bounds(r0, z_mean=1.0, z_var=0.0, x_mean=mean,
-                             x_var=x_var, eta=eta, alpha=alpha)
+    # the claim variance is inf for beta <= 2, where the lower bound is absent
+    _, lower = v0_bounds(r0, z_mean=1.0, z_var=0.0, x_mean=mean,
+                         x_var=claim.variance, eta=eta, alpha=alpha)
     return ValuationResult(
         r0=r0, c0=c0, v0=v0, llo=llo, v0_upper=upper, v0_lower=lower,
         r0_method="closed_form", valuation_method="closed_form",
@@ -328,7 +375,7 @@ def mc_valuation(rep: SolveReport, market: MarketSpec, rm: RiskMeasure) -> Valua
     return ValuationResult(
         r0=rep.r0, c0=c0, v0=rep.r0 - c0, llo=p_mean / scale,
         v0_upper=upper, v0_lower=lower,
-        r0_method=rep.method, valuation_method="mc",
+        r0_method="empirical_root", valuation_method="mc",
         residual=rep.residual, iterations=rep.iterations,
         r0_se=rep.std_error, c0_se=c0_se, v0_se=c0_se,
         llo_se=math.sqrt(ss_p / (n - 1) / n) / scale,

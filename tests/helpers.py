@@ -94,8 +94,7 @@ def mc_at(r0, market, scen, rm=RiskMeasure("var", 0.005), *, claims=None, assets
     """
     x = market.claim.sample(scen.u_claim) if claims is None else claims
     losses = x - r0 * mixed_return(market, scen, assets)
-    rep = SolveReport(r0=r0, method="closed_form", residual=0.0, iterations=0,
-                      losses=summary_of(losses))
+    rep = SolveReport(r0=r0, residual=0.0, iterations=0, losses=summary_of(losses))
     return mc_valuation(rep, market, rm)
 
 

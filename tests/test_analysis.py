@@ -358,7 +358,7 @@ class TestNormalModelPath:
             assert all(row is not None for row in res.rows)
             counts.append(len(made))
         assert counts == [0, 0]
-        SolveReport(r0=1.0, method="closed_form", residual=0.0, iterations=0)
+        SolveReport(r0=1.0, residual=0.0, iterations=0)
         assert len(made) == 1  # the count sees a report that is built
 
 

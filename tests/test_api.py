@@ -55,8 +55,8 @@ RECORDS = [
     (Degenerate, dict(value=1.0), dict(value=2.0), None),
     (MarketSpec, dict(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=0.25, eta=0.06),
      dict(w=0.5), dict(w=2.0)),
-    (SolveReport, dict(r0=1.5, method="empirical_root", residual=0.0, iterations=2,
-                       std_error=0.01, losses=SUMMARY), dict(iterations=3), None),
+    (SolveReport, dict(r0=1.5, residual=0.0, iterations=2, std_error=0.01, losses=SUMMARY),
+     dict(iterations=3), None),
     (RiskMeasure, dict(kind="var", alpha=0.005), dict(kind="es"), dict(alpha=0.5)),
     (ValuationResult, ROW, dict(llo_se=None), dict(r0=math.inf)),
     (SweepResult, dict(grid=(0.0, 1.0), rows=(None, None), w_star=None, w_hat_numeric=None,
@@ -113,9 +113,8 @@ def test_record_contract(cls, fields, change, bad):
 def test_record_repr_text():
     # the dataclass format; a solve report leaves its losses out
     assert repr(Normal(1.0, 0.3)) == "Normal(mean=1.0, sd=0.3)"
-    assert repr(SolveReport(1.5, "closed_form", 0.0, 0, losses=SUMMARY)) == (
-        "SolveReport(r0=1.5, method='closed_form', residual=0.0, iterations=0, "
-        "std_error=None)")
+    assert repr(SolveReport(1.5, 0.0, 0, losses=SUMMARY)) == (
+        "SolveReport(r0=1.5, residual=0.0, iterations=0, std_error=None)")
     assert repr(MarketSpec(Degenerate(1.0), Degenerate(1.0), 0.0, 0.06)) == (
         "MarketSpec(claim=Degenerate(value=1.0), asset=Degenerate(value=1.0), w=0.0, "
         "eta=0.06)")
@@ -141,6 +140,21 @@ def test_cli_import_loads_no_heavy_module(flags):
             "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
             f"print(sorted(new & set({_HEAVY!r})), {_SCIPY_LOADED})")
     assert _fresh(code, flags=flags) == "[] False"
+
+
+def test_market_imports_only_what_every_route_shares():
+    # the package's __init__ imports every module, so a bare package
+    # stands in for it: then cocval.market loads no peer beyond its own
+    code = ("import importlib.util, sys, types\n"
+            "pkg = types.ModuleType('cocval')\n"
+            "pkg.__path__ = importlib.util.find_spec('cocval').submodule_search_locations\n"
+            "sys.modules['cocval'] = pkg\n"
+            "import cocval.market\n"
+            "print(sorted(m for m in sys.modules if m.startswith('cocval.')),"
+            " cocval.market.__all__)")
+    assert _fresh(code) == ("['cocval._record', 'cocval.distributions', 'cocval.market'] "
+                            "['MarketSpec', 'SolveReport', 'NoSolutionError', 'check_grid', "
+                            "'check_memory']")
 
 
 GAUSSIAN_CLAIM_ASSET = ["--claim", '{"kind":"normal","mean":1,"sd":0.3}',

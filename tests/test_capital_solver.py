@@ -18,17 +18,11 @@ from cocval.distributions import (
     lognormal_from_moments,
     pareto_from_mean_beta,
 )
-from cocval.market import (
-    MarketSpec,
-    NoSolutionError,
-    SolveReport,
-    _solve_r0_gaussian,
-    gaussian_hedged_risk,
-    solve_r0_lognormal_var,
-)
+from cocval.market import MarketSpec, NoSolutionError, SolveReport
 from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_empirical,
                                   var_multiplier)
-from cocval.valuation import value_gaussian_var
+from cocval.valuation import (_gaussian_hedged_risk, _solve_r0_gaussian, value_gaussian_var,
+                              value_lognormal_var)
 
 from helpers import (gaussian_r0_se_var, generate_scenarios, reference_prune,
                      reference_ratio_std_error, reference_root_std_error, reference_var_root,
@@ -128,7 +122,7 @@ class TestGaussianVar:
 
     def test_residual_is_hedged_risk(self):
         rep = gaussian_root("var", FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA, ALPHA)
-        direct = gaussian_hedged_risk(rep.r0, FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA,
+        direct = _gaussian_hedged_risk(rep.r0, FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA,
                                       var_multiplier(ALPHA))
         assert rep.residual == direct
 
@@ -139,7 +133,7 @@ class TestGaussianVar:
         mean = r * FIG_MU - FIG_GAMMA
         sd = math.hypot(r * FIG_SIGMA, FIG_NU)
         assert -mean + sd * var_multiplier(ALPHA) == pytest.approx(
-            gaussian_hedged_risk(r, FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA,
+            _gaussian_hedged_risk(r, FIG_GAMMA, FIG_NU, FIG_MU, FIG_SIGMA,
                                  var_multiplier(ALPHA)), rel=1e-14)
 
     def test_scaling_equivariance_exact_to_float(self):
@@ -216,10 +210,27 @@ class TestGaussianEs:
         assert abs(mc.r0 - closed.r0) < 3 * se
 
 
+def lognormal_root(m_x, s_x, m_z, s_z, alpha):
+    """The lognormal pair's closed-form capital requirement under VaR, as
+    the ``.r0`` and ``.residual`` of ``value_lognormal_var``'s row."""
+    return value_lognormal_var(m_x, s_x, m_z, s_z, alpha, 0.06)
+
+
 class TestLognormalVar:
+    @pytest.mark.parametrize("m_x, s_x, m_z, s_z, alpha", [
+        (-0.043089, 0.29356, 0.0, 0.0, ALPHA), (0.3, 0.5, 0.01, 0.18, 0.01),
+        (-2.0, 1.2, 0.04, 0.3, 0.2), (5.0, 0.01, -0.5, 0.0, 0.001)])
+    def test_root_is_the_log_scale_formula(self, m_x, s_x, m_z, s_z, alpha):
+        # ln r0 = m_x - m_z + m s, bit for bit, with its log-unit residual
+        log_r0 = m_x - m_z + var_multiplier(alpha) * math.hypot(s_z, s_x)
+        row = lognormal_root(m_x, s_x, m_z, s_z, alpha)
+        assert row.r0 == math.exp(log_r0)
+        assert row.residual == log_r0 - math.log(row.r0)
+        assert (row.r0_method, row.iterations) == ("closed_form", 0)
+
     def test_riskless_is_claim_quantile(self):
         claim = lognormal_from_moments(1.0, 0.3)
-        rep = solve_r0_lognormal_var(claim.mu_log, claim.sd_log, 0.0, 0.0, ALPHA)
+        rep = lognormal_root(claim.mu_log, claim.sd_log, 0.0, 0.0, ALPHA)
         assert rep.r0 == pytest.approx(float(claim.quantile(1 - ALPHA)), rel=1e-12)
 
     def test_matched_parameters_against_mc(self):
@@ -227,8 +238,7 @@ class TestLognormalVar:
         asset = lognormal_from_moments(1.05, 0.2)
         assert claim.mu_log == pytest.approx(-0.043089, abs=1e-6)
         assert claim.sd_log == pytest.approx(0.29356, abs=1e-5)
-        rep = solve_r0_lognormal_var(claim.mu_log, claim.sd_log,
-                                     asset.mu_log, asset.sd_log, ALPHA)
+        rep = lognormal_root(claim.mu_log, claim.sd_log, asset.mu_log, asset.sd_log, ALPHA)
         scen = generate_scenarios(10 ** 6, seed=31)
         market = MarketSpec(claim=claim, asset=asset, w=1.0, eta=0.06)
         mc = solve_at(market, RiskMeasure("var", ALPHA), scen)
@@ -237,10 +247,10 @@ class TestLognormalVar:
 
     def test_claim_scaling(self):
         claim = lognormal_from_moments(1.0, 0.3)
-        base = solve_r0_lognormal_var(claim.mu_log, claim.sd_log, 0.01, 0.18, ALPHA).r0
+        base = lognormal_root(claim.mu_log, claim.sd_log, 0.01, 0.18, ALPHA).r0
         for a in (0.5, 3.0):
-            scaled = solve_r0_lognormal_var(claim.mu_log + math.log(a), claim.sd_log,
-                                            0.01, 0.18, ALPHA).r0
+            scaled = lognormal_root(claim.mu_log + math.log(a), claim.sd_log,
+                                    0.01, 0.18, ALPHA).r0
             assert scaled == pytest.approx(a * base, rel=1e-12)
 
 
@@ -276,7 +286,7 @@ class TestNumericSolver:
         closed = gaussian_root("var", FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA)
         se = gaussian_r0_se_var(closed.r0, FIG_GAMMA, FIG_NU, mu_w, sigma_w, ALPHA, n)
         assert abs(mc.r0 - closed.r0) < 3 * se
-        assert mc.method == "empirical_root"
+        assert type(mc) is SolveReport and mc.losses is not None  # an empirical root
         assert mc.iterations == 1
 
     def test_pareto_riskless_quantile(self):

@@ -543,6 +543,18 @@ class TestConfig:
             assert (code, out) == (EXIT_USAGE, ""), key
             assert f"config key {key!r} must be" in err, err
 
+    @pytest.mark.parametrize("flag, spec, message", [
+        ("--claim", '{"kind":"pareto","mean":true,"beta":2}',
+         "pareto parameter 'mean' must be a number, got True"),
+        ("--asset", '{"kind":"normal","mean":1.05,"sd":false}',
+         "normal parameter 'sd' must be a number, got False")], ids=["claim", "asset"])
+    def test_distribution_parameters_are_not_booleans(self, capsys, flag, spec, message):
+        # Python takes true for 1 and false for 0; a distribution may not
+        code, out, err = run(capsys, ["value", "--claim", GAUSSIAN_CLAIM, "--w", "0.5",
+                                      flag, spec])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err, err
+
     def test_distributions_must_be_objects_or_null(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         for key in ("claim", "asset"):

@@ -460,6 +460,9 @@ class TestConfig:
         assert distribution_from_config(
             {"kind": "pareto", "mean": 1.0, "beta": 2.0}) == ParetoTypeI(0.5, 2.0)
         assert distribution_from_config({"kind": "degenerate", "value": 1}) == Degenerate(1.0)
+        # numeric strings convert, as the config file's numbers do
+        assert distribution_from_config(
+            {"kind": "pareto", "mean": "1", "beta": "2.0"}) == ParetoTypeI(0.5, 2.0)
 
     def test_round_trip(self):
         # the native form of every family is its fields
@@ -486,6 +489,19 @@ class TestConfig:
         assert str(err.value) == (
             "lognormal parameters ['beta', 'mean', 'sd']: extra 'beta' for {mean, sd}; "
             "lognormal accepts {mu_log, sd_log} or {mean, sd}")
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "pareto", "mean": True, "beta": 2}, "mean"),
+        ({"kind": "normal", "mean": 1.0, "sd": False}, "sd"),
+        ({"kind": "degenerate", "value": True}, "value"),
+        ({"kind": "lognormal", "mu_log": 0.0, "sd_log": True}, "sd_log"),
+        ({"kind": "pareto", "mean": "abc", "beta": 2}, "mean"),
+        ({"kind": "normal", "mean": None, "sd": 0.3}, "mean")])
+    def test_non_numbers_are_not_parameters(self, spec, key):
+        # Python takes true for 1 and false for 0; a distribution may not
+        message = f"{spec['kind']} parameter {key!r} must be a number, got {spec[key]!r}$"
+        with pytest.raises(ValueError, match=message):
+            distribution_from_config(spec)
 
 
 class TestValidation:

@@ -317,8 +317,7 @@ class TestEstimators:
 
     def test_mean_and_se(self):
         # losses 1 and 3: the option averages them, 2 with standard error 1
-        rep = SolveReport(r0=1.0, method="closed_form", residual=0.0, iterations=0,
-                          losses=summary_of([1.0, 3.0]))
+        rep = SolveReport(r0=1.0, residual=0.0, iterations=0, losses=summary_of([1.0, 3.0]))
         market = MarketSpec(claim=Degenerate(0.0), asset=Degenerate(1.0), w=0.0, eta=1.0)
         row = mc_valuation(rep, market, RiskMeasure("var", 0.25))
         assert (row.llo, row.c0) == (1.0, 0.0)

@@ -39,6 +39,7 @@ from helpers import (generate_scenarios, mc_at, reference_row, reference_var_roo
 
 ETA = 0.06
 ALPHA = 0.005
+VAR = RiskMeasure("var", ALPHA)
 # a valid row, every field set
 ROW = dict(r0=1.5, c0=0.4, v0=1.1, llo=0.02, v0_upper=1.12, v0_lower=0.9,
            r0_method="empirical_root", valuation_method="mc", residual=0.0, iterations=2,
@@ -349,9 +350,9 @@ class TestAgainstRebuildReference:
         got, want = self._rows(market, RiskMeasure(kind, ALPHA if kind == "var" else 0.01))
         self.assert_close(got, want, 1e-12)
 
-    def test_closed_form_report_is_rejected(self):
+    def test_report_without_losses_is_rejected(self):
         market = MarketSpec(claim=Normal(1.0, 0.3), asset=Normal(1.05, 0.2), w=0.5, eta=ETA)
-        rep = SolveReport(r0=2.0, method="closed_form", residual=0.0, iterations=0)
+        rep = SolveReport(r0=2.0, residual=0.0, iterations=0)
         with pytest.raises(ValueError, match="losses"):
             mc_valuation(rep, market, RiskMeasure("var", ALPHA))
 
@@ -489,6 +490,30 @@ class TestValueMarket:
         market = MarketSpec(claim=claim, asset=asset, w=w, eta=ETA)
         res = value_market(market, RiskMeasure(kind, 0.01), mc_n=2000, seed=1)
         assert (res.r0_method, res.valuation_method) == methods
+
+    @pytest.mark.parametrize("value", [
+        lambda c, a: value_lognormal_var(c.mu_log, c.sd_log, a.mu_log, a.sd_log, ALPHA, ETA),
+        lambda c, a: value_riskless_var(c, ALPHA, ETA),
+        lambda c, a: value_market(MarketSpec(c, a, 1.0, ETA), VAR, mc_n=2000, seed=1),
+        lambda c, a: value_market(MarketSpec(c, a, 0.0, ETA), VAR, mc_n=2000, seed=1),
+        lambda c, a: value_market(MarketSpec(pareto_from_mean_beta(1.0, 2.0), a, 0.0, ETA),
+                                  VAR, mc_n=2000, seed=1),
+    ], ids=["lognormal-pair", "riskless", "market-lognormal-pair", "market-lognormal-riskless",
+            "market-pareto-riskless"])
+    def test_closed_forms_build_no_solve_report(self, value, monkeypatch):
+        # the cost guard of the closed forms: a SolveReport is the report
+        # of the empirical root, and a closed-form row builds none
+        real, made = SolveReport.__init__, []
+
+        def counting(self, *args, **kwargs):
+            made.append(args or kwargs)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SolveReport, "__init__", counting)
+        res = value(self.LOGNORMAL_CLAIM, self.LOGNORMAL_ASSET)
+        assert (res.r0_method, res.iterations, made) == ("closed_form", 0, [])
+        SolveReport(r0=1.0, residual=0.0, iterations=0)
+        assert len(made) == 1  # the count sees a report that is built
 
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_mc_route_equals_solve_then_value(self, kind):
