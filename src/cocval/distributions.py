@@ -10,15 +10,17 @@ uniforms.  No distribution owns an RNG: the scenario module hands the
 same uniforms to every distribution, which is what makes common random
 numbers work across model families and parameter values.
 
-The quantile is the one function that takes an array: the Monte Carlo
-transforms call it on every block of uniforms.  A scalar level (a
-number, or a numpy scalar or 0-d array) runs on ``math`` and returns
-a float; a list, tuple or array of one or more dimensions returns a
-numpy array, and numpy is imported on that first use.  The normal
-quantile is Wichura's AS241 on both paths, with the coefficients of
-CPython's ``statistics``: in Python floats for a scalar, in the
-operation order of the standard library's ``NormalDist.inv_cdf`` and so
-equal to it bit for bit, and in numpy for an array.  Everything else,
+The quantile is the one function that takes an array.  A scalar level
+(a number, or a numpy scalar or 0-d array) runs on ``math`` and returns
+a float; a list, tuple or array of one or more dimensions is checked and
+copied, the copy is transformed in place, and numpy is imported on that
+first use.  ``sample(u, work)``, which the Monte Carlo sampler calls on
+every block, skips the check and the copy: its draws overwrite u, and
+``work``, two arrays of u's shape that the caller owns, is its scratch.
+The normal quantile is Wichura's AS241 on both paths, with the
+coefficients of CPython's ``statistics``: in Python floats for a scalar,
+in the operation order of the standard library's ``NormalDist.inv_cdf``
+and so equal to it bit for bit, and in numpy for an array.  Everything else,
 the normal CDF and density included, is scalar, so a closed-form run
 does not load numpy.  No path imports scipy or ``statistics``.
 """
@@ -52,15 +54,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def _full(shape, value: float) -> np.ndarray:
-    import numpy as np
-
-    return np.full(shape, value)
-
-
 def _probabilities(p) -> float | np.ndarray:
-    """p as a float, or as a float array when it is one, each checked to
-    lie strictly inside (0, 1).
+    """p as a float, or as a fresh float array when it is one, each
+    checked to lie strictly inside (0, 1).
 
     Raises:
         ValueError: a p outside the open interval, nan included.
@@ -70,7 +66,7 @@ def _probabilities(p) -> float | np.ndarray:
     if isinstance(p, (list, tuple)) or getattr(p, "ndim", 0) > 0:
         import numpy as np
 
-        arr = np.asarray(p, dtype=float)
+        arr = np.array(p, dtype=float)
         # min and max propagate nan, which fails both comparisons
         if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
             raise ValueError("probability level must lie strictly inside (0, 1)")
@@ -147,17 +143,18 @@ def _rational(coeffs, r):
     return x
 
 
-def _as241(p: np.ndarray) -> np.ndarray:
+def _as241(p: np.ndarray, work: np.ndarray | None) -> np.ndarray:
     # The standard normal quantile of every entry of p, each strictly
-    # inside (0, 1), in a fresh array.  The tail rationals run only on the
-    # entries beyond |q| = 0.425, about 15% of uniform draws; the central
-    # one runs on all entries (its denominator stays above 0.002 for every
-    # |q| < 0.5) and the tail values are put over it.  Three p-long arrays
-    # are alive at most.
+    # inside (0, 1), written over p; work is two arrays of p's shape, or
+    # None for fresh ones.  The tail rationals run only on the entries
+    # beyond |q| = 0.425, about 15% of uniform draws, in arrays of their
+    # own; the central one runs on all entries (its denominator stays
+    # above 0.002 for every |q| < 0.5) and the tail values are put over it.
     import numpy as np
 
-    q = p - 0.5
-    tail = np.flatnonzero((q < -0.425) | (q > 0.425))
+    q, r = np.empty((2, *p.shape)) if work is None else work
+    np.subtract(p, 0.5, out=q)
+    tail = np.flatnonzero(np.abs(q, out=r) > 0.425)
     t = np.take(p, tail)
     np.minimum(t, 1.0 - t, out=t)
     np.log(t, out=t)
@@ -169,9 +166,9 @@ def _as241(p: np.ndarray) -> np.ndarray:
         np.put(y, far, _rational(_FAR_TAIL, np.take(t, far) - 5.0))
     np.copysign(y, np.take(q, tail), out=y)
 
-    r = np.multiply(q, q)
+    np.multiply(q, q, out=r)
     np.subtract(0.180625, r, out=r)
-    x = _horner(_CENTRAL[0], r)
+    x = _horner(_CENTRAL[0], r, out=p)
     x *= q
     x /= _horner(_CENTRAL[1], r, out=q)  # q is spent: its buffer takes the denominator
     np.put(x, tail, y)
@@ -206,9 +203,7 @@ def standard_normal_quantile(p) -> float | np.ndarray:
         ValueError: any p outside the open interval (0, 1), nan included.
     """
     p = _probabilities(p)
-    if isinstance(p, float):
-        return _as241_float(p)
-    return _as241(p)
+    return _as241_float(p) if isinstance(p, float) else _as241(p, None)
 
 
 class Normal(Record):
@@ -233,19 +228,22 @@ class Normal(Record):
         return self.sd == 0.0 and self.mean >= 0.0
 
     def quantile(self, p) -> float | np.ndarray:
-        if self.sd == 0.0:
-            p = _probabilities(p)
-            return float(self.mean) if isinstance(p, float) else _full(p.shape, self.mean)
-        z = standard_normal_quantile(p)  # checks p; an array is fresh, so scaled in place
-        if isinstance(z, float):
-            return self.mean + self.sd * z
-        z *= self.sd
-        z += self.mean
-        return z
+        p = _probabilities(p)  # an array is a fresh copy, transformed in place
+        if isinstance(p, float):
+            return float(self.mean) if self.sd == 0.0 else self.mean + self.sd * _as241_float(p)
+        return self._transform(p, None)
 
-    def sample(self, u) -> float | np.ndarray:
-        """Inverse-transform sample; equals ``quantile(u)`` by contract."""
-        return self.quantile(u)
+    def sample(self, u, work=None) -> float | np.ndarray:
+        """``quantile(u)``; with ``work``, the draws overwrite u."""
+        return self.quantile(u) if work is None else self._transform(u, work)
+
+    def _transform(self, u: np.ndarray, work) -> np.ndarray:
+        if self.sd == 0.0:
+            return Degenerate(self.mean)._transform(u, work)
+        u = _as241(u, work)
+        u *= self.sd
+        u += self.mean
+        return u
 
     def stop_loss(self, t: float) -> float:
         """E[(X - t)^+]."""
@@ -282,18 +280,19 @@ class Lognormal(Record):
         return True
 
     def quantile(self, p) -> float | np.ndarray:
-        z = standard_normal_quantile(p)  # checks p; an array is fresh, so mapped in place
-        if isinstance(z, float):
-            return math.exp(self.mu_log + self.sd_log * z)
+        p = _probabilities(p)  # an array is a fresh copy, transformed in place
+        if isinstance(p, float):
+            return math.exp(self.mu_log + self.sd_log * _as241_float(p))
+        return self._transform(p, None)
+
+    def sample(self, u, work=None) -> float | np.ndarray:
+        """``quantile(u)``; with ``work``, the draws overwrite u."""
+        return self.quantile(u) if work is None else self._transform(u, work)
+
+    def _transform(self, u: np.ndarray, work) -> np.ndarray:
         import numpy as np
 
-        z *= self.sd_log
-        z += self.mu_log
-        return np.exp(z, out=z)
-
-    def sample(self, u) -> float | np.ndarray:
-        """Inverse-transform sample; equals ``quantile(u)`` by contract."""
-        return self.quantile(u)
+        return np.exp(Normal(self.mu_log, self.sd_log)._transform(u, work), out=u)
 
     def stop_loss(self, t: float) -> float:
         """E[(X - t)^+], closed form via the partial expectation."""
@@ -332,12 +331,22 @@ class ParetoTypeI(Record):
         return True
 
     def quantile(self, p) -> float | np.ndarray:
-        p = _probabilities(p)
-        return self.x_m * (1.0 - p) ** (-1.0 / self.beta)
+        p = _probabilities(p)  # an array is a fresh copy, transformed in place
+        if isinstance(p, float):
+            return self.x_m * (1.0 - p) ** (-1.0 / self.beta)
+        return self._transform(p, None)
 
-    def sample(self, u) -> float | np.ndarray:
-        """Inverse-transform sample; equals ``quantile(u)`` by contract."""
-        return self.quantile(u)
+    def sample(self, u, work=None) -> float | np.ndarray:
+        """``quantile(u)``; with ``work``, the draws overwrite u."""
+        return self.quantile(u) if work is None else self._transform(u, work)
+
+    def _transform(self, u: np.ndarray, work) -> np.ndarray:
+        import numpy as np
+
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / self.beta
+        u *= self.x_m
+        return u
 
     def stop_loss(self, t: float) -> float:
         """E[(X - t)^+]."""
@@ -365,11 +374,16 @@ class Degenerate(Record):
         return self.value >= 0.0
 
     def quantile(self, p) -> float | np.ndarray:
-        p = _probabilities(p)
-        return float(self.value) if isinstance(p, float) else _full(p.shape, self.value)
+        p = _probabilities(p)  # an array is a fresh copy, overwritten
+        return float(self.value) if isinstance(p, float) else self._transform(p, None)
 
-    def sample(self, u) -> float | np.ndarray:
-        return self.quantile(u)
+    def sample(self, u, work=None) -> float | np.ndarray:
+        """``quantile(u)``; with ``work``, the draws overwrite u."""
+        return self.quantile(u) if work is None else self._transform(u, work)
+
+    def _transform(self, u: np.ndarray, work) -> np.ndarray:
+        u.fill(self.value)
+        return u
 
     def stop_loss(self, t: float) -> float:
         return max(self.value - t, 0.0)
@@ -397,9 +411,9 @@ def lognormal_from_moments(mean: float, sd: float) -> Lognormal:
 def pareto_from_moments(mean: float, sd: float) -> ParetoTypeI:
     """Pareto type I with the given first two moments.
 
-    The matched tail index is ``1 + sqrt(1 + mean^2 / sd^2)``, always
-    above 2, so the variance of the result is finite and equals
-    ``sd^2``.
+    The matched tail index is ``1 + sqrt(1 + mean^2 / sd^2)``, refused
+    unless finite and above 2, so the variance of the result is finite and
+    equals ``sd^2`` up to the rounding of the index.
     """
     if mean <= 0 or sd <= 0:
         raise ValueError("mean and sd must be positive")
@@ -409,16 +423,22 @@ def pareto_from_moments(mean: float, sd: float) -> ParetoTypeI:
     if beta == math.inf:
         raise ValueError("sd is too small against the mean: the matched tail index "
                          "is not finite")
-    return ParetoTypeI(x_m=mean * (beta - 1.0) / beta, beta=beta)
+    if beta <= 2.0:  # 1 / cv^2 is lost against 1: the variance is infinite
+        raise ValueError(f"sd {sd!r} is too large against the mean: the matched tail "
+                         "index is not above 2")
+    return pareto_from_mean_beta(mean, beta)
 
 
 def pareto_from_mean_beta(mean: float, beta: float) -> ParetoTypeI:
-    """Pareto type I with the given mean and tail index."""
+    """Pareto type I with the given mean and tail index, whose scale must not underflow."""
     if beta <= 1:
         raise ValueError("beta must exceed 1, otherwise the mean is infinite")
     if mean <= 0:
         raise ValueError("mean must be positive")
-    return ParetoTypeI(x_m=mean * (beta - 1.0) / beta, beta=beta)
+    x_m = mean * (beta - 1.0) / beta
+    if x_m == 0.0:
+        raise ValueError(f"mean {mean!r} is too small: its scale x_m underflows to 0")
+    return ParetoTypeI(x_m=x_m, beta=beta)
 
 
 # Each family's accepted parameter sets, in the order its builder takes them.

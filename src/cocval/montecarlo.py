@@ -23,7 +23,8 @@ draw i of a fresh generator when i is a multiple of 4 (Salmon et al.,
 chunks, one per usable CPU and each at least ``MIN_CHUNK`` draws long,
 that run on a thread pool (numpy releases the GIL in its loops), and
 each chunk draws blocks of ``BLOCK`` uniforms into its slice of the
-samples and transforms them there: no full-length uniform array exists.
+samples and transforms them there, in scratch the calling thread made:
+no full-length uniform array exists, and no pool thread makes a block.
 Every stream is a function of (n, seed) alone, bit for bit, whatever the
 split or the platform.
 """
@@ -55,14 +56,13 @@ __all__ = [
 # solved weight keeps sums of its losses, no array.  Only a weight that
 # reruns on all scenarios makes the two n-long arrays of the losses and
 # their selection, which later reruns reuse; the constant keeps room for
-# them.
+# them, and more since blocks are transformed in place (2.5 MB less RSS).
 PEAK_BYTES_PER_SCENARIO = 40
 
-# Length of the blocks a chunk works through, which bounds its
-# temporaries: at most three block-long arrays, in the normal quantile.
-# That quantile makes about 40 numpy calls per block, each releasing the
-# GIL only inside its loop; at 2^14 the pool's threads barely overlap, at
-# 2^16 they do.
+# Length of the blocks a chunk works through and of its two scratch rows;
+# a block's transform makes no other block-long array.  The normal quantile
+# makes about 40 numpy calls per block, each releasing the GIL only inside
+# its loop; at 2^14 the pool's threads barely overlap, at 2^16 they do.
 BLOCK = 1 << 16
 # The largest uniform, the top word's: (2^53 - 0.5) 2^-53 rounds to 1.0.
 _TOP = 1.0 - 2.0 ** -53
@@ -97,17 +97,17 @@ def _executor():
 
 
 def _fill(out: np.ndarray, dist: Distribution, key: np.random.SeedSequence,
-          start: int, stop: int) -> None:
+          start: int, stop: int, work: np.ndarray) -> None:
     # Draws start..stop-1 of the stream keyed by ``key``, transformed by
     # ``dist`` into out[start:stop]; start is a multiple of 4.  Each
-    # block's uniforms are drawn into the block's own slice of out, and
-    # its samples overwrite them there.
+    # block's uniforms are drawn into the block's own slice of out, and its
+    # samples overwrite them there, with work[:, :BLOCK] as scratch.
     bits = np.random.Philox(key)
     bits.advance(start // 4)
     gen = np.random.Generator(bits)
     for i in range(start, stop, BLOCK):
         j = min(i + BLOCK, stop)
-        out[i:j] = dist.sample(_open_unit(gen.random(out=out[i:j])))
+        dist.sample(_open_unit(gen.random(out=out[i:j])), work[:, :j - i])
 
 
 def _open_unit(v: np.ndarray) -> np.ndarray:
@@ -136,19 +136,21 @@ def sample_scenarios(claim: Distribution, asset: Distribution | None, n: int,
     x = np.empty(n)
     s = None if asset is None else np.empty(n)
 
-    def chunk(start: int, stop: int) -> None:
-        _fill(x, claim, key_claim, start, stop)
+    def chunk(start: int, stop: int, work: np.ndarray) -> None:
+        _fill(x, claim, key_claim, start, stop, work)
         if s is not None:
-            _fill(s, asset, key_asset, start, stop)
+            _fill(s, asset, key_asset, start, stop, work)
 
     # chunks of at least MIN_CHUNK draws, one per usable CPU, each start a
-    # multiple of 4; a single chunk runs in the calling thread
+    # multiple of 4; a single chunk runs in the calling thread.  Scratch made
+    # here returns, freed, to the heap the solve allocates from next.
     size = max(MIN_CHUNK, -(-n // _usable_cpus()))
     size = -(-size // 4) * 4
     if size >= n:
-        chunk(0, n)
+        chunk(0, n, np.empty((2, min(BLOCK, n))))
         return x, s
-    futures = [_executor().submit(chunk, a, min(a + size, n)) for a in range(0, n, size)]
+    futures = [_executor().submit(chunk, a, min(a + size, n), np.empty((2, BLOCK)))
+               for a in range(0, n, size)]
     wait(futures)  # every chunk ends before the first exception is raised
     for future in futures:
         future.result()

@@ -121,6 +121,17 @@ class TestValue:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("claim, message", [
+        ('{"kind":"pareto","mean":1,"sd":1e8}', "sd 100000000.0 is too large"),
+        ('{"kind":"pareto","mean":1,"sd":6e7}', "sd 60000000.0 is too large"),
+        ('{"kind":"pareto","mean":5e-324,"beta":2}', "mean 5e-324 is too small"),
+    ], ids=["sd-1e8", "sd-6e7", "mean-5e-324"])
+    def test_pareto_claim_out_of_float_range_is_usage_error(self, capsys, claim, message):
+        code, out, err = run(capsys, ["value", "--claim", claim])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
     def test_nan_eta_is_usage_error(self, capsys):
         code, out, err = run(capsys, [
             "value", "--claim", '{"kind":"lognormal","mean":1,"sd":0.3}', "--eta", "nan"])
@@ -388,6 +399,12 @@ class TestParetoExample:
         for beta in (2.0, 1.1):
             for b, s in zip(base[beta], scaled[beta]):
                 assert s == pytest.approx(2 * b, rel=1e-6)
+
+    def test_rejects_a_mean_whose_scale_underflows(self, capsys):
+        code, out, err = run(capsys, ["pareto-example", "--mean", "5e-324"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "mean 5e-324 is too small" in err and "x_m" in err
 
     @pytest.mark.parametrize("mean", ["0", "-1", "nan", "inf"])
     def test_rejects_non_positive_or_non_finite_mean(self, capsys, mean):

@@ -1,6 +1,7 @@
 """Distribution layer: closed forms, moment matching, inverse transforms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,50 @@ class TestSampleExamples:
             assert np.array_equal(dist.sample(u), dist.quantile(u))
 
 
+SAMPLED = (Normal(1.0, 0.3), Normal(-0.4, 0.0), Lognormal(0.1, 0.4), ParetoTypeI(0.8, 1.1),
+           ParetoTypeI(0.5, 3.0), Degenerate(1.02))
+
+
+class TestInPlaceSample:
+    """``sample(u, work)`` writes the quantile of u over u, in the caller's
+    scratch, bit for bit; ``sample(u)`` and ``quantile(u)`` leave u alone."""
+
+    @staticmethod
+    def plain(dist, u):
+        # each family's transform as a plain out-of-place numpy expression
+        if isinstance(dist, ParetoTypeI):
+            return dist.x_m * (1.0 - u) ** (-1.0 / dist.beta)
+        if isinstance(dist, Lognormal):
+            return np.exp(dist.mu_log + dist.sd_log * standard_normal_quantile(u))
+        if isinstance(dist, Degenerate) or dist.sd == 0.0:
+            return np.full(u.shape, float(dist.mean))
+        return dist.mean + dist.sd * standard_normal_quantile(u)
+
+    def check(self, dist, u):
+        kept = u.copy()
+        want = dist.quantile(u)
+        assert np.array_equal(u, kept)
+        assert want.tobytes() == self.plain(dist, u).tobytes()
+        assert want.tobytes() == dist.sample(u).tobytes()
+        assert np.array_equal(u, kept)
+        work = np.full((2, u.size), np.nan)
+        got = dist.sample(u, work)
+        assert got is u
+        assert u.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dist", SAMPLED, ids=repr)
+    def test_at_the_levels_of_every_region(self, dist):
+        # 1e-300 to 1 - 2^-53, with 2^-54, through the three regions of AS241
+        self.check(dist, TestAgainstScipy.levels())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=2.0 ** -54, max_value=1.0 - 2.0 ** -53),
+                    min_size=1, max_size=300),
+           st.sampled_from(SAMPLED))
+    def test_on_any_block(self, levels, dist):
+        self.check(dist, np.array(levels))
+
+
 class TestMomentMatching:
     def test_lognormal_examples(self):
         d = lognormal_from_moments(1.05, 0.2)
@@ -376,6 +421,33 @@ class TestMomentMatching:
         a, b = pareto_from_moments(1.0, 0.3), pareto_from_moments(2.0, 0.6)
         assert b.beta == pytest.approx(a.beta, rel=1e-14)
         assert b.x_m == pytest.approx(2 * a.x_m, rel=1e-14)
+
+    @pytest.mark.parametrize("sd", [6e7, 1e8, 1e200, 1e308])
+    def test_pareto_sd_whose_index_rounds_to_two_is_refused(self, sd):
+        # 1 + mean^2 / sd^2 rounds to 1: the index would be 2.0 and the
+        # variance infinite
+        with pytest.raises(ValueError, match=re.escape(f"sd {sd!r} is too large")):
+            pareto_from_moments(1.0, sd)
+
+    @given(st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=1e-3, max_value=1e12))
+    @settings(max_examples=200, deadline=None)
+    def test_pareto_from_moments_has_a_finite_variance(self, mean, sd):
+        try:
+            d = pareto_from_moments(mean, sd)
+        except ValueError as raised:
+            assert "too large" in str(raised)
+            return
+        assert d.beta > 2.0 and math.isfinite(d.variance)
+
+    @pytest.mark.parametrize("build, mean", [
+        (lambda m: pareto_from_mean_beta(m, 2.0), 5e-324),
+        (lambda m: pareto_from_mean_beta(m, 1.1), 1e-323),  # twice the least subnormal
+        (lambda m: pareto_from_moments(m, m), 5e-324),
+    ], ids=["mean-beta-2", "mean-beta-1.1", "moments"])
+    def test_pareto_mean_whose_scale_underflows_is_refused(self, build, mean):
+        # the scale mean (beta - 1) / beta is 0: the message names the mean
+        with pytest.raises(ValueError, match=re.escape(f"mean {mean!r} is too small")):
+            build(mean)
 
     def test_pareto_from_mean_beta(self):
         assert pareto_from_mean_beta(1.0, 2.0).x_m == 0.5

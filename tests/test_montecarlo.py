@@ -130,15 +130,34 @@ class TestSampleScenarios:
            block=st.sampled_from([1, 3, 8, 64, 2 ** 14]), seed=st.integers(0, 2 ** 32 - 1),
            family=st.sampled_from(FAMILIES))
     def test_any_split_at_multiples_of_four(self, n, cuts, block, seed, family):
-        # chunks whose starts are multiples of 4, worked in blocks of any length
+        # chunks whose starts are multiples of 4, worked in blocks of any
+        # length, each chunk in scratch of its own
         bounds = sorted({4 * c for c in cuts if 4 * c < n})
         out = np.full(n, np.nan)
         _, key_claim = np.random.SeedSequence(seed).spawn(2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(montecarlo, "BLOCK", block)
             for a, b in zip([0, *bounds], [*bounds, n]):
-                montecarlo._fill(out, family, key_claim, a, b)
+                montecarlo._fill(out, family, key_claim, a, b, np.full((2, block), np.nan))
         assert same_bits(out, family.sample(generate_scenarios(n, seed).u_claim))
+
+    @pytest.mark.parametrize("family", [*FAMILIES, Normal(-0.4, 0.0)], ids=repr)
+    def test_a_block_in_caller_scratch_makes_no_block_long_array(self, family):
+        # the draws overwrite the uniforms in out and the transform works in
+        # the caller's scratch: only the normal quantile's tail entries, about
+        # 15% of a block, and one bool mask are allocated
+        n = montecarlo.BLOCK
+        out, work = np.empty(n), np.empty((2, n))
+        _, key = np.random.SeedSequence(4).spawn(2)
+        montecarlo._fill(out, family, key, 0, n, work)  # numpy's first-use caches
+        tracemalloc.start()
+        try:
+            montecarlo._fill(out, family, key, 0, n, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes
+        assert same_bits(out, family.sample(generate_scenarios(n, seed=4).u_claim))
 
     def test_jump_ahead_facts(self):
         # the chunking rests on these facts of numpy's Philox generator
@@ -164,14 +183,14 @@ class TestSampleScenarios:
         # (k + 0.5) 2^-53 for the same 53-bit integers k, bit for bit
         class Uniform:
             @staticmethod
-            def sample(u):
+            def sample(u, work):
                 return u
 
         _, key = np.random.SeedSequence(12).spawn(2)
         start = 4 * 25_001
         stop = start + 3 * montecarlo.BLOCK + 5
         out = np.full(stop, np.nan)
-        montecarlo._fill(out, Uniform, key, start, stop)
+        montecarlo._fill(out, Uniform, key, start, stop, np.empty((2, montecarlo.BLOCK)))
         want = open_uniform(np.random.Generator(np.random.Philox(key)), stop)
         assert same_bits(out[start:], want[start:])
         assert np.all(np.isnan(out[:start]))

@@ -529,9 +529,9 @@ class TestValueMarket:
         # the streams are transformed block by block, each draw once
         draws = {"Lognormal": [], "ParetoTypeI": []}  # appends are safe across threads
         for cls in (Lognormal, ParetoTypeI):
-            def counted(self, u, _sample=cls.sample, _name=cls.__name__):
+            def counted(self, u, work=None, _sample=cls.sample, _name=cls.__name__):
                 draws[_name].append(u.size)
-                return _sample(self, u)
+                return _sample(self, u, work)
             monkeypatch.setattr(cls, "sample", counted)
         market = MarketSpec(claim=pareto_from_mean_beta(1.0, 2.0),
                             asset=self.LOGNORMAL_ASSET, w=0.5, eta=ETA)
