@@ -630,13 +630,23 @@ def _var_root(c: _Candidates, w: float) -> float:
     return max(float(ratio[i]), 0.0)
 
 
+def _select(a: np.ndarray, lo: int, i: int, hi: int) -> None:
+    # a partitioned at the ranks lo <= i <= hi: at i first, then at lo and
+    # at hi each within the half that the first selection leaves it in
+    a.partition(i)
+    if lo < i:
+        a[:i].partition(lo)
+    if hi > i:
+        a[i + 1:].partition(hi - i - 1)
+
+
 def _var_report(c: _Candidates, w: float) -> SolveReport:
     # Ranks from the top: the root k + 1 and its density window, clipped
     # to the sample and to the finite ratios.
     z, ratio, always = _checked_ratios(c, w)
     size, n, k = ratio.size, c.n, c.k
     top, bottom = max(k + 1 - c.m, always + 1), min(k + 1 + c.m, n)
-    ratio.partition([size - bottom, size - 1 - k, size - top])
+    _select(ratio, size - bottom, size - 1 - k, size - top)
     r0 = float(ratio[size - 1 - k])
     if r0 <= 0.0:
         raise NoSolutionError("claim is acceptable with zero capital")

@@ -8,21 +8,16 @@ first and second moments, and stop-loss expectations.
 ``sample`` is strict inverse-transform sampling from caller-supplied
 uniforms.  No distribution owns an RNG: the scenario module hands the
 same uniforms to every distribution, which is what makes common random
-numbers work across model families and parameter values.
-
-The quantile is the one function that takes an array.  A scalar level
-(a number, or a numpy scalar or 0-d array) runs on ``math`` and returns
-a float; a list, tuple or array of one or more dimensions is checked and
-copied, the copy is transformed in place, and numpy is imported on that
-first use.  ``sample(u, work)``, which the Monte Carlo sampler calls on
-every block, skips the check and the copy: its draws overwrite u, and
-``work``, two arrays of u's shape that the caller owns, is its scratch.
-The normal quantile is Wichura's AS241 on both paths, with the
-coefficients of CPython's ``statistics``: in Python floats for a scalar,
-in the operation order of the standard library's ``NormalDist.inv_cdf``
-and so equal to it bit for bit, and in numpy for an array.  Everything else,
-the normal CDF and density included, is scalar, so a closed-form run
-does not load numpy.  No path imports scipy or ``statistics``.
+numbers work across model families and parameter values.  It is the one
+function that takes an array: ``sample(u, work)``, which the Monte Carlo
+sampler calls on every block, writes its draws over the uniforms u,
+which it does not check, in ``work``, two arrays of u's shape that the
+caller owns.  Everything else is scalar: ``quantile(p)`` takes one level
+and returns a float, so a closed-form run does not load numpy.  The
+normal quantile is Wichura's AS241 with the coefficients of CPython's
+``statistics``: in Python floats for a level, in the operation order of
+``NormalDist.inv_cdf`` and so equal to it bit for bit, and in numpy for
+a block.  No path imports scipy or ``statistics``.
 """
 
 from __future__ import annotations
@@ -54,23 +49,11 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def _probabilities(p) -> float | np.ndarray:
-    """p as a float, or as a fresh float array when it is one, each
-    checked to lie strictly inside (0, 1).
-
-    Raises:
-        ValueError: a p outside the open interval, nan included.
-    """
-    # a list, a tuple or an array of one or more dimensions; anything
-    # else, numpy scalars and 0-d arrays included, is a scalar
-    if isinstance(p, (list, tuple)) or getattr(p, "ndim", 0) > 0:
-        import numpy as np
-
-        arr = np.array(p, dtype=float)
-        # min and max propagate nan, which fails both comparisons
-        if arr.size and not (0.0 < arr.min() and arr.max() < 1.0):
-            raise ValueError("probability level must lie strictly inside (0, 1)")
-        return arr
+def _probability(p: float) -> float:
+    # p as a float strictly inside (0, 1), nan refused; a list or an array
+    # is a TypeError, which numpy 1.x's float() of one entry would not give
+    if getattr(p, "ndim", 0):
+        raise TypeError("probability level must be a scalar")
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("probability level must lie strictly inside (0, 1)")
@@ -136,23 +119,22 @@ def _horner(coeffs: tuple[float, ...], r, out: np.ndarray | None = None):
 
 
 def _rational(coeffs, r):
-    # numerator over denominator, one of the tail pairs above, on a float
-    # or an array
+    # numerator over denominator of a tail pair above, on a float or an array
     x = _horner(coeffs[0], r)
     x /= _horner(coeffs[1], r)
     return x
 
 
-def _as241(p: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+def _as241(p: np.ndarray, work: np.ndarray) -> np.ndarray:
     # The standard normal quantile of every entry of p, each strictly
-    # inside (0, 1), written over p; work is two arrays of p's shape, or
-    # None for fresh ones.  The tail rationals run only on the entries
-    # beyond |q| = 0.425, about 15% of uniform draws, in arrays of their
-    # own; the central one runs on all entries (its denominator stays
-    # above 0.002 for every |q| < 0.5) and the tail values are put over it.
+    # inside (0, 1), written over p; work is two arrays of p's shape.  The
+    # tail rationals run only on the entries beyond |q| = 0.425, about 15%
+    # of uniform draws, in arrays of their own; the central one runs on all
+    # entries (its denominator stays above 0.002 for every |q| < 0.5) and
+    # the tail values are put over it.
     import numpy as np
 
-    q, r = np.empty((2, *p.shape)) if work is None else work
+    q, r = work
     np.subtract(p, 0.5, out=q)
     tail = np.flatnonzero(np.abs(q, out=r) > 0.425)
     t = np.take(p, tail)
@@ -188,35 +170,33 @@ def _as241_float(p: float) -> float:
     return -x if q < 0.0 else x
 
 
-def standard_normal_quantile(p) -> float | np.ndarray:
-    """Inverse standard normal CDF, by Wichura's AS241.
-
-    A scalar p is worked in Python floats and returns a float, equal bit
-    for bit to the standard library's ``NormalDist().inv_cdf(p)``; an
-    array takes the same rationals evaluated in numpy and returns a fresh
-    array that the caller may overwrite.  The two differ only where
-    numpy's ``log`` rounds differently from ``math.log`` in the tails, by
-    at most 1e-15 relative; both are within 2e-15 relative of scipy's
-    ``ndtri`` for p from 1e-300 to 1 - 2^-53.
+def standard_normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF, by AS241 in Python floats: equal bit
+    for bit to the standard library's ``NormalDist().inv_cdf(p)``.  The
+    numpy AS241 of ``Normal.sample`` differs from it only where numpy's
+    ``log`` rounds differently from ``math.log``, by at most 1e-15
+    relative; both are within 2e-15 relative of scipy's ``ndtri`` for p
+    from 1e-300 to 1 - 2^-53.
 
     Raises:
-        ValueError: any p outside the open interval (0, 1), nan included.
+        TypeError: p is a list or an array.
+        ValueError: p outside the open interval (0, 1), nan included.
     """
-    p = _probabilities(p)
-    return _as241_float(p) if isinstance(p, float) else _as241(p, None)
+    return _as241_float(_probability(p))
 
 
 class Normal(Record):
     """Normal claim or return model.
 
-    ``sd == 0`` is a point mass at ``mean``, which a config may give;
-    ``nonnegative``, ``quantile`` (and with it ``sample``) and
-    ``stop_loss`` branch on it.
+    ``sd == 0`` is a point mass at ``mean``, which a config may give; the
+    methods branch on it.
     """
 
     def __init__(self, mean: float, sd: float) -> None:
-        if sd < 0:
-            raise ValueError("sd must be nonnegative")
+        if not math.isfinite(mean):
+            raise ValueError("mean must be finite")
+        if not 0.0 <= sd < math.inf:
+            raise ValueError("sd must be nonnegative and finite")
         self._store(mean, sd)
 
     @property
@@ -227,19 +207,14 @@ class Normal(Record):
     def nonnegative(self) -> bool:
         return self.sd == 0.0 and self.mean >= 0.0
 
-    def quantile(self, p) -> float | np.ndarray:
-        p = _probabilities(p)  # an array is a fresh copy, transformed in place
-        if isinstance(p, float):
-            return float(self.mean) if self.sd == 0.0 else self.mean + self.sd * _as241_float(p)
-        return self._transform(p, None)
+    def quantile(self, p: float) -> float:
+        p = _probability(p)
+        return float(self.mean) if self.sd == 0.0 else self.mean + self.sd * _as241_float(p)
 
-    def sample(self, u, work=None) -> float | np.ndarray:
-        """``quantile(u)``; with ``work``, the draws overwrite u."""
-        return self.quantile(u) if work is None else self._transform(u, work)
-
-    def _transform(self, u: np.ndarray, work) -> np.ndarray:
+    def sample(self, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The draws of the uniforms u, written over u; ``work`` is scratch."""
         if self.sd == 0.0:
-            return Degenerate(self.mean)._transform(u, work)
+            return Degenerate(self.mean).sample(u, work)
         u = _as241(u, work)
         u *= self.sd
         u += self.mean
@@ -262,8 +237,10 @@ class Lognormal(Record):
     """
 
     def __init__(self, mu_log: float, sd_log: float) -> None:
-        if sd_log <= 0:
-            raise ValueError("sd_log must be positive; use Degenerate for a point mass")
+        if not math.isfinite(mu_log):
+            raise ValueError("mu_log must be finite")
+        if not 0.0 < sd_log < math.inf:
+            raise ValueError("sd_log must be positive and finite; use Degenerate for a point mass")
         self._store(mu_log, sd_log)
 
     @property
@@ -279,20 +256,14 @@ class Lognormal(Record):
     def nonnegative(self) -> bool:
         return True
 
-    def quantile(self, p) -> float | np.ndarray:
-        p = _probabilities(p)  # an array is a fresh copy, transformed in place
-        if isinstance(p, float):
-            return math.exp(self.mu_log + self.sd_log * _as241_float(p))
-        return self._transform(p, None)
+    def quantile(self, p: float) -> float:
+        return math.exp(self.mu_log + self.sd_log * _as241_float(_probability(p)))
 
-    def sample(self, u, work=None) -> float | np.ndarray:
-        """``quantile(u)``; with ``work``, the draws overwrite u."""
-        return self.quantile(u) if work is None else self._transform(u, work)
-
-    def _transform(self, u: np.ndarray, work) -> np.ndarray:
+    def sample(self, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The draws of the uniforms u, written over u; ``work`` is scratch."""
         import numpy as np
 
-        return np.exp(Normal(self.mu_log, self.sd_log)._transform(u, work), out=u)
+        return np.exp(Normal(self.mu_log, self.sd_log).sample(u, work), out=u)
 
     def stop_loss(self, t: float) -> float:
         """E[(X - t)^+], closed form via the partial expectation."""
@@ -310,10 +281,10 @@ class ParetoTypeI(Record):
     """
 
     def __init__(self, x_m: float, beta: float) -> None:
-        if x_m <= 0:
-            raise ValueError("x_m must be positive")
-        if beta <= 1:
-            raise ValueError("beta must exceed 1 for a finite mean")
+        if not 0.0 < x_m < math.inf:
+            raise ValueError("x_m must be positive and finite")
+        if not 1.0 < beta < math.inf:
+            raise ValueError("beta must exceed 1 for a finite mean, and be finite")
         self._store(x_m, beta)
 
     @property
@@ -330,17 +301,11 @@ class ParetoTypeI(Record):
     def nonnegative(self) -> bool:
         return True
 
-    def quantile(self, p) -> float | np.ndarray:
-        p = _probabilities(p)  # an array is a fresh copy, transformed in place
-        if isinstance(p, float):
-            return self.x_m * (1.0 - p) ** (-1.0 / self.beta)
-        return self._transform(p, None)
+    def quantile(self, p: float) -> float:
+        return self.x_m * (1.0 - _probability(p)) ** (-1.0 / self.beta)
 
-    def sample(self, u, work=None) -> float | np.ndarray:
-        """``quantile(u)``; with ``work``, the draws overwrite u."""
-        return self.quantile(u) if work is None else self._transform(u, work)
-
-    def _transform(self, u: np.ndarray, work) -> np.ndarray:
+    def sample(self, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The draws of the uniforms u, written over u; ``work`` is scratch."""
         import numpy as np
 
         np.subtract(1.0, u, out=u)
@@ -359,6 +324,8 @@ class Degenerate(Record):
     """Point mass, e.g. the gross return of the risk-less bond."""
 
     def __init__(self, value: float) -> None:
+        if not math.isfinite(value):
+            raise ValueError("value must be finite")
         self._store(value)
 
     @property
@@ -373,15 +340,12 @@ class Degenerate(Record):
     def nonnegative(self) -> bool:
         return self.value >= 0.0
 
-    def quantile(self, p) -> float | np.ndarray:
-        p = _probabilities(p)  # an array is a fresh copy, overwritten
-        return float(self.value) if isinstance(p, float) else self._transform(p, None)
+    def quantile(self, p: float) -> float:
+        _probability(p)
+        return float(self.value)
 
-    def sample(self, u, work=None) -> float | np.ndarray:
-        """``quantile(u)``; with ``work``, the draws overwrite u."""
-        return self.quantile(u) if work is None else self._transform(u, work)
-
-    def _transform(self, u: np.ndarray, work) -> np.ndarray:
+    def sample(self, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The draws of the uniforms u, written over u; ``work`` is scratch."""
         u.fill(self.value)
         return u
 
@@ -412,8 +376,9 @@ def pareto_from_moments(mean: float, sd: float) -> ParetoTypeI:
     """Pareto type I with the given first two moments.
 
     The matched tail index is ``1 + sqrt(1 + mean^2 / sd^2)``, refused
-    unless finite and above 2, so the variance of the result is finite and
-    equals ``sd^2`` up to the rounding of the index.
+    unless finite and above 2, and the result unless its variance is
+    within 1e-6 relative of ``sd^2``, which refuses sd from about 1e6
+    times the mean, where the index's rounding moves the variance.
     """
     if mean <= 0 or sd <= 0:
         raise ValueError("mean and sd must be positive")
@@ -426,7 +391,12 @@ def pareto_from_moments(mean: float, sd: float) -> ParetoTypeI:
     if beta <= 2.0:  # 1 / cv^2 is lost against 1: the variance is infinite
         raise ValueError(f"sd {sd!r} is too large against the mean: the matched tail "
                          "index is not above 2")
-    return pareto_from_mean_beta(mean, beta)
+    law = pareto_from_mean_beta(mean, beta)
+    # the variance of X / sd, on sd's scale so that it cannot overflow
+    if not abs(ParetoTypeI(law.x_m / sd, beta).variance - 1.0) <= 1e-6:
+        raise ValueError(f"sd {sd!r} is too large against the mean: the matched law's "
+                         "variance misses sd^2 by more than 1e-6 relative")
+    return law
 
 
 def pareto_from_mean_beta(mean: float, beta: float) -> ParetoTypeI:
@@ -470,9 +440,9 @@ def distribution_from_config(spec: dict) -> Distribution:
     Raises:
         ValueError: an unknown kind, a parameter that is not a finite
             number (a JSON boolean is none, a numeric string is one), or
-            keys that match none of the family's parameter
-            sets; the message names the keys missing from, or extra to,
-            the closest set and lists every set the family accepts.
+            keys that match none of the family's parameter sets; the
+            message names the keys missing from, or extra to, the closest
+            set and lists every set the family accepts.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("distribution spec must be a mapping with a 'kind' key")

@@ -23,8 +23,10 @@ draw i of a fresh generator when i is a multiple of 4 (Salmon et al.,
 chunks, one per usable CPU and each at least ``MIN_CHUNK`` draws long,
 that run on a thread pool (numpy releases the GIL in its loops), and
 each chunk draws blocks of ``BLOCK`` uniforms into its slice of the
-samples and transforms them there, in scratch the calling thread made:
-no full-length uniform array exists, and no pool thread makes a block.
+samples and transforms them there with ``dist.sample(u, work)``, the
+distributions' one array entry, which writes the draws over the uniforms
+in scratch the calling thread made: no full-length uniform array exists,
+and no pool thread makes a block.
 Every stream is a function of (n, seed) alone, bit for bit, whatever the
 split or the platform.
 """

@@ -118,7 +118,7 @@ def tail_average(losses: np.ndarray, k: int, tail: float) -> tuple[float, float]
 def var_multiplier(alpha: float) -> float:
     """Standard-normal VaR constant, the (1 - alpha) quantile."""
     _check_alpha(alpha)
-    return float(standard_normal_quantile(1.0 - alpha))
+    return standard_normal_quantile(1.0 - alpha)
 
 
 def es_multiplier(alpha: float) -> float:

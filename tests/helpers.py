@@ -52,9 +52,16 @@ def generate_scenarios(n, seed):
     return ScenarioSet(n=int(n), seed=int(seed), u_asset=u_asset, u_claim=u_claim)
 
 
+def draw(dist, u):
+    """The draws of the uniforms u: ``dist.sample`` on a float copy of u,
+    in fresh scratch, so u is left alone."""
+    v = np.array(u, dtype=float)
+    return dist.sample(v, np.empty((2, *v.shape)))
+
+
 def samples(market, scen):
     """The claims X and asset returns S of a scenario set."""
-    return market.claim.sample(scen.u_claim), market.asset.sample(scen.u_asset)
+    return draw(market.claim, scen.u_claim), draw(market.asset, scen.u_asset)
 
 
 def solve_at(market, rm, scen=None, *, claims=None, assets=None):
@@ -75,7 +82,7 @@ def mixed_return(market, scen, assets=None):
     """Z = w S + 1 - w as the solver builds it (a scalar 1 at w = 0)."""
     if market.w == 0.0:
         return 1.0
-    s = market.asset.sample(scen.u_asset) if assets is None else assets
+    s = draw(market.asset, scen.u_asset) if assets is None else assets
     return market.w * s + (1.0 - market.w)
 
 
@@ -92,7 +99,7 @@ def mc_at(r0, market, scen, rm=RiskMeasure("var", 0.005), *, claims=None, assets
 
     ``claims``/``assets`` pass pre-transformed samples.
     """
-    x = market.claim.sample(scen.u_claim) if claims is None else claims
+    x = draw(market.claim, scen.u_claim) if claims is None else claims
     losses = x - r0 * mixed_return(market, scen, assets)
     rep = SolveReport(r0=r0, residual=0.0, iterations=0, losses=summary_of(losses))
     return mc_valuation(rep, market, rm)
@@ -203,7 +210,7 @@ def reference_row(r0, iterations, market, rm, scen, *, claims=None, assets=None)
     standard error (VaR) or that of ``reference_root_std_error`` (ES),
     and sample means and standard deviations of (r0 Z - X)^+ and
     (r0 Z - X)^-."""
-    x = market.claim.sample(scen.u_claim) if claims is None else claims
+    x = draw(market.claim, scen.u_claim) if claims is None else claims
     z = mixed_return(market, scen, assets)
     z_arr = np.broadcast_to(z, x.shape)
     se, var_at_root = reference_root_std_error(rm, z_arr, x, r0)

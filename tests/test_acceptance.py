@@ -14,7 +14,6 @@ from cocval.distributions import (
     Normal,
     lognormal_from_moments,
     pareto_from_mean_beta,
-    standard_normal_quantile,
 )
 from cocval.market import MarketSpec
 from cocval.risk_measures import (
@@ -31,8 +30,8 @@ from cocval.valuation import (
     value_lognormal_var,
 )
 
-from helpers import (gaussian_r0_se_es, gaussian_r0_se_var, generate_scenarios, mc_at, samples,
-                     scaled, solve_at)
+from helpers import (draw, gaussian_r0_se_es, gaussian_r0_se_var, generate_scenarios, mc_at,
+                     samples, scaled, solve_at)
 
 ETA = 0.06
 ALPHA = 0.005
@@ -59,8 +58,8 @@ def scen():
 def normals(scen):
     # shared standard-normal transforms, one per stream: every Gaussian
     # and lognormal market below reuses them (common random numbers)
-    return (standard_normal_quantile(scen.u_asset),
-            standard_normal_quantile(scen.u_claim))
+    return (draw(Normal(0.0, 1.0), scen.u_asset),
+            draw(Normal(0.0, 1.0), scen.u_claim))
 
 
 def test_pareto_worked_example():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cocval import capital_solver, montecarlo
 from cocval.analysis import w_grid
@@ -24,7 +24,7 @@ from cocval.risk_measures import (RiskMeasure, es_multiplier, tail_count, var_em
 from cocval.valuation import (_gaussian_hedged_risk, _solve_r0_gaussian, value_gaussian_var,
                               value_lognormal_var)
 
-from helpers import (gaussian_r0_se_var, generate_scenarios, reference_prune,
+from helpers import (draw, gaussian_r0_se_var, generate_scenarios, reference_prune,
                      reference_ratio_std_error, reference_root_std_error, reference_var_root,
                      samples, scaled, solve_at)
 
@@ -261,7 +261,7 @@ class TestNumericSolver:
         market = MarketSpec(claim=claim, asset=Degenerate(1.0), w=1.0, eta=0.06)
         rm = RiskMeasure("var", ALPHA)
         rep = solve_at(market, rm, scen)
-        x = market.claim.sample(scen.u_claim)
+        x = draw(market.claim, scen.u_claim)
         assert rep.r0 == var_empirical(-x, ALPHA)
         assert rep.residual == 0.0
 
@@ -583,14 +583,14 @@ class TestCandidateSet:
         # fig3b's market on all 1001 weights of the default grid
         scen = generate_scenarios(20_000, seed=5)
         claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
-        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        x, s = draw(claim, scen.u_claim), draw(asset, scen.u_asset)
         cands = self.check_grid(x, s, w_grid(), RiskMeasure("var", ALPHA))
         assert cands.x.size < x.size // 4
 
     def test_moments(self):
         scen = generate_scenarios(10_000, seed=9)
-        x = pareto_from_mean_beta(1.0, 2.0).sample(scen.u_claim)
-        s = lognormal_from_moments(1.05, 0.2).sample(scen.u_asset)
+        x = draw(pareto_from_mean_beta(1.0, 2.0), scen.u_claim)
+        s = draw(lognormal_from_moments(1.05, 0.2), scen.u_asset)
         cands = capital_solver._candidate_set(RiskMeasure("var", ALPHA), x, s, 0.0, 1.0)
         cov = np.cov(x, s)
         assert (cands.x_mean, cands.s_mean) == (x.mean(), s.mean())
@@ -621,7 +621,7 @@ class TestCandidateSet:
     @pytest.mark.parametrize("kind", ["var", "es"])
     def test_w_zero_without_asset(self, kind):
         # with no asset sample, S = 1 stands in without being built
-        x = pareto_from_mean_beta(1.0, 2.0).sample(generate_scenarios(20_000, seed=7).u_claim)
+        x = draw(pareto_from_mean_beta(1.0, 2.0), generate_scenarios(20_000, seed=7).u_claim)
         rm = RiskMeasure(kind, 0.01)
         got = capital_solver._candidate_set(rm, x, None, 0.0, 0.0)
         want = capital_solver._candidate_set(rm, x, np.ones(x.size), 0.0, 0.0)
@@ -703,7 +703,7 @@ def polygons_of(rm, x, s, grid):
 def fig8b_sample(n, seed=5):
     scen = generate_scenarios(n, seed=seed)
     claim, asset = lognormal_from_moments(1.0, 0.3), lognormal_from_moments(1.05, 0.2)
-    return claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+    return draw(claim, scen.u_claim), draw(asset, scen.u_asset)
 
 
 def solve_recording(rm, x, s, grid):
@@ -843,13 +843,48 @@ class TestRatioWindowStdError:
     def test_close_to_loss_window(self, claim):
         scen = generate_scenarios(10 ** 6, seed=1)
         asset = lognormal_from_moments(1.05, 0.2)
-        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        x, s = draw(claim, scen.u_claim), draw(asset, scen.u_asset)
         rm = RiskMeasure("var", ALPHA)
         for w in (0.1, 0.5, 1.0):
             market = MarketSpec(claim=claim, asset=asset, w=w, eta=0.06)
             rep = solve_at(market, rm, claims=x, assets=s)
             loss_window, _ = reference_root_std_error(rm, w * s + (1.0 - w), x, rep.r0)
             assert rep.std_error == pytest.approx(loss_window, rel=0.02), w
+
+
+@st.composite
+def window_cases(data):
+    # shuffled ratios, with ties and +-inf in some cases, a root rank k + 1
+    # from the top with k at least the count of +inf (the scenarios that
+    # always lose), and a density window m, clipped as ``_var_report`` clips it
+    size = data(st.integers(1, 4000))
+    rng = np.random.default_rng(data(st.integers(0, 2 ** 32 - 1)))
+    ratio = rng.normal(size=size)
+    for value, share in ((0.5, 0.3), (np.inf, 0.01), (-np.inf, 0.01)):
+        ratio[rng.random(size) < data(st.sampled_from([0.0, share]))] = value
+    always = int(np.count_nonzero(ratio == np.inf))
+    assume(always < size)
+    return ratio, data(st.integers(always, size - 1)), data(st.integers(1, size))
+
+
+class TestWindowSelection:
+    """``_select`` places the VaR root and its density window's ends where
+    one sorted copy of the ratios has them."""
+
+    @given(case=window_cases())
+    @example(case=(np.array([np.inf, 2.0, 2.0, 1.0, 0.5, -np.inf, 0.5]), 2, 3))
+    @example(case=(np.array([np.inf, np.inf, 1.0, 1.0, 0.5, -np.inf]), 2, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_sorted_copy(self, case):
+        ratio, k, m = case
+        size = ratio.size
+        always = int(np.count_nonzero(ratio == np.inf))
+        top, bottom = max(k + 1 - m, always + 1), min(k + 1 + m, size)
+        ranks = [size - bottom, size - 1 - k, size - top]
+        want = np.sort(ratio)
+        capital_solver._select(ratio, *ranks)
+        assert np.array_equal(ratio[ranks], want[ranks])
+        assert np.array_equal(np.sort(ratio), want)
 
 
 @pytest.mark.usefixtures("positives_kept")
@@ -865,7 +900,7 @@ class TestBlockwisePasses:
         # asset puts S <= 0 in some 70 scenarios
         scen = generate_scenarios(300_000, seed=4)
         claim, asset = lognormal_from_moments(1.0, 0.3), Normal(1.05, 0.3)
-        x, s = claim.sample(scen.u_claim), asset.sample(scen.u_asset)
+        x, s = draw(claim, scen.u_claim), draw(asset, scen.u_asset)
         assert np.any(s <= 0.0) and x.size > 2 * montecarlo.MIN_CHUNK
         return x, s
 
@@ -912,8 +947,8 @@ class TestBlockwisePasses:
     def test_moments_add_block_sums_in_order(self, monkeypatch, cpus):
         # the serial reference: pairwise sums within blocks of 2^16, added in order
         scen = generate_scenarios(300_000, seed=6)
-        x = lognormal_from_moments(1.0, 0.3).sample(scen.u_claim)
-        s = lognormal_from_moments(1.05, 0.2).sample(scen.u_asset)
+        x = draw(lognormal_from_moments(1.0, 0.3), scen.u_claim)
+        s = draw(lognormal_from_moments(1.05, 0.2), scen.u_asset)
         x_mean, s_mean = float(x.mean()), float(s.mean())
         sums = np.zeros(3)
         for i in range(0, x.size, 1 << 16):

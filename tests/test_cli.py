@@ -124,8 +124,10 @@ class TestValue:
     @pytest.mark.parametrize("claim, message", [
         ('{"kind":"pareto","mean":1,"sd":1e8}', "sd 100000000.0 is too large"),
         ('{"kind":"pareto","mean":1,"sd":6e7}', "sd 60000000.0 is too large"),
+        ('{"kind":"pareto","mean":1,"sd":2e7}', "sd 20000000.0 is too large"),
+        ('{"kind":"pareto","mean":1,"sd":1e6}', "sd 1000000.0 is too large"),
         ('{"kind":"pareto","mean":5e-324,"beta":2}', "mean 5e-324 is too small"),
-    ], ids=["sd-1e8", "sd-6e7", "mean-5e-324"])
+    ], ids=["sd-1e8", "sd-6e7", "sd-2e7", "sd-1e6", "mean-5e-324"])
     def test_pareto_claim_out_of_float_range_is_usage_error(self, capsys, claim, message):
         code, out, err = run(capsys, ["value", "--claim", claim])
         assert code == EXIT_USAGE

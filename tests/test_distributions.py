@@ -21,7 +21,7 @@ from cocval.distributions import (
     standard_normal_quantile,
 )
 
-from helpers import generate_scenarios, scaled
+from helpers import draw, generate_scenarios, scaled
 
 
 def bisect_normal_quantile(p: float, tol: float = 1e-13) -> float:
@@ -99,9 +99,9 @@ def _erfc_reference(x: np.ndarray) -> np.ndarray:
 
 class TestAgainstScipy:
     """The normal CDF is ``math.erfc``; the quantile is Wichura's AS241,
-    in Python floats for a scalar, as the standard library computes it,
-    and in numpy for an array.  Each must give scipy's numbers to
-    round-off."""
+    in Python floats for a level, as the standard library computes it,
+    and in numpy for a block of ``Normal.sample``.  Each must give scipy's
+    numbers to round-off."""
 
     TOL = 2e-15
     TINY = np.finfo(float).tiny  # erfc values below it are subnormal or 0
@@ -169,7 +169,7 @@ class TestAgainstScipy:
         r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
         central = np.abs(p - 0.5) <= 0.425
         assert min(central.sum(), (~central & (r <= 5.0)).sum(), (r > 5.0).sum()) > 1000
-        array = standard_normal_quantile(p)
+        array = draw(Normal(0.0, 1.0), p)
         ref = special.ndtri(p)
         assert np.all(np.abs(array - ref) <= self.TOL * np.abs(ref))
 
@@ -186,36 +186,17 @@ class TestAgainstScipy:
     def test_array_quantile_matches_the_scalar(self):
         # the same rationals, so only numpy's log and math.log may differ
         p = self.levels()
-        array = standard_normal_quantile(p)
+        array = draw(Normal(0.0, 1.0), p)
         scalar = np.array([standard_normal_quantile(float(v)) for v in p])
         assert np.all(np.abs(array - scalar) <= 1e-15 * np.abs(scalar))
 
     def test_transforms_are_the_quantile_bit_for_bit(self):
         # the normal and lognormal transforms work in place on the
-        # quantile's fresh output, which leaves the uniforms alone and
-        # rounds as the plain expressions do
+        # standard normal quantile and round as the plain expressions do
         u = self.levels()
-        kept = u.copy()
-        z = standard_normal_quantile(u)
-        assert np.array_equal(Normal(1.0, 0.3).sample(u), 1.0 + 0.3 * z)
-        assert np.array_equal(Lognormal(0.1, 0.4).sample(u), np.exp(0.1 + 0.4 * z))
-        assert np.array_equal(u, kept)
-
-    def test_array_levels_are_checked_once(self, monkeypatch):
-        from cocval import distributions
-
-        calls, check = [], distributions._probabilities
-
-        def counted(p):
-            calls.append(p)
-            return check(p)
-
-        monkeypatch.setattr(distributions, "_probabilities", counted)
-        u = np.array([0.25, 0.5, 0.75])
-        for dist in (Normal(1.0, 0.3), Lognormal(0.1, 0.4)):
-            calls.clear()
-            dist.quantile(u)
-            assert len(calls) == 1
+        z = draw(Normal(0.0, 1.0), u)
+        assert np.array_equal(draw(Normal(1.0, 0.3), u), 1.0 + 0.3 * z)
+        assert np.array_equal(draw(Lognormal(0.1, 0.4), u), np.exp(0.1 + 0.4 * z))
 
 
 class TestCdfExamples:
@@ -279,7 +260,7 @@ class TestQuantileExamples:
     def test_nondecreasing_in_the_level(self):
         ps = np.linspace(0.001, 0.999, 400)
         for dist in (Normal(1.0, 0.3), Lognormal(0.0, 0.5), ParetoTypeI(0.5, 2.0), Degenerate(1.0)):
-            assert np.all(np.diff(dist.quantile(ps)) >= 0)
+            assert np.all(np.diff([dist.quantile(float(p)) for p in ps]) >= 0)
 
     def test_degenerate_any_level(self):
         d = Degenerate(1.0)
@@ -293,12 +274,11 @@ class TestQuantileExamples:
             with pytest.raises(ValueError):
                 dist.quantile(1.0)
 
-    @pytest.mark.parametrize("p", [math.nan, np.float64(math.nan), np.array(math.nan),
-                                   [0.5, math.nan], np.array([math.nan, 0.5])],
-                             ids=["float", "numpy-scalar", "0-d", "list", "array"])
+    @pytest.mark.parametrize("p", [math.nan, np.float64(math.nan), np.array(math.nan)],
+                             ids=["float", "numpy-scalar", "0-d"])
     def test_nan_level_is_a_domain_error(self, p):
         # nan is neither inside (0, 1) nor outside by comparison, so the
-        # check decides it explicitly, for scalars and arrays alike
+        # check decides it explicitly
         for dist in (Normal(0, 1), Normal(1, 0), Lognormal(0, 1), ParetoTypeI(1, 2),
                      Degenerate(3)):
             with pytest.raises(ValueError, match="strictly inside"):
@@ -308,30 +288,40 @@ class TestQuantileExamples:
 
     def test_scalar_and_array_types(self):
         # a scalar level, numpy scalars and 0-d arrays included, gives a
-        # float; a list or an array gives an array
+        # float; a list, a tuple or an array is no level, one entry long too
         for dist in (Normal(0, 1), Normal(1, 0), Lognormal(0, 1), ParetoTypeI(1, 2),
                      Degenerate(3)):
             for p in (0.25, np.float64(0.25), np.array(0.25)):
                 assert type(dist.quantile(p)) is float
-            assert dist.quantile([0.25, 0.5]).shape == (2,)
-            assert dist.quantile(np.array([[0.25], [0.5]])).shape == (2, 1)
-            assert dist.quantile(np.empty(0)).shape == (0,)
+            for p in ([0.25, 0.5], [0.25], (0.25,)):
+                with pytest.raises(TypeError):
+                    dist.quantile(p)
+            # numpy 1.x takes float() of a one-entry array without a word
+            for p in (np.array([0.25]), np.array([[0.25]]), np.empty(0)):
+                with pytest.raises(TypeError, match="probability level must be a scalar"):
+                    dist.quantile(p)
+        with pytest.raises(TypeError, match="probability level must be a scalar"):
+            standard_normal_quantile(np.array([0.25]))
 
 
 class TestSampleExamples:
     def test_normal_median_draw(self):
-        assert Normal(0.0, 1.0).sample(0.5) == 0.0
+        assert draw(Normal(0.0, 1.0), [0.5])[0] == 0.0
 
     def test_lognormal_tail_draw(self):
-        assert Lognormal(0.0, 1.0).sample(0.995) == pytest.approx(13.143, abs=0.01)
+        assert draw(Lognormal(0.0, 1.0), [0.995])[0] == pytest.approx(13.143, abs=0.01)
 
     def test_pareto_tail_draw(self):
-        assert ParetoTypeI(0.5, 2.0).sample(0.995) == pytest.approx(7.0711, abs=1e-4)
+        assert draw(ParetoTypeI(0.5, 2.0), [0.995])[0] == pytest.approx(7.0711, abs=1e-4)
 
     def test_sample_is_quantile(self):
-        u = np.linspace(0.01, 0.99, 23)
+        # the draws are written over u, which sample returns; they are the
+        # scalar quantiles up to the rounding of numpy's log, 1e-15 relative
         for dist in (Normal(1, 0.3), Lognormal(0.1, 0.4), ParetoTypeI(0.8, 3.0), Degenerate(2.0)):
-            assert np.array_equal(dist.sample(u), dist.quantile(u))
+            u = np.linspace(0.01, 0.99, 23)
+            want = np.array([dist.quantile(float(v)) for v in u])
+            assert dist.sample(u, np.empty((2, u.size))) is u
+            assert np.all(np.abs(u - want) <= 1e-15 * np.abs(want))
 
 
 SAMPLED = (Normal(1.0, 0.3), Normal(-0.4, 0.0), Lognormal(0.1, 0.4), ParetoTypeI(0.8, 1.1),
@@ -340,7 +330,7 @@ SAMPLED = (Normal(1.0, 0.3), Normal(-0.4, 0.0), Lognormal(0.1, 0.4), ParetoTypeI
 
 class TestInPlaceSample:
     """``sample(u, work)`` writes the quantile of u over u, in the caller's
-    scratch, bit for bit; ``sample(u)`` and ``quantile(u)`` leave u alone."""
+    scratch, bit for bit as the family's plain numpy expression rounds it."""
 
     @staticmethod
     def plain(dist, u):
@@ -348,18 +338,13 @@ class TestInPlaceSample:
         if isinstance(dist, ParetoTypeI):
             return dist.x_m * (1.0 - u) ** (-1.0 / dist.beta)
         if isinstance(dist, Lognormal):
-            return np.exp(dist.mu_log + dist.sd_log * standard_normal_quantile(u))
+            return np.exp(dist.mu_log + dist.sd_log * draw(Normal(0.0, 1.0), u))
         if isinstance(dist, Degenerate) or dist.sd == 0.0:
             return np.full(u.shape, float(dist.mean))
-        return dist.mean + dist.sd * standard_normal_quantile(u)
+        return dist.mean + dist.sd * draw(Normal(0.0, 1.0), u)
 
     def check(self, dist, u):
-        kept = u.copy()
-        want = dist.quantile(u)
-        assert np.array_equal(u, kept)
-        assert want.tobytes() == self.plain(dist, u).tobytes()
-        assert want.tobytes() == dist.sample(u).tobytes()
-        assert np.array_equal(u, kept)
+        want = self.plain(dist, u)
         work = np.full((2, u.size), np.nan)
         got = dist.sample(u, work)
         assert got is u
@@ -376,6 +361,20 @@ class TestInPlaceSample:
            st.sampled_from(SAMPLED))
     def test_on_any_block(self, levels, dist):
         self.check(dist, np.array(levels))
+
+    @pytest.mark.parametrize("dist", SAMPLED, ids=repr)
+    def test_read_only_uniforms_are_refused(self, dist):
+        # the draws have nowhere to go
+        u = np.full(4, 0.25)
+        u.flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            dist.sample(u, np.empty((2, 4)))
+        assert np.all(u == 0.25)
+
+    @pytest.mark.parametrize("dist", SAMPLED, ids=repr)
+    def test_scratch_is_required(self, dist):
+        with pytest.raises(TypeError):
+            dist.sample(np.full(4, 0.25))
 
 
 class TestMomentMatching:
@@ -438,6 +437,24 @@ class TestMomentMatching:
             assert "too large" in str(raised)
             return
         assert d.beta > 2.0 and math.isfinite(d.variance)
+        assert d.variance == pytest.approx(sd * sd, rel=1e-6)
+
+    @pytest.mark.parametrize("sd", [1e6, 1e7, 2e7, 3.5e7])
+    def test_pareto_sd_whose_variance_misses_is_refused(self, sd):
+        # beta - 2 = mean^2 / (2 sd^2) is a few ulps of 2.0 or less, and the
+        # variance follows its rounding: by 8.9e-5 relative at sd 1e6 and by
+        # 41% at 2e7
+        with pytest.raises(ValueError, match=re.escape(f"sd {sd!r} is too large") +
+                           ".*variance misses sd\\^2 by more than 1e-6"):
+            pareto_from_moments(1.0, sd)
+
+    @pytest.mark.parametrize("mean, sd", [(1.0, 3e5), (1e-300, 3e-296), (1e300, 3e305)])
+    def test_pareto_variance_within_the_tolerance_is_kept(self, mean, sd):
+        # 8.3e-8 relative at sd 3e5 times the mean, on any scale
+        d = pareto_from_moments(mean, sd)
+        assert d.mean == pytest.approx(mean, rel=1e-12)
+        assert (d.x_m / sd) ** 2 * d.beta / ((d.beta - 1.0) ** 2 * (d.beta - 2.0)) == \
+            pytest.approx(1.0, rel=1e-6)
 
     @pytest.mark.parametrize("build, mean", [
         (lambda m: pareto_from_mean_beta(m, 2.0), 5e-324),
@@ -482,17 +499,17 @@ class TestInvariants:
             pareto_from_moments(1.0, 0.3),  # tail index above 2
         ]
         for dist in cases:
-            draws = dist.sample(u)
+            draws = draw(dist, u)
             se = math.sqrt(dist.variance / u.size)
             assert abs(float(np.mean(draws)) - dist.mean) < 4 * se
 
     def test_cdf_of_quantile_at_least_p(self):
         ps = np.linspace(0.01, 0.99, 99)
         for dist in (Normal(0, 1), Lognormal(0, 1), ParetoTypeI(0.5, 2.0)):
-            qs = dist.quantile(ps)
+            qs = np.array([dist.quantile(float(p)) for p in ps])
             assert np.all(scipy_law(dist).cdf(qs) >= ps - 1e-12)
         # the point mass has CDF 1 at its value, every level's quantile
-        assert np.all(Degenerate(1.0).quantile(ps) == 1.0)
+        assert all(Degenerate(1.0).quantile(float(p)) == 1.0 for p in ps)
 
 
 class TestStopLoss:
@@ -578,14 +595,27 @@ class TestConfig:
 
 class TestValidation:
     def test_parameter_gates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sd must be nonnegative"):
             Normal(0.0, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sd_log must be positive"):
             Lognormal(0.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^x_m must be positive"):
             ParetoTypeI(0.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^beta must exceed 1"):
             ParetoTypeI(1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: Normal(v, 1.0), "mean"), (lambda v: Normal(0.0, v), "sd"),
+        (lambda v: Lognormal(v, 1.0), "mu_log"), (lambda v: Lognormal(0.0, v), "sd_log"),
+        (lambda v: ParetoTypeI(v, 2.0), "x_m"), (lambda v: ParetoTypeI(1.0, v), "beta"),
+        (Degenerate, "value"),
+    ], ids=["normal-mean", "normal-sd", "lognormal-mu_log", "lognormal-sd_log", "pareto-x_m",
+            "pareto-beta", "degenerate-value"])
+    def test_non_finite_parameters_are_refused(self, build, name, value):
+        # nan fails every range check, and a location must be finite too
+        with pytest.raises(ValueError, match=f"^{name} must .*finite"):
+            build(value)
 
     def test_pareto_variance_finiteness(self):
         assert math.isinf(ParetoTypeI(0.5, 2.0).variance)

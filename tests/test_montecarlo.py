@@ -19,7 +19,7 @@ from cocval.montecarlo import sample_scenarios
 from cocval.risk_measures import RiskMeasure, var_empirical, var_multiplier
 from cocval.valuation import gaussian_positive_part_factor, mc_valuation
 
-from helpers import generate_scenarios, mc_at, open_uniform, summary_of
+from helpers import draw, generate_scenarios, mc_at, open_uniform, summary_of
 
 
 CLAIM = lognormal_from_moments(1.0, 0.3)
@@ -111,8 +111,8 @@ class TestSampleScenarios:
         claim, asset = FAMILIES[i], FAMILIES[(i + 1) % len(FAMILIES)]
         scen = generate_scenarios(n, seed=5)
         x, s = sample_scenarios(claim, asset, n, seed=5)
-        assert same_bits(x, claim.sample(scen.u_claim))
-        assert same_bits(s, asset.sample(scen.u_asset))
+        assert same_bits(x, draw(claim, scen.u_claim))
+        assert same_bits(s, draw(asset, scen.u_asset))
         x1, s1 = sample_scenarios(claim, None, n, seed=5)  # the claim stream alone
         assert s1 is None and same_bits(x1, x)
 
@@ -122,8 +122,8 @@ class TestSampleScenarios:
         n = 5 * montecarlo.MIN_CHUNK + 3
         scen = generate_scenarios(n, seed=8)
         x, s = sample_scenarios(CLAIM, ASSET, n, seed=8)
-        assert same_bits(x, CLAIM.sample(scen.u_claim))
-        assert same_bits(s, ASSET.sample(scen.u_asset))
+        assert same_bits(x, draw(CLAIM, scen.u_claim))
+        assert same_bits(s, draw(ASSET, scen.u_asset))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 2_000), cuts=st.lists(st.integers(1, 500), max_size=6),
@@ -139,7 +139,7 @@ class TestSampleScenarios:
             mp.setattr(montecarlo, "BLOCK", block)
             for a, b in zip([0, *bounds], [*bounds, n]):
                 montecarlo._fill(out, family, key_claim, a, b, np.full((2, block), np.nan))
-        assert same_bits(out, family.sample(generate_scenarios(n, seed).u_claim))
+        assert same_bits(out, draw(family, generate_scenarios(n, seed).u_claim))
 
     @pytest.mark.parametrize("family", [*FAMILIES, Normal(-0.4, 0.0)], ids=repr)
     def test_a_block_in_caller_scratch_makes_no_block_long_array(self, family):
@@ -157,7 +157,7 @@ class TestSampleScenarios:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes
-        assert same_bits(out, family.sample(generate_scenarios(n, seed=4).u_claim))
+        assert same_bits(out, draw(family, generate_scenarios(n, seed=4).u_claim))
 
     def test_jump_ahead_facts(self):
         # the chunking rests on these facts of numpy's Philox generator
@@ -209,7 +209,7 @@ class TestSampleScenarios:
                 return ks
 
         assert open_uniform(Words, 3).tolist() == want
-        assert np.isfinite(CLAIM.sample(np.array(want))).all()
+        assert np.isfinite(draw(CLAIM, np.array(want))).all()
 
     def test_concurrent_calls_share_one_pool(self, monkeypatch, own_pool):
         # six callers race to make the pool and split into more chunks than
@@ -236,8 +236,8 @@ class TestSampleScenarios:
         assert len(pools) == 6 and all(pool is pools[0] for pool in pools)
         for seed in seeds:
             scen = generate_scenarios(n, seed)
-            assert same_bits(got[seed][0], CLAIM.sample(scen.u_claim))
-            assert same_bits(got[seed][1], ASSET.sample(scen.u_asset))
+            assert same_bits(got[seed][0], draw(CLAIM, scen.u_claim))
+            assert same_bits(got[seed][1], draw(ASSET, scen.u_asset))
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_makes_its_own_pool(self, monkeypatch, own_pool):
@@ -292,7 +292,7 @@ class TestNetWorth:
         scen = generate_scenarios(64, seed=0)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=Normal(1.05, 0.2), w=0.5, eta=0.06)
-        x = market.claim.sample(scen.u_claim)
+        x = draw(market.claim, scen.u_claim)
         row = mc_at(0.0, market, scen)
         assert row.c0 == 0.0
         assert row.llo == float(x.mean()) / 1.06
@@ -314,8 +314,8 @@ class TestNetWorth:
         scen = generate_scenarios(20_000, seed=13)
         market = MarketSpec(claim=lognormal_from_moments(1.0, 0.3),
                             asset=lognormal_from_moments(1.05, 0.2), w=0.7, eta=0.06)
-        z = 0.7 * market.asset.sample(scen.u_asset) + 0.3
-        x = market.claim.sample(scen.u_claim)
+        z = 0.7 * draw(market.asset, scen.u_asset) + 0.3
+        x = draw(market.claim, scen.u_claim)
         levels = [var_empirical(r * z - x, 0.01) for r in np.linspace(0.0, 4.0, 41)]
         assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
 

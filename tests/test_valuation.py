@@ -34,8 +34,8 @@ from cocval.valuation import (
     value_riskless_var,
 )
 
-from helpers import (generate_scenarios, mc_at, reference_row, reference_var_root, samples,
-                     solve_at)
+from helpers import (draw, generate_scenarios, mc_at, reference_row, reference_var_root,
+                     samples, solve_at)
 
 ETA = 0.06
 ALPHA = 0.005
@@ -157,8 +157,8 @@ class TestCappedExpectation:
         res = value_lognormal_var(claim.mu_log, claim.sd_log,
                                   asset.mu_log, asset.sd_log, ALPHA, ETA)
         scen = generate_scenarios(10 ** 6, seed=29)
-        z = asset.sample(scen.u_asset)
-        x = claim.sample(scen.u_claim)
+        z = draw(asset, scen.u_asset)
+        x = draw(claim, scen.u_claim)
         capped = np.minimum(res.r0 * z, x)
         se = float(capped.std(ddof=1)) / math.sqrt(scen.n)
         assert abs(self.capped_of(res, asset.mean) - float(capped.mean())) < 4 * se
@@ -249,7 +249,7 @@ class TestMcValuation:
         market = MarketSpec(claim=Degenerate(0.0), asset=asset, w=1.0, eta=ETA)
         r0 = 1.7
         v0 = mc_at(r0, market, scen).v0
-        z = market.asset.sample(scen.u_asset)
+        z = draw(market.asset, scen.u_asset)
         expected = r0 * (ETA + 1.0 - float(z.mean())) / (1.0 + ETA)
         assert v0 == pytest.approx(expected, rel=1e-12)
 
@@ -529,7 +529,7 @@ class TestValueMarket:
         # the streams are transformed block by block, each draw once
         draws = {"Lognormal": [], "ParetoTypeI": []}  # appends are safe across threads
         for cls in (Lognormal, ParetoTypeI):
-            def counted(self, u, work=None, _sample=cls.sample, _name=cls.__name__):
+            def counted(self, u, work, _sample=cls.sample, _name=cls.__name__):
                 draws[_name].append(u.size)
                 return _sample(self, u, work)
             monkeypatch.setattr(cls, "sample", counted)
